@@ -8,13 +8,13 @@ import (
 	"testing"
 
 	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/h264"
 	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/mach"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
 // debuggedDecode builds the decoder under the full stack, applies setup,
@@ -22,34 +22,17 @@ import (
 func debuggedDecode(b *testing.B, p h264.Params, linkCap int,
 	setup func(*core.Debugger, *pedf.Runtime)) sim.Time {
 	b.Helper()
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	if linkCap > 0 {
-		rt.LinkCap = linkCap
-	}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+	st, err := stack.Recipe{Params: p, LinkCap: linkCap}.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := k.RunUntil(0); err != nil {
-		b.Fatal(err)
-	}
 	if setup != nil {
-		setup(d, rt)
+		setup(st.D, st.RT)
 	}
-	if ev := low.Continue(); ev.Kind != lowdbg.StopDone || ev.Deadlock != nil {
+	if ev := st.Low.Continue(); ev.Kind != lowdbg.StopDone || ev.Deadlock != nil {
 		b.Fatalf("run ended with %v", ev)
 	}
-	return k.Now()
+	return st.K.Now()
 }
 
 // BenchmarkRecordingOverhead — cost of `iface ... record` on hot

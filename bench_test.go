@@ -32,6 +32,7 @@ import (
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/script"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
 var benchParams = h264.Params{W: 32, H: 32, QP: 8, Seed: 7}
@@ -149,25 +150,13 @@ func BenchmarkGraphReconstruction(b *testing.B) {
 // BenchmarkGraphSnapshot measures rendering the Figure 4-style annotated
 // graph from the reconstructed model.
 func BenchmarkGraphSnapshot(b *testing.B) {
-	p := benchParams
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, _ := h264.Encode(h264.GenerateFrame(p), p)
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := k.RunUntil(0); err != nil {
+	st, err := stack.Recipe{Params: benchParams}.Build()
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := d.GraphDOT(); !strings.Contains(out, "digraph") {
+		if out := st.D.GraphDOT(); !strings.Contains(out, "digraph") {
 			b.Fatal("bad DOT")
 		}
 	}

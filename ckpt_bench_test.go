@@ -9,74 +9,30 @@
 package dfdbg
 
 import (
-	"io"
 	"testing"
 
 	"dfdbg/internal/ckpt"
-	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
-	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
-// ckptBenchStack mirrors the serve session stack: a full debugger world
-// with a CLI on top, so the journal replays command lines.
-type ckptBenchStack struct {
-	k   *sim.Kernel
-	m   *mach.Machine
-	rt  *pedf.Runtime
-	rec *obs.Recorder
-	c   *cli.CLI
-}
-
-func (s *ckptBenchStack) ReplayExec(line string) { s.c.Dispatch(line) }
-func (s *ckptBenchStack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(s.k, s.m, s.rt, s.rec)
-}
-func (s *ckptBenchStack) Shutdown() { _ = s.k.Shutdown() }
-
-func buildCkptBench() (ckpt.Target, error) {
-	k := sim.NewKernel()
-	rec := obs.NewRecorder(1 << 14)
-	k.SetObserver(rec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	c := cli.New(d, io.Discard)
-	c.Obs = rec
-	return &ckptBenchStack{k: k, m: m, rt: rt, rec: rec, c: c}, nil
-}
+// ckptBench is the benchmarked world: the decoder with an observer
+// installed and a CLI on top, so the journal replays command lines.
+var ckptBench = stack.Recipe{Params: h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, Ring: 1 << 14, Lazy: true}
 
 // BenchmarkCheckpoint measures capturing one checkpoint of a completed
 // 16x16 decode — the worst-case state (full frame assembled, obs ring
 // populated, scheduler drained).
 func BenchmarkCheckpoint(b *testing.B) {
-	mgr := ckpt.NewManager(buildCkptBench)
+	mgr := ckpt.NewManager(ckptBench.Target)
 	mgr.Limit = 2
 	t, err := mgr.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := t.(*ckptBenchStack)
+	st := t.(*stack.Stack)
 	defer st.Shutdown()
-	if res := st.c.Dispatch("continue"); res.Err != nil {
+	if res := st.CLI.Dispatch("continue"); res.Err != nil {
 		b.Fatal(res.Err)
 	}
 	mgr.Note("continue")
@@ -84,7 +40,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	var stateBytes int
 	for i := 0; i < b.N; i++ {
-		cp, err := mgr.Capture(st, "bench", uint64(st.k.Now()), 0)
+		cp, err := mgr.Capture(st, "bench", uint64(st.K.Now()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,19 +53,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 // the stack from scratch, replay the journaled decode, re-capture the
 // state, and byte-compare it against the checkpoint.
 func BenchmarkRestore(b *testing.B) {
-	mgr := ckpt.NewManager(buildCkptBench)
+	mgr := ckpt.NewManager(ckptBench.Target)
 	mgr.Limit = 2
 	t, err := mgr.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := t.(*ckptBenchStack)
+	st := t.(*stack.Stack)
 	defer st.Shutdown()
-	if res := st.c.Dispatch("continue"); res.Err != nil {
+	if res := st.CLI.Dispatch("continue"); res.Err != nil {
 		b.Fatal(res.Err)
 	}
 	mgr.Note("continue")
-	cp, err := mgr.Capture(st, "bench", uint64(st.k.Now()), 0)
+	cp, err := mgr.Capture(st, "bench", uint64(st.K.Now()), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,6 +76,6 @@ func BenchmarkRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nt.(*ckptBenchStack).Shutdown()
+		nt.(*stack.Stack).Shutdown()
 	}
 }

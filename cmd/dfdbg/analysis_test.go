@@ -14,33 +14,22 @@ import (
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/absint"
 	"dfdbg/internal/analysis/pedfgraph"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
-	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildH264 elaborates one h264 decoder variant for analysis tests.
-func buildH264(t *testing.T, bug h264.Bug) *pedf.Runtime {
+func buildH264(t testing.TB, bug h264.Bug) *pedf.Runtime {
 	t.Helper()
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+	st, err := stack.Recipe{Params: h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, Bug: bug, Lazy: true}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h264.BuildVariant(rt, p, bits, bug); err != nil {
-		t.Fatal(err)
-	}
-	return rt
+	return st.RT
 }
 
 // The H.264 case study must produce an issue-free static report: no
@@ -139,25 +128,13 @@ func TestH264ClassifierGolden(t *testing.T) {
 // — an SDF/CSDF actor must exhibit exactly the inferred pattern phase on
 // every port, every firing.
 func TestH264ClassifierSoundnessDifferential(t *testing.T) {
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	k := sim.NewKernel()
-	rec := obs.NewRecorder(1 << 17)
-	k.SetObserver(rec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+	st, err := stack.Recipe{Params: h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, Ring: 1 << 17, Lazy: true}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h264.BuildVariant(rt, p, bits, h264.BugNone); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	classes := pedfgraph.ClassifyActors(rt)
-	if _, err := k.Run(); err != nil {
+	rec := st.Rec
+	classes := pedfgraph.ClassifyActors(st.RT)
+	if _, err := st.K.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Dropped() != 0 {
@@ -396,18 +373,7 @@ func TestAnalyzeGate(t *testing.T) {
 // schedule, bounds) over the elaborated H.264 decoder. The baseline
 // lives in BENCH_analyze.json, guarded by cmd/benchguard in CI.
 func BenchmarkAnalyzeH264(b *testing.B) {
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := h264.BuildVariant(rt, p, bits, h264.BugNone); err != nil {
-		b.Fatal(err)
-	}
+	rt := buildH264(b, h264.BugNone)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, _, err := pedfgraph.Analyze(rt, "h264")

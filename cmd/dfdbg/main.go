@@ -24,21 +24,15 @@ import (
 	"os"
 	"time"
 
-	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/mind"
-	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
+	"dfdbg/internal/stack"
 	"dfdbg/internal/web"
 )
 
@@ -121,11 +115,21 @@ type faultOpts struct {
 	watchdog string // watchdog threshold ("" = off)
 }
 
-// armFaults installs the requested fault plan and watchdog on the
-// kernel. An explicit spec wins over a seed; a spec naming an existing
-// file is read from disk, anything else parses as an inline plan.
-func armFaults(k *sim.Kernel, rt *pedf.Runtime, fo faultOpts, out io.Writer) error {
+// recipe resolves the command line into the REPL world, once per
+// process: the requested bug, the static pre-flight (warnings surface
+// on out before the first dispatch; `dfdbg analyze` is the gating
+// form), the batched engine (a region demotes to the per-token path
+// the moment instrumentation arms on it) and the fault flags. A fault
+// spec naming an existing file is read here, anything else parses as
+// an inline plan, and an explicit spec wins over a seed. Checkpoint
+// rebuilds replay the recipe and never look at the flags or the file
+// again.
+func recipe(p h264.Params, bugName string, fo faultOpts, out io.Writer) (stack.Recipe, error) {
+	bug, err := h264.ParseBug(bugName)
+	r := stack.Recipe{Params: p, Bug: bug, Ring: 4096, Trace: true, Batch: stack.BatchOn, PreRun: out}
 	switch {
+	case err != nil:
+		return r, err
 	case fo.spec != "":
 		text := fo.spec
 		if b, err := os.ReadFile(fo.spec); err == nil {
@@ -133,145 +137,62 @@ func armFaults(k *sim.Kernel, rt *pedf.Runtime, fo faultOpts, out io.Writer) err
 		}
 		plan, err := fault.ParsePlan(text)
 		if err != nil {
-			return err
+			return r, err
 		}
-		k.SetFaults(fault.NewInjector(plan))
+		r.Faults = &plan
 		fmt.Fprintf(out, "armed %d fault(s)\n", len(plan.Faults))
 	case fo.seed != 0:
-		plan := fault.Generate(fo.seed, rt.FaultTargets())
-		k.SetFaults(fault.NewInjector(plan))
-		fmt.Fprintf(out, "fault plan (seed %d):\n%s", fo.seed, plan)
+		r.FaultSeed = fo.seed
 	}
 	if fo.watchdog != "" {
 		ns, err := fault.ParseDurationNS(fo.watchdog)
 		if err != nil {
-			return err
+			return r, err
 		}
-		k.SetWatchdog(sim.Duration(ns))
+		r.Watchdog = sim.Duration(ns)
 	}
-	return nil
-}
-
-// soloStack is one fully-built debugger world of the REPL. It is the
-// ckpt.Target the checkpoint manager rebuilds during restore and
-// reverse execution, so everything here must come out identical when
-// built twice from the same flags.
-type soloStack struct {
-	k    *sim.Kernel
-	orec *obs.Recorder
-	m    *mach.Machine
-	rt   *pedf.Runtime
-	d    *core.Debugger
-	c    *cli.CLI
-}
-
-func (st *soloStack) ReplayExec(line string) { st.c.Dispatch(line) }
-func (st *soloStack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(st.k, st.m, st.rt, st.orec)
-}
-func (st *soloStack) Shutdown() { _ = st.k.Shutdown() }
-
-// full is the analysis hook of this stack's world.
-func (st *soloStack) full() (*analysis.Report, error) {
-	rep, _, err := pedfgraph.Analyze(st.rt, "h264")
-	return rep, err
-}
-
-// buildSolo boots one REPL world: kernel, machine, PEDF runtime, the
-// H.264 case study with the requested bug, flag-armed faults, batched
-// execution, and a CLI over it all. out receives the boot-time banner
-// and pre-flight warnings; checkpoint rebuilds pass io.Discard.
-func buildSolo(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*soloStack, error) {
-	k := sim.NewKernel()
-	orec := obs.NewRecorder(4096)
-	k.SetObserver(orec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := trace.Attach(low)
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.BuildVariant(rt, p, bits, bug); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if err := armFaults(k, rt, fo, out); err != nil {
-		return nil, err
-	}
-	// Static pre-flight: warnings surface before the first dispatch (the
-	// run proceeds regardless; `dfdbg analyze` is the gating form).
-	pedfgraph.InstallPreRun(k, rt, "h264", out)
-	// Let the framework initialization run so the graph is reconstructed
-	// before the first prompt (the paper's init-phase interception).
-	if _, err := k.RunUntil(0); err != nil {
-		return nil, err
-	}
-	c := cli.New(d, out)
-	c.Rec = rec
-	c.Obs = orec
-	c.Targets = rt.FaultTargets()
-	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
-		return pedfgraph.Analyze(rt, "h264")
-	}
-	// Arm the batched execution engine: regions the analyzer proves SDF
-	// run schedule-driven whenever no instrumentation is armed on them,
-	// and demote to the per-token path the moment one is. `batch` shows
-	// the live per-region mode.
-	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-		return nil, err
-	}
-	c.Batch = func() (string, []pedf.RegionMode) {
-		return rt.BatchHold(), rt.RegionModes()
-	}
-	return &soloStack{k: k, orec: orec, m: m, rt: rt, d: d, c: c}, nil
+	return r, nil
 }
 
 func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Writer) error {
-	bug, err := h264.ParseBug(bugName)
+	r, err := recipe(p, bugName, fo, out)
 	if err != nil {
 		return err
 	}
-	cur, err := buildSolo(p, bug, fo, out)
+	cur, err := r.Build()
 	if err != nil {
 		return err
+	}
+	if r.FaultSeed != 0 {
+		fmt.Fprintf(out, "fault plan (seed %d):\n%s", r.FaultSeed, fault.Generate(r.FaultSeed, cur.RT.FaultTargets()))
 	}
 	fmt.Fprintf(out, "dfdbg: dataflow debugger on the H.264 case study "+
-		"(%dx%d, %d macroblocks, bug=%s)\n", p.W, p.H, p.NumBlocks(), bug)
+		"(%dx%d, %d macroblocks, bug=%s)\n", p.W, p.H, p.NumBlocks(), r.Bug)
 	fmt.Fprintf(out, "%d actors and %d links reconstructed; type `help` for commands\n",
-		len(cur.d.Actors()), len(cur.d.Links()))
+		len(cur.D.Actors()), len(cur.D.Links()))
 
 	// The checkpoint manager journals state-mutating command lines and
-	// rebuilds the whole world (with replay verification) on restore and
-	// reverse execution (DESIGN §13).
-	mgr := ckpt.NewManager(func() (ckpt.Target, error) {
-		st, err := buildSolo(p, bug, fo, io.Discard)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	var swap *soloStack // staged by a restore-class hook, adopted post-dispatch
+	// rebuilds the whole world from the same recipe (with replay
+	// verification) on restore and reverse execution (DESIGN §13).
+	r.PreRun = io.Discard
+	mgr := ckpt.NewManager(r.Target)
+	var swap *stack.Stack // staged by a restore-class hook, adopted post-dispatch
 
 	// The web UI shares the stack through a solo host; its mutex is the
 	// dispatch guard, so browser queries serialize against commands and
 	// a restore rebinds the host before anything else runs.
-	host := web.NewSoloHost("dfdbg", cur.orec, cur.k, cur.rt, cur.full)
+	host := web.NewSoloHost("dfdbg", cur.Rec, cur.K, cur.RT, cur.Full)
 
 	// wire installs the checkpoint commands on a (re)built world's CLI.
-	var wire func(st *soloStack)
-	wire = func(st *soloStack) {
-		st.c.StartWeb = func(addr string) (string, error) {
+	var wire func(st *stack.Stack)
+	wire = func(st *stack.Stack) {
+		st.CLI.StartWeb = func(addr string) (string, error) {
 			url, _, err := host.Serve(addr)
 			return url, err
 		}
-		st.c.Ckpt = &cli.CkptHooks{
+		st.CLI.Ckpt = &cli.CkptHooks{
 			Save: func(label string) (ckpt.Info, error) {
-				cp, err := mgr.Capture(st, label, uint64(st.k.Now()), time.Now().UnixNano())
+				cp, err := mgr.Capture(st, label, uint64(st.K.Now()), time.Now().UnixNano())
 				if err != nil {
 					return ckpt.Info{}, err
 				}
@@ -290,7 +211,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 				if err != nil {
 					return ckpt.Info{}, err
 				}
-				swap = t.(*soloStack)
+				swap = t.(*stack.Stack)
 				return cp.Info(), nil
 			},
 			ReverseStep: func() error {
@@ -298,7 +219,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 				if err != nil {
 					return err
 				}
-				swap = t.(*soloStack)
+				swap = t.(*stack.Stack)
 				return nil
 			},
 			ReverseContinue: func() (ckpt.Info, error) {
@@ -310,7 +231,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 				if err != nil {
 					return ckpt.Info{}, err
 				}
-				swap = t.(*soloStack)
+				swap = t.(*stack.Stack)
 				return cp.Info(), nil
 			},
 		}
@@ -324,7 +245,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	dispatch := func(line string) cli.Result {
 		host.Lock()
 		defer host.Unlock()
-		res := cur.c.Dispatch(line)
+		res := cur.CLI.Dispatch(line)
 		if res.Err == nil && ckpt.Journaled(line) {
 			mgr.Note(line)
 		}
@@ -333,7 +254,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 			old := cur
 			cur = ns
 			wire(ns)
-			host.Rebind(ns.orec, ns.k, ns.rt, ns.full)
+			host.Rebind(ns.Rec, ns.K, ns.RT, ns.Full)
 			if old != ns {
 				old.Shutdown()
 			}
@@ -352,7 +273,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	// The birth checkpoint: reverse execution and `restore` always have
 	// a floor to return to. Best effort — a world whose state cannot be
 	// captured still debugs, it just cannot rewind.
-	if _, err := mgr.Capture(cur, "boot", uint64(cur.k.Now()), time.Now().UnixNano()); err != nil {
+	if _, err := mgr.Capture(cur, "boot", uint64(cur.K.Now()), time.Now().UnixNano()); err != nil {
 		fmt.Fprintf(out, "checkpointing disabled: %v\n", err)
 	}
 

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -110,5 +116,62 @@ func TestParseBug(t *testing.T) {
 	var out strings.Builder
 	if err := run(h264.Params{W: 16, H: 16, QP: 8}, "bogus", faultOpts{}, strings.NewReader(""), &out); err == nil {
 		t.Error("run with bogus bug accepted")
+	}
+}
+
+// rewrite overwrites a file when the REPL first reads its input,
+// which happens only after the world booted.
+type rewrite struct{ path, text string }
+
+func (r rewrite) Read([]byte) (int, error) {
+	return 0, cmp.Or(os.WriteFile(r.path, []byte(r.text), 0o644), io.EOF)
+}
+
+// A -faults plan file is read once at startup: editing it mid-session
+// must not leak into the worlds reverse execution rebuilds.
+func TestFaultFileReadOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.txt")
+	if err := os.WriteFile(path, []byte("drop link bh::stream_in @ 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := io.MultiReader(rewrite{path, "drop link bh::stream_in @ 5\n"},
+		strings.NewReader("continue\nreverse-step\nquit\n"))
+	var out strings.Builder
+	if err := run(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, "none", faultOpts{spec: path}, in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "armed 1 fault(s)") || strings.Contains(s, "error:") {
+		t.Errorf("session with a rewritten plan file:\n%s", s)
+	}
+}
+
+// TestREPLStateDigest pins the captured state of the REPL world after
+// boot and after a fixed script: a change to how the world is
+// assembled would break restoring the checkpoints other builds wrote.
+func TestREPLStateDigest(t *testing.T) {
+	r, err := recipe(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, "none", faultOpts{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown()
+	got := ""
+	for _, line := range []string{"", "filter pipe catch work", "continue", "continue", ""} {
+		if line == "" {
+			b, err := st.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += fmt.Sprintf("%x\n", sha256.Sum256(b))
+		} else if res := st.CLI.Dispatch(line); res.Err != nil {
+			t.Fatalf("%q: %v", line, res.Err)
+		}
+	}
+	want, err := os.ReadFile("testdata/state_digest.txt")
+	if err != nil || got != string(want) {
+		t.Errorf("REPL state digest changed:\n got %s\nwant %s%v", got, want, err)
 	}
 }

@@ -11,15 +11,11 @@ package chaos
 import (
 	"fmt"
 
-	"dfdbg/internal/analysis/pedfgraph"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
 	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
 // Options tunes one chaos run. The zero value selects the defaults.
@@ -61,6 +57,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// recipe is the chaos world. It is lazy: the faults — armed by the
+// recipe here, by journaled commands in checkpoint mode — must also
+// cover the framework's init phase.
+func (o Options) recipe() stack.Recipe {
+	r := stack.Recipe{Params: h264.Params{W: o.W, H: o.H, QP: 8, Seed: 7}, Lazy: true}
+	if o.Batch {
+		r.Batch = stack.BatchOn
+	}
+	return r
+}
+
 // Result is the verdict of one seeded chaos run.
 type Result struct {
 	Seed        int64
@@ -89,32 +96,15 @@ func Run(seed int64, o Options) (*Result, error) {
 		return RunCheckpoint(seed, o)
 	}
 
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: o.W, H: o.H, QP: 8, Seed: 7}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+	r := o.recipe()
+	r.FaultSeed, r.Watchdog = seed, o.Watchdog
+	st, err := r.Build()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if o.Batch {
-		if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-			return nil, err
-		}
-	}
-
-	plan := fault.Generate(seed, rt.FaultTargets())
-	inj := fault.NewInjector(plan)
-	k.SetFaults(inj)
-	k.SetWatchdog(o.Watchdog)
+	defer st.Shutdown()
+	low, d, inj := st.Low, st.D, st.K.Faults()
+	plan := fault.Generate(seed, st.RT.FaultTargets())
 
 	res := &Result{Seed: seed, Plan: plan, FinalStatus: "gave-up"}
 	defer func() { res.Trace = inj.TraceStrings() }()

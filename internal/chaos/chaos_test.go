@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -157,5 +160,33 @@ func TestChaosCheckpointSmoke(t *testing.T) {
 		if res.Restores != 1 {
 			t.Errorf("seed %d: %d restores, want exactly 1", seed, res.Restores)
 		}
+	}
+}
+
+// TestCheckpointWorldStateDigest pins the captured state of the
+// checkpoint gauntlet's world after boot and after a fixed script. The
+// world is lazy (no actor exists before the first continue), so the
+// script is the gauntlet's own journaled prefix.
+func TestCheckpointWorldStateDigest(t *testing.T) {
+	st, err := ckptRecipe(Options{}.withDefaults()).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown()
+	got := ""
+	for _, line := range []string{"", "watchdog 2000000", "fault gen 3", "continue", "continue", ""} {
+		if line == "" {
+			b, err := st.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += fmt.Sprintf("%x\n", sha256.Sum256(b))
+		} else if res := st.CLI.Dispatch(line); res.Err != nil {
+			t.Fatalf("%q: %v", line, res.Err)
+		}
+	}
+	want, err := os.ReadFile("testdata/state_digest.txt")
+	if err != nil || got != string(want) {
+		t.Errorf("checkpoint world state digest changed:\n got %s\nwant %s%v", got, want, err)
 	}
 }

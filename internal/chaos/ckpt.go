@@ -11,76 +11,27 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 
-	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
-	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
-	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
-// ckptStack is the chaos harness's ckpt.Target: a full debugger stack
-// with a CLI on top, so the checkpoint journal replays command lines.
-type ckptStack struct {
-	k   *sim.Kernel
-	m   *mach.Machine
-	rt  *pedf.Runtime
-	rec *obs.Recorder
-	c   *cli.CLI
-}
-
-func (s *ckptStack) ReplayExec(line string) { s.c.Dispatch(line) }
-func (s *ckptStack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(s.k, s.m, s.rt, s.rec)
-}
-func (s *ckptStack) Shutdown() { _ = s.k.Shutdown() }
-
-// buildCkptStack boots the chaos recipe — no fault plan or watchdog
-// yet; those arrive as journaled commands so replay re-creates them.
-func buildCkptStack(o Options) (*ckptStack, error) {
-	k := sim.NewKernel()
-	rec := obs.NewRecorder(1 << 14)
-	k.SetObserver(rec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: o.W, H: o.H, QP: 8, Seed: 7}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if o.Batch {
-		if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-			return nil, err
-		}
-	}
-	c := cli.New(d, io.Discard)
-	c.Obs = rec
-	c.Targets = rt.FaultTargets()
-	return &ckptStack{k: k, m: m, rt: rt, rec: rec, c: c}, nil
+// ckptRecipe is the checkpoint gauntlet's world: the chaos world with
+// an obs ring, whose event stream is part of the verified state.
+func ckptRecipe(o Options) stack.Recipe {
+	r := o.recipe()
+	r.Ring = 1 << 14
+	return r
 }
 
 // step executes one command line and journals it on success
 // (journal-after-success, same policy as the serve supervisor).
-func step(mgr *ckpt.Manager, st *ckptStack, line string) cli.Result {
-	res := st.c.Dispatch(line)
+func step(mgr *ckpt.Manager, st *stack.Stack, line string) cli.Result {
+	res := st.CLI.Dispatch(line)
 	if res.Err == nil && ckpt.Journaled(line) {
 		mgr.Note(line)
 	}
@@ -93,36 +44,30 @@ func step(mgr *ckpt.Manager, st *ckptStack, line string) cli.Result {
 // uninterrupted. Returns the verdict, the final state blob, and how
 // many restores happened.
 func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
-	mgr := ckpt.NewManager(func() (ckpt.Target, error) {
-		st, err := buildCkptStack(o)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
+	mgr := ckpt.NewManager(ckptRecipe(o).Target)
 	mgr.Limit = 4
 	t, err := mgr.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	st := t.(*ckptStack)
+	st := t.(*stack.Stack)
 	defer func() { st.Shutdown() }()
 
 	res := &Result{Seed: seed, FinalStatus: "gave-up"}
-	res.Plan = fault.Generate(seed, st.rt.FaultTargets())
+	res.Plan = fault.Generate(seed, st.RT.FaultTargets())
 	if r := step(mgr, st, fmt.Sprintf("watchdog %d", uint64(o.Watchdog))); r.Err != nil {
 		return res, nil, r.Err
 	}
 	if r := step(mgr, st, fmt.Sprintf("fault gen %d", seed)); r.Err != nil {
 		return res, nil, r.Err
 	}
-	if _, err := mgr.Capture(st, "boot", uint64(st.k.Now()), 0); err != nil {
+	if _, err := mgr.Capture(st, "boot", uint64(st.K.Now()), 0); err != nil {
 		return res, nil, err
 	}
 
 	finish := func(status string) (*Result, []byte, error) {
 		res.FinalStatus = status
-		if inj := st.k.Faults(); inj != nil {
+		if inj := st.K.Faults(); inj != nil {
 			res.Trace = inj.TraceStrings()
 		}
 		state, err := st.CaptureState()
@@ -138,7 +83,7 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 			if err != nil {
 				return res, nil, fmt.Errorf("restore after kill at round %d: %w", killAt, err)
 			}
-			st = nt.(*ckptStack)
+			st = nt.(*stack.Stack)
 			res.Restores++
 		}
 		r := step(mgr, st, "continue")
@@ -159,7 +104,7 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 			res.Unsticks++
 		}
 		if res.Rounds%ckptEveryRounds == 0 {
-			if _, err := mgr.Capture(st, "auto", uint64(st.k.Now()), 0); err != nil {
+			if _, err := mgr.Capture(st, "auto", uint64(st.K.Now()), 0); err != nil {
 				return res, nil, err
 			}
 		}

@@ -3,69 +3,22 @@ package ckpt_test
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"dfdbg/internal/ckpt"
-	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
-	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
-// stack is the Target adapter over a full debugger stack, the same
-// shape the serve session, the dfdbg REPL and the chaos harness use.
-type stack struct {
-	k   *sim.Kernel
-	m   *mach.Machine
-	rt  *pedf.Runtime
-	rec *obs.Recorder
-	c   *cli.CLI
-}
-
-func (s *stack) ReplayExec(line string) { s.c.Dispatch(line) }
-func (s *stack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(s.k, s.m, s.rt, s.rec)
-}
-func (s *stack) Shutdown() { s.k.Shutdown() }
-
-// buildStack boots the H.264 case study with an observer installed —
-// the birth recipe the manager replays journals over.
-func buildStack() (ckpt.Target, error) {
-	k := sim.NewKernel()
-	rec := obs.NewRecorder(1 << 14)
-	k.SetObserver(rec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if st, err := k.RunUntil(0); err != nil || st != sim.RunHorizon {
-		return nil, err
-	}
-	return &stack{k: k, m: m, rt: rt, rec: rec, c: cli.New(d, io.Discard)}, nil
-}
+// recipe is the birth world the manager replays journals over: the
+// H.264 case study with an observer installed.
+var recipe = stack.Recipe{Params: h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, Ring: 1 << 14}
 
 // run dispatches a line on the stack and journals it on success,
 // applying the journal-after-success policy.
 func run(t *testing.T, m *ckpt.Manager, st ckpt.Target, line string) {
 	t.Helper()
-	res := st.(*stack).c.Dispatch(line)
+	res := st.(*stack.Stack).CLI.Dispatch(line)
 	if res.Err != nil {
 		t.Fatalf("%q: %v", line, res.Err)
 	}
@@ -76,7 +29,7 @@ func run(t *testing.T, m *ckpt.Manager, st ckpt.Target, line string) {
 
 func capture(t *testing.T, m *ckpt.Manager, st ckpt.Target, label string) *ckpt.Checkpoint {
 	t.Helper()
-	cp, err := m.Capture(st, label, uint64(st.(*stack).k.Now()), 0)
+	cp, err := m.Capture(st, label, uint64(st.(*stack.Stack).K.Now()), 0)
 	if err != nil {
 		t.Fatalf("capture %q: %v", label, err)
 	}
@@ -84,7 +37,7 @@ func capture(t *testing.T, m *ckpt.Manager, st ckpt.Target, label string) *ckpt.
 }
 
 func TestRestoreReplayVerified(t *testing.T) {
-	m := ckpt.NewManager(buildStack)
+	m := ckpt.NewManager(recipe.Target)
 	st, err := m.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +78,7 @@ func TestRestoreReplayVerified(t *testing.T) {
 }
 
 func TestRestoreDetectsDivergence(t *testing.T) {
-	m := ckpt.NewManager(buildStack)
+	m := ckpt.NewManager(recipe.Target)
 	st, err := m.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +107,7 @@ func TestRestoreDetectsDivergence(t *testing.T) {
 }
 
 func TestReverseStep(t *testing.T) {
-	m := ckpt.NewManager(buildStack)
+	m := ckpt.NewManager(recipe.Target)
 	st, err := m.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +140,7 @@ func TestReverseStep(t *testing.T) {
 }
 
 func TestReverseContinue(t *testing.T) {
-	m := ckpt.NewManager(buildStack)
+	m := ckpt.NewManager(recipe.Target)
 	st, err := m.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/script"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 	"dfdbg/internal/trace"
 )
 
@@ -101,47 +102,6 @@ func (r *Runner) params() h264.Params {
 		return h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
 	}
 	return h264.Params{W: 48, H: 48, QP: 8, Seed: 7}
-}
-
-// stack bundles a freshly built debugging stack around the decoder.
-type stack struct {
-	k   *sim.Kernel
-	low *lowdbg.Debugger
-	d   *core.Debugger
-	rt  *pedf.Runtime
-	app *h264.App
-}
-
-func buildStack(p h264.Params, bug h264.Bug, linkCap int, withDebugger bool) (*stack, error) {
-	k := sim.NewKernel()
-	var low *lowdbg.Debugger
-	var d *core.Debugger
-	if withDebugger {
-		low = lowdbg.New(k, dbginfo.NewTable())
-		d = core.Attach(low)
-	}
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	if linkCap > 0 {
-		rt.LinkCap = linkCap
-	}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	app, err := h264.BuildVariant(rt, p, bits, bug)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if withDebugger {
-		if _, err := k.RunUntil(0); err != nil {
-			return nil, err
-		}
-	}
-	return &stack{k: k, low: low, d: d, rt: rt, app: app}, nil
 }
 
 // ---- F1: Figure 1, platform architecture ----
@@ -295,17 +255,17 @@ func (r *Runner) F2() error {
 // occupancies at several stops.
 func (r *Runner) F3() error {
 	r.section("F3", "two-level debugging fidelity (paper Fig. 3)")
-	st, err := buildStack(r.params(), h264.BugNone, 0, true)
+	st, err := stack.Recipe{Params: r.params()}.Build()
 	if err != nil {
 		return err
 	}
 	// Ground truth vs reconstruction: actors.
 	truthActors := make(map[string]string)
-	for _, a := range st.rt.Actors() {
+	for _, a := range st.RT.Actors() {
 		truthActors[a.Name] = a.Role.String()
 	}
 	reconActors := 0
-	for _, a := range st.d.Actors() {
+	for _, a := range st.D.Actors() {
 		if a.Kind == core.KindFilter || a.Kind == core.KindController {
 			if truthActors[a.Name] == "" {
 				return fmt.Errorf("phantom actor %q in the reconstruction", a.Name)
@@ -318,24 +278,24 @@ func (r *Runner) F3() error {
 	}
 	// Links.
 	truthLinks := make(map[string]string)
-	for _, l := range st.rt.Links() {
+	for _, l := range st.RT.Links() {
 		truthLinks[l.Src.Qualified()+" -> "+l.Dst.Qualified()] = l.Kind.String()
 	}
-	for _, l := range st.d.Links() {
+	for _, l := range st.D.Links() {
 		key := l.Src.Qualified() + " -> " + l.Dst.Qualified()
 		if truthLinks[key] != l.Kind {
 			return fmt.Errorf("link %s: reconstructed kind %q, truth %q", key, l.Kind, truthLinks[key])
 		}
 	}
 	r.printf("actors reconstructed: %d/%d, links: %d/%d — all kinds match\n",
-		reconActors, len(truthActors), len(st.d.Links()), len(truthLinks))
+		reconActors, len(truthActors), len(st.D.Links()), len(truthLinks))
 	// Occupancy fidelity across stops.
-	if _, err := st.d.CatchTokensOf("ipred", map[string]uint64{"Pipe_in": 1}); err != nil {
+	if _, err := st.D.CatchTokensOf("ipred", map[string]uint64{"Pipe_in": 1}); err != nil {
 		return err
 	}
 	stops := 0
 	for {
-		ev := st.low.Continue()
+		ev := st.Low.Continue()
 		if ev.Kind == lowdbg.StopDone {
 			break
 		}
@@ -343,7 +303,7 @@ func (r *Runner) F3() error {
 			return ev.Err
 		}
 		stops++
-		bad, err := st.d.VerifyOccupancy()
+		bad, err := st.D.VerifyOccupancy()
 		if err != nil {
 			return err
 		}
@@ -367,24 +327,24 @@ func (r *Runner) F4() error {
 	if p.NumBlocks() < 64 {
 		p = h264.Params{W: 48, H: 48, QP: 8, Seed: 7} // need enough MBs to accumulate 20
 	}
-	st, err := buildStack(p, h264.BugRateStall, 64, true)
+	st, err := stack.Recipe{Params: p, Bug: h264.BugRateStall, LinkCap: 64}.Build()
 	if err != nil {
 		return err
 	}
 	target := 20
-	st.d.CatchWhen(fmt.Sprintf("occupancy(pipe->ipf) == %d", target), func(d *core.Debugger) bool {
+	st.D.CatchWhen(fmt.Sprintf("occupancy(pipe->ipf) == %d", target), func(d *core.Debugger) bool {
 		conn, err := d.Connection("ipf::pipe_in")
 		return err == nil && conn.Link != nil && conn.Link.Occupancy() >= target
 	})
-	ev := st.low.Continue()
+	ev := st.Low.Continue()
 	if ev.Kind != lowdbg.StopAction {
 		return fmt.Errorf("condition stop not reached: %v", ev)
 	}
-	r.printf("paused: %s (t=%s)\n\nlink occupancies at the snapshot:\n", ev.Reason, st.k.Now())
-	for _, l := range st.d.Links() {
+	r.printf("paused: %s (t=%s)\n\nlink occupancies at the snapshot:\n", ev.Reason, st.K.Now())
+	for _, l := range st.D.Links() {
 		r.printf("  %-44s held=%d\n", l.Src.Qualified()+" -> "+l.Dst.Qualified(), l.Occupancy())
 	}
-	r.printf("\nannotated graph:\n%s", st.d.GraphDOT())
+	r.printf("\nannotated graph:\n%s", st.D.GraphDOT())
 	r.printf("paper shape: pipe->ipf accumulates (20 at the snapshot) while most links stay near-empty\n")
 	return nil
 }
@@ -405,12 +365,12 @@ func (r *Runner) transcript(c *cli.CLI, out *strings.Builder, cmds []string) {
 }
 
 func (r *Runner) newCLIStack() (*cli.CLI, *strings.Builder, error) {
-	st, err := buildStack(r.params(), h264.BugNone, 0, true)
+	st, err := stack.Recipe{Params: r.params()}.Build()
 	if err != nil {
 		return nil, nil, err
 	}
 	var out strings.Builder
-	return cli.New(st.d, &out), &out, nil
+	return cli.New(st.D, &out), &out, nil
 }
 
 // C1 replays the Section VI-B catchpoint transcript.

@@ -15,14 +15,12 @@ import (
 	"fmt"
 	"strings"
 
-	"dfdbg/internal/core"
 	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/h264"
 	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 )
 
 // Strategy selects the debugger level a session may use.
@@ -57,10 +55,7 @@ func (r *Result) String() string {
 
 // session is a full debugging stack with an op counter.
 type session struct {
-	k   *sim.Kernel
-	low *lowdbg.Debugger
-	d   *core.Debugger
-	app *h264.App
+	*stack.Stack
 	ops int
 	log []string
 }
@@ -76,30 +71,11 @@ func (s *session) op(desc string) {
 // the mismatch manifests as a hard stall instead of silently truncated
 // output.
 func newSession(p h264.Params, bug h264.Bug, linkCap int) (*session, error) {
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	if linkCap > 0 {
-		rt.LinkCap = linkCap
-	}
-	frame := h264.GenerateFrame(p)
-	bits, err := h264.Encode(frame, p)
+	st, err := stack.Recipe{Params: p, Bug: bug, LinkCap: linkCap}.Build()
 	if err != nil {
 		return nil, err
 	}
-	app, err := h264.BuildVariant(rt, p, bits, bug)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if _, err := k.RunUntil(0); err != nil {
-		return nil, err
-	}
-	return &session{k: k, low: low, d: d, app: app}, nil
+	return &session{Stack: st}, nil
 }
 
 // Run executes one localization session.
@@ -142,15 +118,15 @@ func Run(p h264.Params, bug h264.Bug, strat Strategy) (*Result, error) {
 // reconstructed graph against the ADL ground truth.
 func (s *session) dataflowMisBinding() *Result {
 	s.op("continue (run the application)")
-	s.low.Continue()
+	s.Low.Continue()
 	s.op("print MbFilter_data_addr_mismatch (two-level: mb's consistency counter)")
-	v, err := s.low.PrintExpr(nil, dbginfo.MangleFilterData("mb", "addr_mismatch"))
+	v, err := s.Low.PrintExpr(nil, dbginfo.MangleFilterData("mb", "addr_mismatch"))
 	if err != nil || v.I == 0 {
 		return &Result{Localized: false, Culprit: "no anomaly observed"}
 	}
 	s.op("graph (dump the reconstructed data-dependency graph)")
 	got := make(map[string]bool)
-	for _, l := range s.d.Links() {
+	for _, l := range s.D.Links() {
 		got[l.Src.Qualified()+" -> "+l.Dst.Qualified()] = true
 	}
 	var wrong []string
@@ -173,7 +149,7 @@ func (s *session) dataflowMisBinding() *Result {
 // producers the same way.
 func (s *session) lowlevelMisBinding() *Result {
 	s.op("break MbFilter_work_function")
-	if _, err := s.low.BreakFunc(dbginfo.MangleFilterWork("mb")); err != nil {
+	if _, err := s.Low.BreakFunc(dbginfo.MangleFilterWork("mb")); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	var proc *sim.Proc
@@ -182,7 +158,7 @@ func (s *session) lowlevelMisBinding() *Result {
 	suspicious := 0
 	for firing := 0; firing < 3; firing++ {
 		s.op("continue (to mb work)")
-		ev := s.low.Continue()
+		ev := s.Low.Continue()
 		if ev.Kind != lowdbg.StopBreakpoint {
 			return &Result{Localized: false, Culprit: "no stop in mb"}
 		}
@@ -190,14 +166,14 @@ func (s *session) lowlevelMisBinding() *Result {
 		// Step over the three reads (izz, addr, blk).
 		for i := 0; i < 4; i++ {
 			s.op("next")
-			s.low.Next(proc)
+			s.Low.Next(proc)
 		}
 		s.op("print izz")
-		izz, err1 := s.low.PrintExpr(proc, "izz")
+		izz, err1 := s.Low.PrintExpr(proc, "izz")
 		s.op("print addr")
-		addr, err2 := s.low.PrintExpr(proc, "addr")
+		addr, err2 := s.Low.PrintExpr(proc, "addr")
 		s.op("print b.Addr")
-		baddr, err3 := s.low.PrintExpr(proc, "b.Addr")
+		baddr, err3 := s.Low.PrintExpr(proc, "b.Addr")
 		if err1 != nil || err2 != nil || err3 != nil {
 			continue
 		}
@@ -214,19 +190,19 @@ func (s *session) lowlevelMisBinding() *Result {
 	// Now chase the producer of Addr_in: break in ipred's work and
 	// red's work and watch what each one sends.
 	s.op("break IpredFilter_work_function")
-	s.low.BreakFunc(dbginfo.MangleFilterWork("ipred"))
+	s.Low.BreakFunc(dbginfo.MangleFilterWork("ipred"))
 	s.op("break RedFilter_work_function")
-	s.low.BreakFunc(dbginfo.MangleFilterWork("red"))
+	s.Low.BreakFunc(dbginfo.MangleFilterWork("red"))
 	for i := 0; i < 2; i++ {
 		s.op("continue (to a producer)")
-		ev := s.low.Continue()
+		ev := s.Low.Continue()
 		if ev.Proc == nil {
 			break
 		}
 		// Run to the end of the firing, printing the outgoing values.
 		for j := 0; j < 6; j++ {
 			s.op("next")
-			s.low.Next(ev.Proc)
+			s.Low.Next(ev.Proc)
 		}
 		s.op("print locals of the producer")
 	}
@@ -243,12 +219,12 @@ func (s *session) lowlevelMisBinding() *Result {
 // dataflow reports.
 func (s *session) dataflowRateStall() *Result {
 	s.op("continue (run until the application stalls)")
-	ev := s.low.Continue()
+	ev := s.Low.Continue()
 	if ev.Deadlock == nil && ev.Kind != lowdbg.StopError {
 		return &Result{Localized: false, Culprit: "no stall observed"}
 	}
 	s.op("info links (token overview)")
-	report := s.d.TokensReport()
+	report := s.D.TokensReport()
 	congested := ""
 	for _, line := range strings.Split(report, "\n") {
 		if strings.Contains(line, "pipe_ipf_out") && !strings.Contains(line, "held=0") {
@@ -260,7 +236,7 @@ func (s *session) dataflowRateStall() *Result {
 	}
 	s.op("info filters (scheduling states)")
 	var lagging string
-	for _, fi := range s.d.InfoFilters() {
+	for _, fi := range s.D.InfoFilters() {
 		if fi.Name == "ipf" || fi.Name == "mb" {
 			lagging += fmt.Sprintf("%s fired %d times; ", fi.Name, fi.Firings)
 		}
@@ -278,11 +254,11 @@ func (s *session) dataflowRateStall() *Result {
 // tallies hits by hand until the imbalance is clear.
 func (s *session) lowlevelRateStall() *Result {
 	s.op("continue (run until hang)")
-	ev := s.low.Continue()
+	ev := s.Low.Continue()
 	if ev.Deadlock == nil {
 		return &Result{Localized: false, Culprit: "no stall observed"}
 	}
-	for _, p := range s.low.Threads() {
+	for _, p := range s.Low.Threads() {
 		if p.State() == sim.ProcDone {
 			continue
 		}
@@ -292,14 +268,14 @@ func (s *session) lowlevelRateStall() *Result {
 	// and pop functions, filtered by hand to the suspect producer and
 	// consumer (a condition a GDB user would attach to the breakpoint).
 	s.op("restart the program under the same debugger")
-	fresh, err := newSession(h264.Params{W: s.app.P.W, H: s.app.P.H, QP: s.app.P.QP,
-		Seed: s.app.P.Seed}, h264.BugRateStall, 16)
+	fresh, err := newSession(h264.Params{W: s.App.P.W, H: s.App.P.H, QP: s.App.P.QP,
+		Seed: s.App.P.Seed}, h264.BugRateStall, 16)
 	if err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	s.op("break pedf_link_push if src == pipe && port == pipe_ipf_out")
 	pushes := 0
-	pushBp := fresh.low.BreakFuncInternal("pedf_link_push", func(ctx *lowdbg.StopCtx) lowdbg.Disposition {
+	pushBp := fresh.Low.BreakFuncInternal("pedf_link_push", func(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		if lowdbg.ArgString(ctx.Args, "src") == "pipe" &&
 			lowdbg.ArgString(ctx.Args, "src_port") == "pipe_ipf_out" {
 			return lowdbg.DispStop
@@ -309,7 +285,7 @@ func (s *session) lowlevelRateStall() *Result {
 	pushBp.Internal = false
 	s.op("break pedf_link_pop if dst == ipf && port == pipe_in")
 	pops := 0
-	popBp := fresh.low.BreakFuncInternal("pedf_link_pop", func(ctx *lowdbg.StopCtx) lowdbg.Disposition {
+	popBp := fresh.Low.BreakFuncInternal("pedf_link_pop", func(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		if lowdbg.ArgString(ctx.Args, "dst") == "ipf" &&
 			lowdbg.ArgString(ctx.Args, "dst_port") == "pipe_in" {
 			return lowdbg.DispStop
@@ -320,7 +296,7 @@ func (s *session) lowlevelRateStall() *Result {
 	// Tally stop by stop until the imbalance is unmistakable.
 	for i := 0; i < 60; i++ {
 		s.op("continue + tally mark")
-		stop := fresh.low.Continue()
+		stop := fresh.Low.Continue()
 		if stop.Kind != lowdbg.StopBreakpoint {
 			break
 		}
@@ -351,12 +327,12 @@ func firstBadBlock(p h264.Params, bug h264.Bug) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	s.low.Continue()
-	got, err := s.app.OutputFrame()
+	s.Low.Continue()
+	got, err := s.App.OutputFrame()
 	if err != nil {
 		return -1, err
 	}
-	want, err := h264.ReferenceDecode(s.app.Bits, p)
+	want, err := h264.ReferenceDecode(s.App.Bits, p)
 	if err != nil {
 		return -1, err
 	}
@@ -380,7 +356,7 @@ func firstBadBlock(p h264.Params, bug h264.Bug) (int, error) {
 // developer's `list` + read).
 func (s *session) findLine(file, marker string) int {
 	for l := 1; l < 400; l++ {
-		text := s.low.SourceLine(file, l)
+		text := s.Low.SourceLine(file, l)
 		if text == "" && l > 200 {
 			break
 		}
@@ -401,7 +377,7 @@ func (s *session) dataflowBadDC(p h264.Params) *Result {
 		return &Result{Localized: false, Culprit: "no observable error"}
 	}
 	s.op(fmt.Sprintf("catch content on ipred::Pipe_in (Addr == %d)", bad))
-	if _, err := s.d.CatchContentOf("ipred::Pipe_in", fmt.Sprintf("Addr==%d", bad),
+	if _, err := s.D.CatchContentOf("ipred::Pipe_in", fmt.Sprintf("Addr==%d", bad),
 		func(v filterc.Value) bool {
 			return v.Type != nil && v.Type.Kind == filterc.KStruct &&
 				v.Type.FieldIndex("Addr") >= 0 && v.Elems[v.Type.FieldIndex("Addr")].I == int64(bad)
@@ -409,12 +385,12 @@ func (s *session) dataflowBadDC(p h264.Params) *Result {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	s.op("continue")
-	ev := s.low.Continue()
+	ev := s.Low.Continue()
 	if ev.Kind != lowdbg.StopAction {
 		return &Result{Localized: false, Culprit: "content catchpoint never fired"}
 	}
 	s.op("filter ipred print last_token (incoming residuals look correct)")
-	if _, err := s.d.LastToken("ipred"); err != nil {
+	if _, err := s.D.LastToken("ipred"); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	// The inputs are fine, so the defect is inside ipred: inspect the DC
@@ -425,20 +401,20 @@ func (s *session) dataflowBadDC(p h264.Params) *Result {
 		return &Result{Localized: false, Culprit: "DC line not found"}
 	}
 	s.op(fmt.Sprintf("break ipred.c:%d", line))
-	if _, err := s.low.BreakLine("ipred.c", line); err != nil {
+	if _, err := s.Low.BreakLine("ipred.c", line); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	s.op("continue")
-	ev = s.low.Continue()
+	ev = s.Low.Continue()
 	if ev.Kind != lowdbg.StopBreakpoint {
 		return &Result{Localized: false, Culprit: "DC line never reached"}
 	}
 	s.op("next (execute the DC assignment)")
-	ev = s.low.Next(ev.Proc)
+	ev = s.Low.Next(ev.Proc)
 	s.op("print s")
-	sv, err1 := s.low.PrintExpr(ev.Proc, "s")
+	sv, err1 := s.Low.PrintExpr(ev.Proc, "s")
 	s.op("print dc")
-	dcv, err2 := s.low.PrintExpr(ev.Proc, "dc")
+	dcv, err2 := s.Low.PrintExpr(ev.Proc, "dc")
 	if err1 != nil || err2 != nil {
 		return &Result{Localized: false, Culprit: "locals unavailable"}
 	}
@@ -462,30 +438,30 @@ func (s *session) lowlevelBadDC(p h264.Params) *Result {
 	}
 	// Stage 1: suspect red; watch a few firings of its dequantization.
 	s.op("break RedFilter_work_function")
-	if _, err := s.low.BreakFunc(dbginfo.MangleFilterWork("red")); err != nil {
+	if _, err := s.Low.BreakFunc(dbginfo.MangleFilterWork("red")); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	for firing := 0; firing < 3; firing++ {
 		s.op("continue (to red work)")
-		ev := s.low.Continue()
+		ev := s.Low.Continue()
 		if ev.Kind != lowdbg.StopBreakpoint {
 			return &Result{Localized: false, Culprit: "no stop in red"}
 		}
 		for i := 0; i < 4; i++ {
 			s.op("next")
-			s.low.Next(ev.Proc)
+			s.Low.Next(ev.Proc)
 		}
 		s.op("print m.Addr / izz (spot-check the dequantization)")
-		s.low.PrintExpr(ev.Proc, "m.Addr")
+		s.Low.PrintExpr(ev.Proc, "m.Addr")
 	}
 	// red looks fine; clear its breakpoint and move to ipred. Without a
 	// content condition, reach the bad block by counting firings.
 	s.op("delete breakpoint on red")
-	for _, bp := range s.low.Breakpoints() {
-		s.low.DeleteBp(bp.ID)
+	for _, bp := range s.Low.Breakpoints() {
+		s.Low.DeleteBp(bp.ID)
 	}
 	s.op("break IpredFilter_work_function")
-	if _, err := s.low.BreakFunc(dbginfo.MangleFilterWork("ipred")); err != nil {
+	if _, err := s.Low.BreakFunc(dbginfo.MangleFilterWork("ipred")); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	// ipred already fired 3 times while red was inspected (lockstep);
@@ -495,7 +471,7 @@ func (s *session) lowlevelBadDC(p h264.Params) *Result {
 	var proc *sim.Proc
 	for i := 0; i < target; i++ {
 		s.op("continue (count ipred firings by hand)")
-		ev := s.low.Continue()
+		ev := s.Low.Continue()
 		if ev.Kind != lowdbg.StopBreakpoint {
 			break
 		}
@@ -511,20 +487,20 @@ func (s *session) lowlevelBadDC(p h264.Params) *Result {
 	s.op("list ipred.c")
 	line := s.findLine("ipred.c", "dc = (s + ")
 	s.op(fmt.Sprintf("break ipred.c:%d", line))
-	if _, err := s.low.BreakLine("ipred.c", line); err != nil {
+	if _, err := s.Low.BreakLine("ipred.c", line); err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
 	s.op("continue")
-	ev := s.low.Continue()
+	ev := s.Low.Continue()
 	if ev.Kind != lowdbg.StopBreakpoint || ev.Pos.Line != line {
 		return &Result{Localized: false, Culprit: "DC line never reached"}
 	}
 	s.op("next")
-	ev = s.low.Next(ev.Proc)
+	ev = s.Low.Next(ev.Proc)
 	s.op("print s")
-	sv, err1 := s.low.PrintExpr(ev.Proc, "s")
+	sv, err1 := s.Low.PrintExpr(ev.Proc, "s")
 	s.op("print dc")
-	dcv, err2 := s.low.PrintExpr(ev.Proc, "dc")
+	dcv, err2 := s.Low.PrintExpr(ev.Proc, "dc")
 	if err1 != nil || err2 != nil {
 		return &Result{Localized: false, Culprit: "locals unavailable"}
 	}

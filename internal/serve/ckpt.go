@@ -19,6 +19,7 @@ import (
 	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
 	"dfdbg/internal/obs"
+	"dfdbg/internal/stack"
 )
 
 // Supervision defaults (override via Options / SetCheckpointPolicy).
@@ -28,14 +29,6 @@ const (
 	defaultRestartLimit = 3
 )
 
-// The serve stack is a ckpt.Target: the checkpoint manager rebuilds and
-// replays it during restore and reverse execution.
-func (st *stack) ReplayExec(line string) { st.cli.Dispatch(line) }
-func (st *stack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(st.k, st.m, st.rt, st.rec)
-}
-func (st *stack) Shutdown() { _ = st.k.Shutdown() }
-
 // panicReply is the out-of-band reply for a command whose closure
 // panicked: do() converts it to an error for the waiting client, and
 // the session loop runs crash recovery instead of dying.
@@ -44,7 +37,7 @@ type panicReply struct{ err error }
 // runShielded executes one command closure, converting a panic into a
 // panicReply so a crashing command kills neither the session goroutine
 // nor the client blocked on the reply channel.
-func runShielded(cmd sessionCmd, st *stack) (out any) {
+func runShielded(cmd sessionCmd, st *stack.Stack) (out any) {
 	defer func() {
 		if r := recover(); r != nil {
 			what := cmd.line
@@ -63,19 +56,19 @@ func runShielded(cmd sessionCmd, st *stack) (out any) {
 type supervisor struct {
 	s   *Session
 	mgr *ckpt.Manager
-	cur *stack // the live stack (save captures it)
+	cur *stack.Stack // the live stack (save captures it)
 
 	every    int           // auto-checkpoint each N journaled commands (0 = off)
 	interval time.Duration // auto-checkpoint after this much wall time (0 = off)
 	restarts int           // crash recoveries left
 
-	swap       *stack // staged by a restore-class hook, adopted by the loop
-	since      int    // journaled commands since the last checkpoint
+	swap       *stack.Stack // staged by a restore-class hook, adopted by the loop
+	since      int          // journaled commands since the last checkpoint
 	lastAt     time.Time
 	recoveries int // recoveries performed (drives the backoff)
 }
 
-func newSupervisor(s *Session) *supervisor {
+func newSupervisor(s *Session, r stack.Recipe) *supervisor {
 	sup := &supervisor{
 		s:        s,
 		every:    s.mgr.ckptEvery,
@@ -83,13 +76,7 @@ func newSupervisor(s *Session) *supervisor {
 		restarts: s.mgr.restartLimit,
 		lastAt:   time.Now(),
 	}
-	sup.mgr = ckpt.NewManager(func() (ckpt.Target, error) {
-		st, err := buildStack(s.Params)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
+	sup.mgr = ckpt.NewManager(r.Target)
 	return sup
 }
 
@@ -98,9 +85,9 @@ func newSupervisor(s *Session) *supervisor {
 // session loop adopts it after the command's reply went out, so the
 // client that issued `restore` gets its answer from the old world and
 // every later command runs on the new one.
-func (sup *supervisor) wire(st *stack) {
+func (sup *supervisor) wire(st *stack.Stack) {
 	sup.cur = st
-	st.cli.Ckpt = &cli.CkptHooks{
+	st.CLI.Ckpt = &cli.CkptHooks{
 		Save: func(label string) (ckpt.Info, error) { return sup.save(label) },
 		List: func() []ckpt.Info { return sup.mgr.List() },
 		Restore: func(id int) (ckpt.Info, error) {
@@ -118,7 +105,7 @@ func (sup *supervisor) wire(st *stack) {
 			if err != nil {
 				return err
 			}
-			sup.stage(t.(*stack), 0)
+			sup.stage(t.(*stack.Stack), 0)
 			return nil
 		},
 		ReverseContinue: func() (ckpt.Info, error) {
@@ -134,7 +121,7 @@ func (sup *supervisor) wire(st *stack) {
 // boot takes the session's birth checkpoint so crash recovery always
 // has a floor to restore to. Best effort: a session whose state cannot
 // be captured still serves, it just cannot recover from crashes.
-func (sup *supervisor) boot(st *stack) {
+func (sup *supervisor) boot(st *stack.Stack) {
 	sup.wire(st)
 	_, _ = sup.save("boot")
 }
@@ -152,14 +139,14 @@ func (sup *supervisor) note(line string) {
 // perturbs replay verification).
 func (sup *supervisor) save(label string) (ckpt.Info, error) {
 	st := sup.cur
-	cp, err := sup.mgr.Capture(st, label, uint64(st.k.Now()), time.Now().UnixNano())
+	cp, err := sup.mgr.Capture(st, label, uint64(st.K.Now()), time.Now().UnixNano())
 	if err != nil {
 		return ckpt.Info{}, err
 	}
 	sup.since = 0
 	sup.lastAt = time.Now()
 	sup.s.mgr.checkpointBytes.Set(int64(len(cp.State)))
-	st.rec.Record(obs.Event{At: uint64(st.k.Now()), Kind: obs.KCheckpoint, Arg: int64(cp.ID)})
+	st.Rec.Record(obs.Event{At: uint64(st.K.Now()), Kind: obs.KCheckpoint, Arg: int64(cp.ID)})
 	return cp.Info(), nil
 }
 
@@ -183,19 +170,19 @@ func (sup *supervisor) restore(cp *ckpt.Checkpoint) (ckpt.Info, error) {
 	if err != nil {
 		return ckpt.Info{}, err
 	}
-	sup.stage(t.(*stack), cp.ID)
+	sup.stage(t.(*stack.Stack), cp.ID)
 	return cp.Info(), nil
 }
 
 // stage parks a rebuilt stack for the loop to adopt and marks the
 // restore in the new world's event stream.
-func (sup *supervisor) stage(ns *stack, cpID int) {
-	ns.rec.Record(obs.Event{At: uint64(ns.k.Now()), Kind: obs.KRestore, Arg: int64(cpID)})
+func (sup *supervisor) stage(ns *stack.Stack, cpID int) {
+	ns.Rec.Record(obs.Event{At: uint64(ns.K.Now()), Kind: obs.KRestore, Arg: int64(cpID)})
 	sup.swap = ns
 }
 
 // adopt returns the staged stack, if any, and clears the slot.
-func (sup *supervisor) adopt() *stack {
+func (sup *supervisor) adopt() *stack.Stack {
 	ns := sup.swap
 	sup.swap = nil
 	return ns
@@ -207,7 +194,7 @@ func (sup *supervisor) adopt() *stack {
 // recovered stack, or nil when the restart budget is exhausted, no
 // checkpoint exists, or the restore itself failed (divergence) — the
 // caller then closes the session.
-func (sup *supervisor) recoverFrom(line, cause string) *stack {
+func (sup *supervisor) recoverFrom(line, cause string) *stack.Stack {
 	if sup.restarts <= 0 {
 		return nil
 	}
@@ -221,9 +208,9 @@ func (sup *supervisor) recoverFrom(line, cause string) *stack {
 	if err != nil {
 		return nil
 	}
-	ns := t.(*stack)
+	ns := t.(*stack.Stack)
 	disarmed := sup.disarmCrashFaults(ns)
-	ns.rec.Record(obs.Event{At: uint64(ns.k.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
+	ns.Rec.Record(obs.Event{At: uint64(ns.K.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
 	sup.s.mgr.sessionsRecovered.Inc()
 	info := cp.Info()
 	sup.s.publish(Event{
@@ -236,7 +223,7 @@ func (sup *supervisor) recoverFrom(line, cause string) *stack {
 	// crash fault was disarmed: an induced panic cannot recur, while an
 	// organic one (a decoder bug, say) would just crash again.
 	if line != "" && disarmed > 0 {
-		res := ns.cli.Dispatch(line)
+		res := ns.CLI.Dispatch(line)
 		if res.Err == nil && ckpt.Journaled(line) {
 			sup.note(line)
 		}
@@ -250,15 +237,15 @@ func (sup *supervisor) recoverFrom(line, cause string) *stack {
 // disarmCrashFaults neutralizes every pending kill-class fault (panic,
 // fail-pe) on the restored stack. The disarms run as journaled CLI
 // commands, so later replays reproduce the recovered timeline exactly.
-func (sup *supervisor) disarmCrashFaults(ns *stack) int {
-	inj := ns.k.Faults()
+func (sup *supervisor) disarmCrashFaults(ns *stack.Stack) int {
+	inj := ns.K.Faults()
 	if inj == nil {
 		return 0
 	}
 	n := 0
 	for _, spec := range inj.PendingCrashSpecs() {
 		line := "fault disarm " + spec
-		if res := ns.cli.Dispatch(line); res.Err == nil {
+		if res := ns.CLI.Dispatch(line); res.Err == nil {
 			sup.note(line)
 			n++
 		}

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"dfdbg/internal/ckpt"
+	"dfdbg/internal/stack"
 )
 
 func waitFor(t *testing.T, ch chan Event, kind string) Event {
@@ -38,7 +42,7 @@ func mustExec(t *testing.T, s *Session, line string) {
 // goroutine.
 func finalState(t *testing.T, s *Session) []byte {
 	t.Helper()
-	out, err := s.do(func(st *stack) any {
+	out, err := s.do(func(st *stack.Stack) any {
 		b, err := st.CaptureState()
 		if err != nil {
 			t.Errorf("capture: %v", err)
@@ -169,5 +173,35 @@ func TestCheckpointOpsOverWire(t *testing.T) {
 	r = w.roundTrip(Request{Op: "exec", Session: sid, Line: "continue"})
 	if !r.OK || r.Stop == nil || !r.Stop.Done {
 		t.Fatalf("continue after restore: %+v", r)
+	}
+}
+
+// TestSessionStateDigest pins the captured state of a served world
+// after boot and after a fixed script: a change to how sessions are
+// assembled would break restoring the checkpoints other builds wrote.
+func TestSessionStateDigest(t *testing.T) {
+	m := NewManager(2, 0)
+	defer m.CloseAll()
+	got := ""
+	for _, script := range [][]string{nil, {"filter pipe catch work", "continue", "continue"}} {
+		s, err := m.Create(*tinyParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range script {
+			if _, err := s.Exec(line); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+		_, c, err := s.Export()
+		cp, derr := ckpt.Decode(c)
+		if err != nil || derr != nil {
+			t.Fatal(err, derr)
+		}
+		got += fmt.Sprintf("%x\n", sha256.Sum256(cp.State))
+	}
+	want, err := os.ReadFile("testdata/state_digest.txt")
+	if err != nil || got != string(want) {
+		t.Errorf("session state digest changed:\n got %s\nwant %s%v", got, want, err)
 	}
 }

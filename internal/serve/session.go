@@ -3,25 +3,17 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dfdbg/internal/analysis"
-	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
+	"dfdbg/internal/stack"
 	"dfdbg/internal/web"
 )
 
@@ -318,18 +310,8 @@ func (m *Manager) remove(s *Session) {
 // it on success and re-executes it after crash recovery.
 type sessionCmd struct {
 	line  string
-	run   func(*stack) any
+	run   func(*stack.Stack) any
 	reply chan any
-}
-
-// stack is one session's full debug stack, built and used only on the
-// session goroutine.
-type stack struct {
-	cli *cli.CLI
-	k   *sim.Kernel
-	m   *mach.Machine
-	rec *obs.Recorder
-	rt  *pedf.Runtime
 }
 
 // Session is one hosted debug session: a kernel, runtime and command
@@ -345,7 +327,7 @@ type Session struct {
 	done chan struct{} // closed by loop on exit
 
 	// bootCP is the migrated-in container an imported session restores
-	// from instead of a fresh buildStack; cleared once adopted. sup is
+	// from instead of a fresh build; cleared once adopted. sup is
 	// the session's supervisor — set by loop before the first command
 	// and only ever touched on the session goroutine.
 	bootCP *ckpt.Checkpoint
@@ -372,55 +354,19 @@ type Session struct {
 	webBC *web.Broadcaster
 }
 
-// buildStack elaborates the decoder and boots the framework
-// initialization phase, mirroring the dfdbg command's setup.
-func buildStack(params SessionParams) (*stack, error) {
-	bug, err := h264.ParseBug(params.Bug)
-	if err != nil {
-		return nil, err
-	}
-	k := sim.NewKernel()
-	orec := obs.NewRecorder(1 << 16)
-	k.SetObserver(orec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := trace.Attach(low)
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: params.W, H: params.H, QP: params.QP, Seed: params.Seed}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.BuildVariant(rt, p, bits, bug); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if _, err := k.RunUntil(0); err != nil {
-		return nil, err
-	}
-	c := cli.New(d, io.Discard)
-	c.Rec = rec
-	c.Obs = orec
-	c.Targets = rt.FaultTargets()
-	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
-		return pedfgraph.Analyze(rt, "h264")
-	}
-	// Arm the batched engine, then hold it demoted for the session's
-	// lifetime: a dfserve session exists because an interactive debug
-	// client attached, and an attached client must observe the per-token
-	// execution it would single-step (DESIGN §12). The `batch` command
-	// and /batch endpoint surface the hold.
-	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-		return nil, err
-	}
-	rt.SetBatchHold("debug client attached")
-	c.Batch = func() (string, []pedf.RegionMode) {
-		return rt.BatchHold(), rt.RegionModes()
-	}
-	return &stack{cli: c, k: k, m: m, rec: orec, rt: rt}, nil
+// recipe is the world every session boots. Batch is held demoted for
+// the session's lifetime: a dfserve session exists because an
+// interactive debug client attached, and an attached client must
+// observe the per-token execution it would single-step (DESIGN §12).
+func (p SessionParams) recipe() (stack.Recipe, error) {
+	bug, err := h264.ParseBug(p.Bug)
+	return stack.Recipe{
+		Params: h264.Params{W: p.W, H: p.H, QP: p.QP, Seed: p.Seed},
+		Bug:    bug,
+		Ring:   1 << 16,
+		Trace:  true,
+		Batch:  stack.BatchHeld,
+	}, err
 }
 
 // loop is the session goroutine: it builds the stack (so the kernel is
@@ -430,31 +376,33 @@ func buildStack(params SessionParams) (*stack, error) {
 // manager's atomic counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
-	sup := newSupervisor(s)
+	r, err := s.Params.recipe()
+	sup := newSupervisor(s, r)
 	s.sup = sup
-	var st *stack
-	var err error
-	if cp := s.bootCP; cp != nil {
+	var st *stack.Stack
+	switch cp := s.bootCP; {
+	case err != nil:
+	case cp != nil:
 		// Imported session: rebuild + replay + byte-compare against the
 		// migrated-in container (the same DivergenceError discipline as
 		// a restore), and keep the container as the recovery floor.
 		var t ckpt.Target
 		if t, err = sup.mgr.Adopt(cp); err == nil {
-			st = t.(*stack)
+			st = t.(*stack.Stack)
 		}
-	} else {
-		st, err = buildStack(s.Params)
+	default:
+		st, err = r.Build()
 	}
 	ready <- err
 	if err != nil {
 		return
 	}
-	s.kPtr.Store(st.k)
-	s.recPtr.Store(st.rec)
+	s.kPtr.Store(st.K)
+	s.recPtr.Store(st.Rec)
 	if cp := s.bootCP; cp != nil {
 		s.bootCP = nil
 		sup.wire(st)
-		st.rec.Record(obs.Event{At: uint64(st.k.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
+		st.Rec.Record(obs.Event{At: uint64(st.K.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
 	} else {
 		sup.boot(st)
 	}
@@ -537,7 +485,7 @@ func (s *Session) loop(ready chan<- error) {
 // live web streams are closed (clients reattach against the new world),
 // the lock-free pointers flip, and the old kernel is unwound. Runs on
 // the session goroutine.
-func (s *Session) swapStack(old, ns *stack, sup *supervisor) *stack {
+func (s *Session) swapStack(old, ns *stack.Stack, sup *supervisor) *stack.Stack {
 	// Detach before flipping recPtr: the broadcaster's attach closure
 	// resolves the recorder through recPtr, so this clears the tap on
 	// the old recorder.
@@ -547,10 +495,10 @@ func (s *Session) swapStack(old, ns *stack, sup *supervisor) *stack {
 		s.webBC = nil
 	}
 	s.webMu.Unlock()
-	s.kPtr.Store(ns.k)
-	s.recPtr.Store(ns.rec)
+	s.kPtr.Store(ns.K)
+	s.recPtr.Store(ns.Rec)
 	if old != nil && old != ns {
-		_ = old.k.Shutdown()
+		_ = old.K.Shutdown()
 	}
 	sup.wire(ns)
 	return ns
@@ -558,7 +506,7 @@ func (s *Session) swapStack(old, ns *stack, sup *supervisor) *stack {
 
 // teardown unwinds the kernel's processes, removes the session and
 // tells the subscribers. Runs on the session goroutine.
-func (s *Session) teardown(st *stack, reason string) {
+func (s *Session) teardown(st *stack.Stack, reason string) {
 	// Tear the web fan-out first: close live streams and remove the
 	// recorder tap before the lock-free pointers go away.
 	s.webMu.Lock()
@@ -568,7 +516,7 @@ func (s *Session) teardown(st *stack, reason string) {
 	s.webMu.Unlock()
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
-	_ = st.k.Shutdown()
+	_ = st.K.Shutdown()
 	s.mgr.remove(s)
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()
@@ -618,8 +566,8 @@ type reapVerdict struct{ reap bool }
 // It runs at a command boundary on the session goroutine, so an
 // in-flight command finishes (and is journaled) before the capture.
 func (s *Session) Export() (SessionParams, []byte, error) {
-	out, err := s.doCmd("", func(st *stack) any {
-		cp, err := s.sup.mgr.Capture(st, "migrate", uint64(st.k.Now()), time.Now().UnixNano())
+	out, err := s.doCmd("", func(st *stack.Stack) any {
+		cp, err := s.sup.mgr.Capture(st, "migrate", uint64(st.K.Now()), time.Now().UnixNano())
 		if err != nil {
 			return exportReply{err: fmt.Errorf("serve: export: %w", err)}
 		}
@@ -635,9 +583,10 @@ func (s *Session) Export() (SessionParams, []byte, error) {
 // tryReap asks the session goroutine to retire the session if it is
 // still idle. The probe is sent non-blocking: a session that is busy —
 // or already has a command queued — is skipped, never interrupted.
+// It returns true once a reaped session has fully shut down.
 func (s *Session) tryReap(timeout time.Duration) bool {
 	cmd := sessionCmd{
-		run: func(*stack) any {
+		run: func(*stack.Stack) any {
 			idle := time.Since(time.Unix(0, s.lastUsed.Load()))
 			return reapVerdict{reap: idle > timeout}
 		},
@@ -648,19 +597,30 @@ func (s *Session) tryReap(timeout time.Duration) bool {
 	default:
 		return false
 	}
+	// The reply is sent before the loop tears down, so a session that
+	// closed meanwhile may still have left its verdict behind.
+	var out any
 	select {
-	case out := <-cmd.reply:
-		v, ok := out.(reapVerdict)
-		return ok && v.reap
+	case out = <-cmd.reply:
 	case <-s.done:
+		select {
+		case out = <-cmd.reply:
+		default:
+		}
+	}
+	if v, ok := out.(reapVerdict); !ok || !v.reap {
 		return false
 	}
+	// The loop retires the session right after a reap verdict; wait, so
+	// a reaped session is gone from the manager when ReapIdle returns.
+	<-s.done
+	return true
 }
 
 // Exec dispatches one debugger command line on the session goroutine
 // and returns its structured result.
 func (s *Session) Exec(line string) (cli.Result, error) {
-	out, err := s.doCmd(line, func(st *stack) any { return st.cli.Dispatch(line) })
+	out, err := s.doCmd(line, func(st *stack.Stack) any { return st.CLI.Dispatch(line) })
 	if err != nil {
 		return cli.Result{}, err
 	}
@@ -669,11 +629,11 @@ func (s *Session) Exec(line string) (cli.Result, error) {
 
 // Checkpoints lists the session's retained checkpoints, oldest first.
 func (s *Session) Checkpoints() ([]ckpt.Info, error) {
-	out, err := s.do(func(st *stack) any {
-		if st.cli.Ckpt == nil || st.cli.Ckpt.List == nil {
+	out, err := s.do(func(st *stack.Stack) any {
+		if st.CLI.Ckpt == nil || st.CLI.Ckpt.List == nil {
 			return []ckpt.Info(nil)
 		}
-		return st.cli.Ckpt.List()
+		return st.CLI.Ckpt.List()
 	})
 	if err != nil {
 		return nil, err
@@ -683,7 +643,7 @@ func (s *Session) Checkpoints() ([]ckpt.Info, error) {
 
 // Complete returns command-line completions for a partial line.
 func (s *Session) Complete(partial string) ([]string, error) {
-	out, err := s.do(func(st *stack) any { return st.cli.CompleteLine(partial) })
+	out, err := s.do(func(st *stack.Stack) any { return st.CLI.CompleteLine(partial) })
 	if err != nil {
 		return nil, err
 	}
@@ -693,7 +653,7 @@ func (s *Session) Complete(partial string) ([]string, error) {
 // Metrics snapshots the session's own observability registry (the
 // per-session kernel/runtime/debugger metrics, not the server's).
 func (s *Session) Metrics() ([]obs.MetricValue, error) {
-	out, err := s.do(func(st *stack) any { return st.rec.Metrics.Snapshot() })
+	out, err := s.do(func(st *stack.Stack) any { return st.Rec.Metrics.Snapshot() })
 	if err != nil {
 		return nil, err
 	}
@@ -701,12 +661,12 @@ func (s *Session) Metrics() ([]obs.MetricValue, error) {
 }
 
 // do runs fn on the session goroutine.
-func (s *Session) do(fn func(*stack) any) (any, error) { return s.doCmd("", fn) }
+func (s *Session) do(fn func(*stack.Stack) any) (any, error) { return s.doCmd("", fn) }
 
 // doCmd runs fn on the session goroutine, tagged with the command line
 // it executes (for the supervisor's journal). A panic inside fn comes
 // back as an error, not a dead session.
-func (s *Session) doCmd(line string, fn func(*stack) any) (any, error) {
+func (s *Session) doCmd(line string, fn func(*stack.Stack) any) (any, error) {
 	cmd := sessionCmd{line: line, run: fn, reply: make(chan any, 1)}
 	select {
 	case s.cmds <- cmd:

@@ -6,6 +6,7 @@ import (
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/obs"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/stack"
 	"dfdbg/internal/web"
 )
 
@@ -64,14 +65,14 @@ type webHost struct{ s *Session }
 func (h *webHost) ID() string { return h.s.ID }
 
 func (h *webHost) Query(fn func(*web.Snapshot)) error {
-	_, err := h.s.do(func(st *stack) any {
+	_, err := h.s.do(func(st *stack.Stack) any {
 		snap := &web.Snapshot{
-			Rec:   st.rec,
-			NowNS: uint64(st.k.Now()),
-			RT:    st.rt,
-			Stall: st.k.LastStall(),
+			Rec:   st.Rec,
+			NowNS: uint64(st.K.Now()),
+			RT:    st.RT,
+			Stall: st.K.LastStall(),
 		}
-		if full := st.cli.Full; full != nil {
+		if full := st.CLI.Full; full != nil {
 			snap.Full = func() (*analysis.Report, error) {
 				rep, _, err := full()
 				return rep, err
