@@ -465,8 +465,8 @@ u32 work(u32 n) {
 }
 
 // BenchmarkFilterCCompile measures the one-time cost of compiling a
-// filter program to bytecode (paid once per parsed program; amortized
-// away by the compiled-code cache on every later Interp).
+// filter program to bytecode (paid once per interned program; every
+// later Interp of it reuses the program's compiled code).
 func BenchmarkFilterCCompile(b *testing.B) {
 	prog := filterc.MustParse("bench.c", `
 u32 work(u32 n) {

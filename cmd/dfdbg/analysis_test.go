@@ -368,24 +368,6 @@ func TestAnalyzeGate(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeH264 pins the cost of the full static-analysis
-// pipeline (graph checks, filterc checks, classification, regions,
-// schedule, bounds) over the elaborated H.264 decoder. The baseline
-// lives in BENCH_analyze.json, guarded by cmd/benchguard in CI.
-func BenchmarkAnalyzeH264(b *testing.B) {
-	rt := buildH264(b, h264.BugNone)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, _, err := pedfgraph.Analyze(rt, "h264")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Regions) != 1 {
-			b.Fatalf("regions = %d, want 1", len(rep.Regions))
-		}
-	}
-}
-
 func TestAnalyzeUsageErrors(t *testing.T) {
 	var out, errw strings.Builder
 	if code := analyzeMain(nil, &out, &errw); code != 2 {

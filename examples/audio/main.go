@@ -87,19 +87,30 @@ func reference(samples []int64, gainQ8 int64) []int64 {
 	return out
 }
 
-// RunPipeline builds and runs the pipeline for n output samples,
-// returning (pedf result, reference result).
-func RunPipeline(nOut int) ([]int64, []int64, error) {
+const gainQ8 = 384 // the gain stage's attribute: 1.5 in Q8
+
+// pipeline is the application for n output samples, started but not
+// yet run.
+type pipeline struct {
+	rt      *pedf.Runtime
+	low     *lowdbg.Debugger
+	col     *pedf.Collector
+	samples []int64
+}
+
+// buildPipeline builds and starts the pipeline for n output samples,
+// with the dataflow debugger attached.
+func buildPipeline(nOut int) (*pipeline, error) {
 	i32 := filterc.Scalar(filterc.I32)
 	k := sim.NewKernel()
 	low := lowdbg.New(k, dbginfo.NewTable())
-	dfd := core.Attach(low)
+	core.Attach(low)
 	m := mach.New(k, mach.Config{Clusters: 1, PEsPerCluster: 8})
 	rt := pedf.NewRuntime(k, m, low)
 
 	mod, err := rt.NewModule("audio", nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	in, _ := mod.AddPort("in", pedf.In, i32)
 	out, _ := mod.AddPort("out", pedf.Out, i32)
@@ -109,36 +120,35 @@ func RunPipeline(nOut int) ([]int64, []int64, error) {
 		Inputs: []pedf.PortSpec{{Name: "i", Type: i32}}, Outputs: []pedf.PortSpec{{Name: "o", Type: i32}},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	const gainQ8 = 384 // 1.5 in Q8
 	gain, err := rt.NewFilter(mod, pedf.FilterSpec{
 		Name: "gain", Source: gainSrc,
 		Attrs:  []pedf.VarSpec{{Name: "gain_q8", Type: i32, Init: gainQ8}},
 		Inputs: []pedf.PortSpec{{Name: "i", Type: i32}}, Outputs: []pedf.PortSpec{{Name: "o", Type: i32}},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	down, err := rt.NewFilter(mod, pedf.FilterSpec{
 		Name: "down", Source: downSrc,
 		Inputs: []pedf.PortSpec{{Name: "i", Type: i32}}, Outputs: []pedf.PortSpec{{Name: "o", Type: i32}},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := rt.SetController(mod, pedf.ControllerSpec{
 		Source: ctlSrc,
 		Attrs:  []pedf.VarSpec{{Name: "steps", Type: i32, Init: int64(nOut)}},
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, b := range [][2]*pedf.Port{
 		{in, fir.In("i")}, {fir.Out("o"), gain.In("i")},
 		{gain.Out("o"), down.In("i")}, {down.Out("o"), out},
 	} {
 		if err := rt.Bind(b[0], b[1]); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	// A synthetic "audio" signal: a rough integer sine-ish wave.
@@ -155,16 +165,26 @@ func RunPipeline(nOut int) ([]int64, []int64, error) {
 		feed = append(feed, filterc.Int(filterc.I32, s))
 	}
 	if err := rt.FeedInput(in, feed); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	col, err := rt.CollectOutput(out)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := rt.Start(); err != nil {
+		return nil, err
+	}
+	return &pipeline{rt: rt, low: low, col: col, samples: samples}, nil
+}
+
+// RunPipeline builds and runs the pipeline for n output samples,
+// returning (pedf result, reference result).
+func RunPipeline(nOut int) ([]int64, []int64, error) {
+	p, err := buildPipeline(nOut)
+	if err != nil {
 		return nil, nil, err
 	}
-	ev := low.Continue()
+	ev := p.low.Continue()
 	if ev.Deadlock != nil {
 		return nil, nil, fmt.Errorf("stalled: %v", ev.Deadlock)
 	}
@@ -172,12 +192,10 @@ func RunPipeline(nOut int) ([]int64, []int64, error) {
 		return nil, nil, ev.Err
 	}
 	var got []int64
-	for _, v := range col.Values {
+	for _, v := range p.col.Values {
 		got = append(got, v.I)
 	}
-	// A taste of the dataflow view while we are here.
-	_ = dfd
-	return got, reference(samples, gainQ8), nil
+	return got, reference(p.samples, gainQ8), nil
 }
 
 func main() {

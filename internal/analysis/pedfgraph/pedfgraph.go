@@ -14,10 +14,13 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/absint"
 	"dfdbg/internal/filterc"
+	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
 )
@@ -170,43 +173,138 @@ func AbsContextFor(f *pedf.Filter) *absint.Context {
 	return ctx
 }
 
-// classSig is a memo key for actor classification: instances of one
-// filter type with identical declared state classify identically, and a
-// large app (the h264 decoder) instantiates each type many times.
-func classSig(f *pedf.Filter, ctx *absint.Context) string {
+// classMemoCap bounds the process-wide classification memo. The H.264
+// decoder needs 9 entries per bug variant; past the bound an arbitrary
+// entry is evicted.
+const classMemoCap = 1024
+
+// classKey identifies one classification: instances of one program with
+// identical declared state classify identically, in any world. The key
+// holds its Program, so a freed program's address can never alias a
+// new one while the entry lives.
+type classKey struct {
+	prog *filterc.Program
+	sig  string
+}
+
+// classMemo maps keys to classes that are never handed out: callers get
+// copies, so entries stay immutable.
+var classMemo = struct {
+	sync.Mutex
+	m map[classKey]*absint.Class
+}{m: make(map[classKey]*absint.Class)}
+
+var classifyTotal, memoHits atomic.Int64
+
+// ClassifyTotal reports how many actor classifications have run, for
+// the analysis_classify_total observability counter.
+func ClassifyTotal() int64 { return classifyTotal.Load() }
+
+// MemoHits reports how many actor classifications were served from the
+// memo, for the analysis_classify_memo_hits_total observability counter.
+func MemoHits() int64 { return memoHits.Load() }
+
+// RegisterMetrics publishes the classification counters into an
+// observability registry. Like the filterc counters pedf publishes next
+// to them, they are process-wide.
+func RegisterMetrics(m *obs.Registry) {
+	m.CounterFunc("analysis_classify_total", "actor classifications run by the abstract interpreter",
+		func() float64 { return float64(ClassifyTotal()) })
+	m.CounterFunc("analysis_classify_memo_hits_total", "actor classifications served from the memo",
+		func() float64 { return float64(MemoHits()) })
+}
+
+// classSig renders everything of an actor's context that classification
+// reads: its role, and the names, full types and initial values of its
+// interfaces, data and attributes. The actor's name is not part of it.
+func classSig(ctx *absint.Context) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%p|%v|", f.Prog, ctx.Controller)
+	fmt.Fprintf(&b, "%v|", ctx.Controller)
 	for _, d := range ctx.Ins {
-		fmt.Fprintf(&b, "i:%s:%s|", d.Name, d.Type)
+		fmt.Fprintf(&b, "i:%s:%s|", d.Name, typeSig(d.Type))
 	}
 	for _, d := range ctx.Outs {
-		fmt.Fprintf(&b, "o:%s:%s|", d.Name, d.Type)
+		fmt.Fprintf(&b, "o:%s:%s|", d.Name, typeSig(d.Type))
 	}
 	for _, d := range ctx.Data {
-		fmt.Fprintf(&b, "d:%s:%s=%s|", d.Name, d.Type, d.Init)
+		fmt.Fprintf(&b, "d:%s:%s=%s|", d.Name, typeSig(d.Type), d.Init)
 	}
 	for _, d := range ctx.Attrs {
-		fmt.Fprintf(&b, "a:%s:%s=%s|", d.Name, d.Type, d.Init)
+		fmt.Fprintf(&b, "a:%s:%s=%s|", d.Name, typeSig(d.Type), d.Init)
 	}
 	return b.String()
 }
 
+// typeSig renders a type with its struct layouts: two struct types of
+// one name may differ between worlds.
+func typeSig(t *filterc.Type) string {
+	if t == nil || t.Kind != filterc.KStruct {
+		return typeName(t)
+	}
+	var b strings.Builder
+	b.WriteString(t.Name + "{")
+	for _, f := range t.Fields {
+		fmt.Fprintf(&b, "%s:%s;", f.Name, typeSig(f.Type))
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+// classify returns the class of one actor, from the memo when an
+// identical actor was classified before in this process.
+func classify(f *pedf.Filter) *absint.Class {
+	ctx := AbsContextFor(f)
+	k := classKey{f.Prog, classSig(ctx)}
+	classMemo.Lock()
+	c, ok := classMemo.m[k]
+	classMemo.Unlock()
+	if ok {
+		memoHits.Add(1)
+	} else {
+		classifyTotal.Add(1)
+		c = absint.Classify(f.Prog, ctx)
+		classMemo.Lock()
+		if len(classMemo.m) >= classMemoCap {
+			for old := range classMemo.m {
+				delete(classMemo.m, old)
+				break
+			}
+		}
+		classMemo.m[k] = c
+		classMemo.Unlock()
+	}
+	return cloneClass(c, f.Name)
+}
+
+// cloneClass is a deep copy of c renamed for actor, so no caller can
+// reach a memo entry.
+func cloneClass(c *absint.Class, actor string) *absint.Class {
+	inst := *c
+	inst.Actor = actor
+	inst.Trace = append([]string(nil), c.Trace...)
+	inst.Ports = append([]absint.PortRates(nil), c.Ports...)
+	for i := range inst.Ports {
+		inst.Ports[i].Pattern = append([]int(nil), inst.Ports[i].Pattern...)
+	}
+	return &inst
+}
+
+// resetClassMemo empties the memo; benchmarks use it to measure a cold
+// analysis.
+func resetClassMemo() {
+	classMemo.Lock()
+	clear(classMemo.m)
+	classMemo.Unlock()
+}
+
 // ClassifyActors runs the abstract-interpretation classifier over every
-// actor of an elaborated runtime, memoizing per filter type + state.
+// actor of an elaborated runtime. Classes are memoized process-wide per
+// program and declared state (DESIGN §10); each call returns copies the
+// caller owns.
 func ClassifyActors(rt *pedf.Runtime) map[string]*absint.Class {
-	memo := map[string]*absint.Class{}
 	out := map[string]*absint.Class{}
 	for _, f := range rt.Actors() {
-		ctx := AbsContextFor(f)
-		sig := classSig(f, ctx)
-		c, ok := memo[sig]
-		if !ok {
-			c = absint.Classify(f.Prog, ctx)
-			memo[sig] = c
-		}
-		inst := *c
-		inst.Actor = f.Name
-		out[f.Name] = &inst
+		out[f.Name] = classify(f)
 	}
 	return out
 }

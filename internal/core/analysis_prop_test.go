@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dfdbg/internal/analysis"
+	"dfdbg/internal/analysis/absint"
 	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/filterc"
@@ -52,6 +54,25 @@ func TestAnalysisCleanOnRandomApps(t *testing.T) {
 				t.Errorf("post-run graph analysis found %d error(s):\n%s", n, reportText(post))
 			}
 		})
+	}
+}
+
+// Classes served from the analyzer's process-wide memo must equal a
+// fresh classification of every actor of every random application.
+func TestClassMemoMatchesFreshOnRandomApps(t *testing.T) {
+	for seed := int64(100); seed < 112; seed++ {
+		app := buildRandomApp(t, rand.New(rand.NewSource(seed)), 4)
+		pedfgraph.ClassifyActors(app.rt)
+		runs := pedfgraph.ClassifyTotal()
+		warm := pedfgraph.ClassifyActors(app.rt)
+		if pedfgraph.ClassifyTotal() != runs {
+			t.Errorf("seed %d: second classification was not served from the memo", seed)
+		}
+		for _, f := range app.rt.Actors() {
+			if fresh := absint.Classify(f.Prog, pedfgraph.AbsContextFor(f)); !reflect.DeepEqual(warm[f.Name], fresh) {
+				t.Errorf("seed %d, %s: memoized class %+v, want fresh %+v", seed, f.Name, warm[f.Name], fresh)
+			}
+		}
 	}
 }
 

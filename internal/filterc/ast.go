@@ -1,14 +1,21 @@
 package filterc
 
+import "sync"
+
 // AST node definitions. Every node carries the source position of its
 // first token; statement positions feed the debug line tables.
 
-// Program is a parsed filterc source file.
+// Program is a parsed filterc source file. It is immutable once parsed,
+// which is what lets Intern share one Program, and its compiled code,
+// between every actor and world of a process.
 type Program struct {
 	File    string
 	Structs map[string]*Type
 	Funcs   map[string]*FuncDecl
 	Order   []string // function names in source order
+
+	codeOnce sync.Once
+	code     *Code // built on first execution, see compiled
 }
 
 // Func returns a function by name, or nil.

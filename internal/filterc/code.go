@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -206,8 +205,8 @@ type funcCode struct {
 	names  []string // identifier pool: fields, pedf names, intrinsics, messages
 }
 
-// Code is a compiled program: one funcCode per function, shared through
-// the program-level cache so every firing of the same filter reuses it.
+// Code is a compiled program: one funcCode per function, owned by its
+// Program so every firing of every filter running it reuses it.
 type Code struct {
 	prog  *Program
 	funcs map[string]*funcCode
@@ -264,38 +263,35 @@ func opName(op opcode) string {
 	return fmt.Sprintf("op(%d)", op)
 }
 
-// ---- compiled-code cache ----
-
-var codeCache sync.Map // *Program → *Code
+// ---- compiled code ----
 
 var (
 	compileTotal atomic.Int64
 	cacheHits    atomic.Int64
 )
 
-// CompileTotal reports how many programs have been compiled to bytecode
-// (cache misses), for the filterc_compile_total observability counter.
+// CompileTotal reports how many programs have been compiled to bytecode,
+// for the filterc_compile_total observability counter.
 func CompileTotal() int64 { return compileTotal.Load() }
 
-// CacheHits reports how many compiled-code lookups were served from the
-// cache, for the filterc_cache_hits_total observability counter.
+// CacheHits reports how many compiled-code lookups found their program
+// already compiled, for the filterc_cache_hits_total observability
+// counter.
 func CacheHits() int64 { return cacheHits.Load() }
 
-// compiledFor returns the cached compiled form of prog, compiling on
-// first use. The cache is keyed by program identity: the parser returns
-// a fresh *Program per parse, and programs are immutable afterwards.
-func compiledFor(prog *Program) *Code {
-	if c, ok := codeCache.Load(prog); ok {
+// compiled returns the compiled form of p, compiling on first use.
+// Programs are immutable after parsing, so the code is built once per
+// program and lives exactly as long as it does.
+func (p *Program) compiled() *Code {
+	hit := true
+	p.codeOnce.Do(func() {
+		p.code = Compile(p)
+		hit = false
+	})
+	if hit {
 		cacheHits.Add(1)
-		return c.(*Code)
 	}
-	c := Compile(prog)
-	actual, loaded := codeCache.LoadOrStore(prog, c)
-	if loaded {
-		// Lost a benign race; the compile still counted as work done.
-		return actual.(*Code)
-	}
-	return c
+	return p.code
 }
 
 // ---- engine selection ----

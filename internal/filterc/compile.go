@@ -11,7 +11,8 @@ import "fmt"
 // faulty statement actually executes — exactly like the tree-walker.
 
 // Compile translates a parsed program to bytecode. Use it directly only
-// for benchmarks and tests; execution goes through the program cache.
+// for benchmarks and tests; execution compiles each program once, on
+// first use.
 func Compile(prog *Program) *Code {
 	compileTotal.Add(1)
 	code := &Code{prog: prog, funcs: make(map[string]*funcCode, len(prog.Order))}

@@ -129,10 +129,10 @@ type ProgramBytecode struct {
 }
 
 // Bytecode returns the compiled form of prog, exactly as the VM runs it
-// (same program-level cache, same peephole output). The returned slices
-// alias the cached code object and must not be mutated.
+// (same compiled code, same peephole output). The returned slices
+// alias the program's code object and must not be mutated.
 func Bytecode(prog *Program) *ProgramBytecode {
-	c := compiledFor(prog)
+	c := prog.compiled()
 	pb := &ProgramBytecode{ByName: make(map[string]*FuncBytecode, len(c.flist))}
 	for _, fc := range c.flist {
 		code := make([]Instr, len(fc.code))

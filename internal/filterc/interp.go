@@ -220,7 +220,7 @@ func (in *Interp) CallFunc(name string, args []Value) (Value, error) {
 	in.steps = 0
 	if in.useVM() {
 		if in.code == nil {
-			in.code = compiledFor(in.Prog)
+			in.code = in.Prog.compiled()
 		}
 		return in.vmCall(in.code, in.code.funcs[name], args, fn.Pos)
 	}

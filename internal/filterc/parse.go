@@ -1,6 +1,9 @@
 package filterc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Parse compiles filterc source into a Program.
 func Parse(file, src string) (*Program, error) {
@@ -29,6 +32,43 @@ func MustParse(file, src string) *Program {
 		panic(err)
 	}
 	return p
+}
+
+// internCap bounds the intern table. A process loads few distinct filter
+// sources (the H.264 decoder has 9); past the bound an arbitrary entry
+// is evicted, and its Program lives on only as long as its actors do.
+const internCap = 256
+
+type internKey struct{ file, src string }
+
+var interned = struct {
+	sync.Mutex
+	progs map[internKey]*Program
+}{progs: make(map[internKey]*Program)}
+
+// Intern is Parse through a process-wide table keyed on (file, src):
+// every actor instantiated from the same source, in every world of the
+// process, shares one immutable Program and therefore one compiled
+// Code. Parse errors are returned and never cached.
+func Intern(file, src string) (*Program, error) {
+	k := internKey{file, src}
+	interned.Lock()
+	defer interned.Unlock()
+	if p := interned.progs[k]; p != nil {
+		return p, nil
+	}
+	p, err := Parse(file, src)
+	if err != nil {
+		return nil, err
+	}
+	if len(interned.progs) >= internCap {
+		for old := range interned.progs {
+			delete(interned.progs, old)
+			break
+		}
+	}
+	interned.progs[k] = p
+	return p, nil
 }
 
 type parser struct {

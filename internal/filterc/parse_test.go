@@ -265,3 +265,42 @@ func TestTypeStrings(t *testing.T) {
 		t.Error("struct string wrong")
 	}
 }
+
+// Intern shares one Program per (file, source), compiles it once, never
+// caches a parse error, and stays within its bound.
+func TestInternSharesAndBounds(t *testing.T) {
+	const src = "u32 work() { return 1; }"
+	a, err := Intern("intern_a.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := Intern("intern_a.c", src); b != a {
+		t.Error("same file and source interned twice")
+	}
+	if b, _ := Intern("intern_b.c", src); b == a {
+		t.Error("different files share a program")
+	}
+	compiles := CompileTotal()
+	for i := 0; i < 3; i++ {
+		if _, err := New(a, nil).CallFunc("work", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := CompileTotal() - compiles; d != 1 {
+		t.Errorf("3 runs of one program compiled %d times, want 1", d)
+	}
+	if _, err := Intern("intern_bad.c", "u32 work( {"); err == nil {
+		t.Fatal("bad source interned")
+	}
+	if _, ok := interned.progs[internKey{"intern_bad.c", "u32 work( {"}]; ok {
+		t.Error("parse error cached")
+	}
+	for i := 0; i < internCap+10; i++ {
+		if _, err := Intern("intern_fill.c", src+strings.Repeat(" ", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(interned.progs); n > internCap {
+		t.Errorf("intern table holds %d programs, bound is %d", n, internCap)
+	}
+}

@@ -238,11 +238,13 @@ func (rt *Runtime) registerObsMetrics() {
 	rt.fireHist = m.Histogram("pedf_firing_duration_ns",
 		"simulated duration of one WORK firing",
 		[]float64{100, 1000, 10_000, 100_000, 1_000_000})
-	// Bytecode-compiler counters (process-wide: the compiled-code cache is
-	// shared across runtimes).
+	// Bytecode-compiler counters. They are process-wide: programs are
+	// interned across runtimes and each compiles its code once. Worlds
+	// built by internal/stack also carry the analyzer's process-wide
+	// classification counters (pedfgraph.RegisterMetrics).
 	m.CounterFunc("filterc_compile_total", "filter programs compiled to bytecode",
 		func() float64 { return float64(filterc.CompileTotal()) })
-	m.CounterFunc("filterc_cache_hits_total", "compiled-code cache hits",
+	m.CounterFunc("filterc_cache_hits_total", "compiled-code lookups that found the program already compiled",
 		func() float64 { return float64(filterc.CacheHits()) })
 	m.CounterFunc("pedf_faults_injected_total", "injected faults that have fired",
 		func() float64 {
@@ -365,7 +367,7 @@ func (rt *Runtime) newActor(m *Module, name string, role Role, source, sourceFil
 		if sourceFile == "" {
 			sourceFile = name + ".c"
 		}
-		prog, err := filterc.Parse(sourceFile, source)
+		prog, err := filterc.Intern(sourceFile, source)
 		if err != nil {
 			return nil, fmt.Errorf("pedf: filter %s: %w", name, err)
 		}

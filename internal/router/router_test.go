@@ -29,6 +29,14 @@ type fleet struct {
 // waits until every worker passed its first health check.
 func startFleet(t testing.TB, n int, wopts serve.Options) *fleet {
 	t.Helper()
+	return startFleetPinging(t, n, wopts, 200*time.Millisecond)
+}
+
+// startFleetPinging is startFleet with the router health-checking its
+// workers every ping. The router reads its options concurrently from
+// then on, so they are fixed here, never changed on a running fleet.
+func startFleetPinging(t testing.TB, n int, wopts serve.Options, ping time.Duration) *fleet {
+	t.Helper()
 	f := &fleet{t: t}
 	var specs []string
 	for i := 0; i < n; i++ {
@@ -47,7 +55,7 @@ func startFleet(t testing.TB, n int, wopts serve.Options) *fleet {
 		f.waddrs = append(f.waddrs, ln.Addr().String())
 		specs = append(specs, fmt.Sprintf("%s=%s", opts.Name, ln.Addr().String()))
 	}
-	f.r = New(Options{Workers: specs, PingInterval: 200 * time.Millisecond})
+	f.r = New(Options{Workers: specs, PingInterval: ping})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("router listen: %v", err)

@@ -54,8 +54,8 @@ func runScript(s *Session) (string, error) {
 // concurrent scripted sessions of the h264 decoder run to completion
 // through the wire-facing session layer, and every per-session trace
 // must be byte-identical to a solo run of the same script. Run with
-// -race in CI; sessions share nothing but the filterc code cache and
-// the manager's atomic counters.
+// -race in CI; sessions share nothing but the interned filter programs,
+// the classification memo and the manager's atomic counters.
 func TestLoadConcurrentSessionsDeterministic(t *testing.T) {
 	const nSessions = 8
 	params := SessionParams{W: 16, H: 16, QP: 8, Seed: 7}

@@ -460,3 +460,28 @@ func TestCreateRejectsBadParams(t *testing.T) {
 		t.Fatalf("failed create left sessions behind: %+v", got)
 	}
 }
+
+// A command that ends its session (quit, export) is answered before the
+// session goroutine closes done; the caller must get that answer, not
+// ErrSessionClosed. Losing an export's answer loses the session.
+func TestFinalReplyWinsOverClose(t *testing.T) {
+	mgr := NewManager(0, 0)
+	defer mgr.CloseAll()
+	lost := 0
+	for i := 0; i < 200; i++ {
+		s, err := mgr.Create(SessionParams{W: 16, H: 16, QP: 8, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if r, err := s.Exec("quit"); err != nil || !r.Quit {
+				lost++
+			}
+		} else if _, _, err := s.Export(); err != nil {
+			lost++
+		}
+	}
+	if lost != 0 {
+		t.Errorf("%d of 200 final replies lost", lost)
+	}
+}

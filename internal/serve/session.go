@@ -372,8 +372,9 @@ func (p SessionParams) recipe() (stack.Recipe, error) {
 // loop is the session goroutine: it builds the stack (so the kernel is
 // born and dies on this goroutine) and serializes every command against
 // it. Kernels never share state across sessions; the only cross-session
-// paths are the process-global filterc code cache (sync.Map) and the
-// manager's atomic counters.
+// paths are the process-wide interned filter programs (with their
+// compiled code), the classification memo, and the manager's atomic
+// counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
 	r, err := s.Params.recipe()
@@ -597,17 +598,7 @@ func (s *Session) tryReap(timeout time.Duration) bool {
 	default:
 		return false
 	}
-	// The reply is sent before the loop tears down, so a session that
-	// closed meanwhile may still have left its verdict behind.
-	var out any
-	select {
-	case out = <-cmd.reply:
-	case <-s.done:
-		select {
-		case out = <-cmd.reply:
-		default:
-		}
-	}
+	out, _ := s.await(cmd)
 	if v, ok := out.(reapVerdict); !ok || !v.reap {
 		return false
 	}
@@ -673,14 +664,32 @@ func (s *Session) doCmd(line string, fn func(*stack.Stack) any) (any, error) {
 	case <-s.done:
 		return nil, ErrSessionClosed
 	}
-	select {
-	case out := <-cmd.reply:
-		if pr, ok := out.(panicReply); ok {
-			return nil, pr.err
-		}
-		return out, nil
-	case <-s.done:
+	out, ok := s.await(cmd)
+	if !ok {
 		return nil, ErrSessionClosed
+	}
+	if pr, ok := out.(panicReply); ok {
+		return nil, pr.err
+	}
+	return out, nil
+}
+
+// await waits for a queued command's reply; ok is false when the
+// session closed without replying. The loop replies before it tears
+// down, so a command that ended the session (quit, export, a reap
+// verdict) has its reply buffered by the time done closes, and the
+// reply must win: a select alone picks at random between the two.
+func (s *Session) await(cmd sessionCmd) (out any, ok bool) {
+	select {
+	case out = <-cmd.reply:
+		return out, true
+	case <-s.done:
+		select {
+		case out = <-cmd.reply:
+			return out, true
+		default:
+			return nil, false
+		}
 	}
 }
 

@@ -131,6 +131,9 @@ func (r Recipe) Build() (*Stack, error) {
 	if err := rt.Start(); err != nil {
 		return fail(err)
 	}
+	if rec != nil {
+		pedfgraph.RegisterMetrics(rec.Metrics)
+	}
 	switch {
 	case r.Faults != nil:
 		k.SetFaults(fault.NewInjector(*r.Faults))
