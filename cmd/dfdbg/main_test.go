@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -173,5 +174,82 @@ func TestREPLStateDigest(t *testing.T) {
 	want, err := os.ReadFile("testdata/state_digest.txt")
 	if err != nil || got != string(want) {
 		t.Errorf("REPL state digest changed:\n got %s\nwant %s%v", got, want, err)
+	}
+}
+
+// TestBatchOutputStable builds the REPL world 20 times. With the
+// dataflow layer attached every region is demoted, and `batch` must
+// name the same demoting breakpoint every time rather than whichever
+// symbol map iteration happened to visit first.
+func TestBatchOutputStable(t *testing.T) {
+	outputs := map[string]int{}
+	for i := 0; i < 20; i++ {
+		r, err := recipe(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, "none", faultOpts{}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := st.CLI.Dispatch("batch")
+		st.Shutdown()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		outputs[res.Output]++
+	}
+	if len(outputs) != 1 {
+		for out, n := range outputs {
+			t.Logf("%d builds printed:\n%s", n, out)
+		}
+		t.Fatalf("20 builds of one recipe gave %d different `batch` outputs", len(outputs))
+	}
+}
+
+// TestTraceViewsAreSorted stops a decode mid-run, when several links
+// hold tokens, and checks that `trace balance` lists links by id and
+// `trace activity` lists actors by name.
+func TestTraceViewsAreSorted(t *testing.T) {
+	r, err := recipe(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, "none", faultOpts{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown()
+	for _, line := range []string{"filter ipf catch work", "continue", "continue"} {
+		if res := st.CLI.Dispatch(line); res.Err != nil {
+			t.Fatalf("%q: %v", line, res.Err)
+		}
+	}
+	keys := func(cmd string, key func(line string) string) []string {
+		res := st.CLI.Dispatch(cmd)
+		if res.Err != nil {
+			t.Fatalf("%q: %v", cmd, res.Err)
+		}
+		var out []string
+		for _, line := range strings.Split(strings.TrimSpace(res.Output), "\n") {
+			out = append(out, key(line))
+		}
+		return out
+	}
+	links := keys("trace balance", func(line string) string {
+		var id int
+		if _, err := fmt.Sscanf(line, "link#%d", &id); err != nil {
+			t.Fatalf("trace balance line %q: %v", line, err)
+		}
+		return fmt.Sprintf("%08d", id)
+	})
+	actors := keys("trace activity", func(line string) string { return strings.Fields(line)[0] })
+	for name, got := range map[string][]string{"trace balance": links, "trace activity": actors} {
+		if len(got) < 2 {
+			t.Fatalf("%s lists %d entries, want several", name, len(got))
+		}
+		if !slices.IsSorted(got) {
+			t.Errorf("%s is not sorted: %v", name, got)
+		}
 	}
 }

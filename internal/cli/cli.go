@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/absint"
@@ -670,24 +671,56 @@ func (c *CLI) threadCmd(rest []string) error {
 	return fmt.Errorf("no thread %d", id)
 }
 
+// appendFilterInfo appends one `info filters` row, the rendering of
+// fmt's "%-10s %-16s %-14s firings=%-5d" plus the optional line and
+// blocked-on suffixes. It is the first command a session typically runs
+// after a long continue, and the per-token path no longer keeps fmt's
+// code warm, so the row is built without it.
+func appendFilterInfo(b []byte, fi core.FilterInfo) []byte {
+	b = appendPadded(b, fi.Kind.String(), 10)
+	b = append(b, ' ')
+	b = appendPadded(b, fi.Name, 16)
+	b = append(b, ' ')
+	b = appendPadded(b, fi.State.String(), 14)
+	b = append(b, " firings="...)
+	start := len(b)
+	b = strconv.AppendUint(b, fi.Firings, 10)
+	for len(b)-start < 5 {
+		b = append(b, ' ')
+	}
+	if fi.Line > 0 {
+		b = append(b, "  line "...)
+		b = strconv.AppendInt(b, int64(fi.Line), 10)
+	}
+	if fi.BlockedOn != "" {
+		b = append(b, "  blocked on "...)
+		b = append(b, fi.BlockedOn...)
+	}
+	return append(b, '\n')
+}
+
+// appendPadded appends s left-justified in a field of width runes, as
+// fmt's %-*s does.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
 func (c *CLI) infoCmd(rest []string) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: info filters|links|tokens|scheduling <m>|breakpoints|threads")
 	}
 	switch rest[0] {
 	case "filters":
-		for _, fi := range c.D.InfoFilters() {
-			blocked := ""
-			if fi.BlockedOn != "" {
-				blocked = "  blocked on " + fi.BlockedOn
-			}
-			line := ""
-			if fi.Line > 0 {
-				line = fmt.Sprintf("  line %d", fi.Line)
-			}
-			c.printf("%-10s %-16s %-14s firings=%-5d%s%s\n",
-				fi.Kind, fi.Name, fi.State, fi.Firings, line, blocked)
+		infos := c.D.InfoFilters()
+		b := make([]byte, 0, 80*len(infos))
+		for _, fi := range infos {
+			b = appendFilterInfo(b, fi)
 		}
+		c.Out.Write(b)
 		return nil
 	case "links", "tokens":
 		c.printf("%s", c.D.TokensReport())
@@ -1147,15 +1180,27 @@ func (c *CLI) traceCmd(rest []string) error {
 	}
 	switch rest[0] {
 	case "balance":
-		for link, bal := range c.Rec.LinkBalance() {
-			if bal != 0 {
-				c.printf("link#%d  +%d tokens in flight\n", link, bal)
+		bal := c.Rec.LinkBalance()
+		links := make([]int64, 0, len(bal))
+		for link := range bal {
+			links = append(links, link)
+		}
+		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+		for _, link := range links {
+			if bal[link] != 0 {
+				c.printf("link#%d  +%d tokens in flight\n", link, bal[link])
 			}
 		}
 		return nil
 	case "activity":
-		for actor, n := range c.Rec.ActorActivity() {
-			c.printf("%-16s %d events\n", actor, n)
+		act := c.Rec.ActorActivity()
+		actors := make([]string, 0, len(act))
+		for actor := range act {
+			actors = append(actors, actor)
+		}
+		sort.Strings(actors)
+		for _, actor := range actors {
+			c.printf("%-16s %d events\n", actor, act[actor])
 		}
 		return nil
 	default:

@@ -199,11 +199,13 @@ func (d *Debugger) addConn(actor *Actor, port, dir, typ string) *Connection {
 	if c, ok := d.conns[q]; ok {
 		return c
 	}
-	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap}
+	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap, qualified: q}
 	d.conns[q] = c
 	if dir == "input" {
+		c.inFlight = "pop:" + port
 		actor.Inputs = append(actor.Inputs, c)
 	} else {
+		c.inFlight = "push:" + port
 		actor.Outputs = append(actor.Outputs, c)
 	}
 	return c
@@ -355,7 +357,8 @@ func (d *Debugger) onWorkEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		d.actorByProc[ctx.Proc] = a
 	}
 	a.State = SchedRunning
-	a.firingInputs = nil
+	clear(a.firingInputs)
+	a.firingInputs = a.firingInputs[:0]
 	return lowdbg.DispContinue
 }
 
@@ -387,7 +390,12 @@ func (d *Debugger) onPushEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
 	src := lowdbg.ArgString(ctx.Args, "src")
 	if a := d.actors[src]; a != nil {
-		a.inFlightOp = "push:" + lowdbg.ArgString(ctx.Args, "src_port")
+		port := lowdbg.ArgString(ctx.Args, "src_port")
+		if c := a.Out(port); c != nil {
+			a.inFlightOp = c.inFlight
+		} else {
+			a.inFlightOp = "push:" + port
+		}
 		if a.Proc == nil && a.Kind != KindEnv {
 			a.Proc = ctx.Proc
 			d.actorByProc[ctx.Proc] = a
@@ -430,7 +438,12 @@ func (d *Debugger) onPopEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
 	dst := lowdbg.ArgString(ctx.Args, "dst")
 	if a := d.actors[dst]; a != nil {
-		a.inFlightOp = "pop:" + lowdbg.ArgString(ctx.Args, "dst_port")
+		port := lowdbg.ArgString(ctx.Args, "dst_port")
+		if c := a.In(port); c != nil {
+			a.inFlightOp = c.inFlight
+		} else {
+			a.inFlightOp = "pop:" + port
+		}
 		if a.Proc == nil && a.Kind != KindEnv {
 			a.Proc = ctx.Proc
 			d.actorByProc[ctx.Proc] = a
@@ -449,8 +462,12 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	dstActor.inFlightOp = ""
 	var tok *Token
 	if len(l.Tokens) > 0 {
+		// Shift rather than reslice, so the in-flight list keeps its
+		// backing array instead of drifting off it and regrowing.
 		tok = l.Tokens[0]
-		l.Tokens = l.Tokens[1:]
+		n := copy(l.Tokens, l.Tokens[1:])
+		l.Tokens[n] = nil
+		l.Tokens = l.Tokens[:n]
 	} else {
 		// A token the model never saw pushed (injected by the debugger
 		// while data breakpoints were disabled, or pushed while they

@@ -266,7 +266,7 @@ type FilterInfo struct {
 // available, including the source-code line currently executed, and
 // whether or not it is currently blocked").
 func (d *Debugger) InfoFilters() []FilterInfo {
-	var out []FilterInfo
+	out := make([]FilterInfo, 0, len(d.actorList))
 	for _, a := range d.actorList {
 		if a.Kind != KindFilter && a.Kind != KindController {
 			continue

@@ -210,10 +210,20 @@ type Connection struct {
 
 	// LastToken is the most recent token through this endpoint.
 	LastToken *Token
+
+	// qualified and inFlight cache Qualified() and the actor's
+	// "push:port"/"pop:port" label while a call on this endpoint is in
+	// flight, which the data path would otherwise rebuild per token.
+	qualified, inFlight string
 }
 
 // Qualified returns "actor::port", the paper's interface naming.
-func (c *Connection) Qualified() string { return c.Actor.Name + "::" + c.Name }
+func (c *Connection) Qualified() string {
+	if c.qualified != "" {
+		return c.qualified
+	}
+	return c.Actor.Name + "::" + c.Name
+}
 
 func (c *Connection) String() string {
 	return fmt.Sprintf("%s (%s %s)", c.Qualified(), c.Dir, c.Type)

@@ -282,7 +282,11 @@ func TestInternSharesAndBounds(t *testing.T) {
 	}
 	compiles := CompileTotal()
 	for i := 0; i < 3; i++ {
-		if _, err := New(a, nil).CallFunc("work", nil); err != nil {
+		// The VM is forced: under -tags slowinterp the default engine
+		// is the walker, which never compiles.
+		in := New(a, nil)
+		in.Engine = EngineVM
+		if _, err := in.CallFunc("work", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

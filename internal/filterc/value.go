@@ -13,6 +13,7 @@ package filterc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -332,36 +333,53 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// String renders the value the way the debugger prints it, e.g.
-// "(U16) 5" for scalars and "{Addr = 0x145D, Izz = 168460492}" for structs.
+// String renders the value the way the debugger prints it: decimal
+// integers, Go-quoted strings, "void", "[1, 2]" for arrays and
+// "{Addr = 5213, Izz = 0}" for structs ("<nil>" for an untyped value).
 func (v Value) String() string {
+	var buf [64]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends String's rendering of v to b and returns the
+// extended buffer. A caller that keeps b across calls renders without
+// allocating beyond the final string conversion.
+func (v Value) AppendString(b []byte) []byte {
 	if v.Type == nil {
-		return "<nil>"
+		return append(b, "<nil>"...)
 	}
 	switch v.Type.Kind {
 	case KScalar:
 		switch v.Type.Base {
 		case Str:
-			return fmt.Sprintf("%q", v.S)
+			return strconv.AppendQuote(b, v.S)
 		case Void:
-			return "void"
+			return append(b, "void"...)
 		default:
-			return fmt.Sprintf("%d", v.I)
+			return strconv.AppendInt(b, v.I, 10)
 		}
 	case KArray:
-		parts := make([]string, len(v.Elems))
-		for i, e := range v.Elems {
-			parts[i] = e.String()
+		b = append(b, '[')
+		for i := range v.Elems {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = v.Elems[i].AppendString(b)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(b, ']')
 	case KStruct:
-		parts := make([]string, len(v.Elems))
-		for i, e := range v.Elems {
-			parts[i] = fmt.Sprintf("%s = %s", v.Type.Fields[i].Name, e.String())
+		b = append(b, '{')
+		for i := range v.Elems {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, v.Type.Fields[i].Name...)
+			b = append(b, " = "...)
+			b = v.Elems[i].AppendString(b)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		return append(b, '}')
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

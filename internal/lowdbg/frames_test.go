@@ -1,0 +1,88 @@
+package lowdbg
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"dfdbg/internal/dbginfo"
+	"dfdbg/internal/obs"
+	"dfdbg/internal/sim"
+)
+
+// A hit runs in a recycled call frame: once the free list is warm, an
+// intercepted call whose breakpoints only run actions allocates nothing,
+// with or without an observer accounting the handler cost, and with or
+// without a finish action.
+func TestEnterFuncHitDoesNotAllocate(t *testing.T) {
+	for _, c := range []struct {
+		observed, onReturn bool
+	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+		k := sim.NewKernel()
+		if c.observed {
+			k.SetObserver(obs.NewRecorder(64))
+		}
+		d := New(k, dbginfo.NewTable())
+		hits, returns := 0, 0
+		var onReturn func(*StopCtx) Disposition
+		if c.onReturn {
+			onReturn = func(*StopCtx) Disposition { returns++; return DispContinue }
+		}
+		d.BreakFuncInternal("sym", func(*StopCtx) Disposition { hits++; return DispContinue }, onReturn)
+		args := []Arg{{Name: "self", Val: "target"}}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if exit := d.EnterFunc(nil, "sym", args); exit != nil {
+				exit(nil)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("observed=%v onReturn=%v: a hit allocates %.0f objects, want 0", c.observed, c.onReturn, allocs)
+		}
+		if hits == 0 || c.onReturn != (returns == hits) {
+			t.Errorf("observed=%v onReturn=%v: %d hits, %d returns", c.observed, c.onReturn, hits, returns)
+		}
+	}
+}
+
+// Finish actions run in the order their breakpoints were collected at
+// entry. When the first stops the world, the second runs exactly once,
+// after the driver continues — and the recycled frames keep that true
+// for every later call.
+func TestFinishStopKeepsFinisherOrder(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, dbginfo.NewTable())
+	var log []string
+	finisher := func(name string, disp Disposition) func(*StopCtx) Disposition {
+		return func(ctx *StopCtx) Disposition {
+			log = append(log, fmt.Sprintf("%s(call=%d ret=%v)", name, ArgInt(ctx.Args, "call"), ctx.Ret))
+			return disp
+		}
+	}
+	first := d.BreakFuncInternal("fn", nil, finisher("first", DispStop))
+	d.BreakFuncInternal("fn", nil, finisher("second", DispContinue))
+	k.Spawn("target", func(p *sim.Proc) {
+		for call := int64(1); call <= 2; call++ {
+			if exit := d.EnterFunc(p, "fn", []Arg{{Name: "call", Val: call}}); exit != nil {
+				exit(call * 10)
+			}
+		}
+	})
+	for call := 1; call <= 2; call++ {
+		ev := d.Continue()
+		if ev.Kind != StopAction || !ev.IsReturn || ev.Bp != first || ev.Ret != int64(call*10) ||
+			ArgInt(ev.Args, "call") != int64(call) {
+			t.Fatalf("call %d: stop = %v (bp %v, ret %v, args %v)", call, ev, ev.Bp, ev.Ret, ev.Args)
+		}
+		// Stopped inside the finisher loop: the second action is pending.
+		if len(log) != 2*call-1 {
+			t.Fatalf("call %d: at the stop the finish log is %v", call, log)
+		}
+	}
+	if ev := d.Continue(); ev.Kind != StopDone {
+		t.Fatalf("final stop = %v", ev)
+	}
+	want := "first(call=1 ret=10) second(call=1 ret=10) first(call=2 ret=20) second(call=2 ret=20)"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("finish actions ran as\n%s\nwant\n%s", got, want)
+	}
+}

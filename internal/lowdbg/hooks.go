@@ -12,13 +12,19 @@ import (
 // EnterFunc is the target-program surface: the PEDF runtime calls it at
 // the entry of every framework API function and of every WORK method,
 // passing the mangled symbol and the parsed arguments. The returned
-// closure (nil when nobody listens) must be invoked at the function's
-// return with the return value — that is how finish breakpoints fire.
+// closure (nil when nobody listens) must be invoked exactly once, at the
+// function's return, with the return value — that is how finish
+// breakpoints fire.
 //
 // This models GDB planting breakpoints at function addresses: with no
 // breakpoint on fn, the cost is one map lookup (the measurable
 // always-attached overhead); with breakpoints, their actions run and may
 // stop the world.
+//
+// args is borrowed for the call's duration (entry to return): the
+// target may reuse its storage afterwards, so a stop event keeps its
+// own copy. A hit runs in a recycled call frame and allocates nothing
+// beyond what its actions do.
 func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 	d.HookCalls++
 	// Armed-count fast path: with no function breakpoint planted anywhere
@@ -49,13 +55,13 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 	if rec != nil {
 		t0 = time.Now()
 	}
-	ctx := &StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args}
-	var finishers []*Breakpoint
+	fr := d.frame()
+	fr.ctx = StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args}
+	ctx := &fr.ctx
 	var stopBp *Breakpoint
 	// Iterate over a snapshot: actions may remove breakpoints.
-	snapshot := make([]*Breakpoint, len(bps))
-	copy(snapshot, bps)
-	for _, bp := range snapshot {
+	fr.snapshot = append(fr.snapshot, bps...)
+	for _, bp := range fr.snapshot {
 		if !bp.Enabled {
 			continue
 		}
@@ -76,7 +82,7 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 			stopBp = bp
 		}
 		if bp.OnReturn != nil {
-			finishers = append(finishers, bp)
+			fr.finishers = append(fr.finishers, bp)
 		}
 		if bp.Temporary {
 			d.removeBp(bp)
@@ -109,36 +115,90 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 			reason = ctx.StopNote
 		}
 		d.stopWorld(p, &StopEvent{
-			Kind: kind, Reason: reason, Proc: p, Fn: fn, Bp: stopBp, Args: args,
+			Kind: kind, Reason: reason, Proc: p, Fn: fn, Bp: stopBp, Args: cloneArgs(args),
 		})
 	}
-	if len(finishers) == 0 {
+	if len(fr.finishers) == 0 {
+		d.release(fr)
 		return nil
 	}
-	return func(ret any) {
-		rctx := &StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args, Ret: ret, IsReturn: true}
-		for _, bp := range finishers {
-			if !bp.Enabled {
-				continue
+	return fr.exit
+}
+
+// callFrame is the recycled state of one intercepted call that ran
+// breakpoint handlers: the context its actions see, the breakpoint
+// snapshot, the finish breakpoints collected at entry and the return
+// hook handed back to the target. A frame is owned by its call from
+// entry until the return hook ran (or, without finishers, until
+// EnterFunc returns); a world stop inside either keeps it owned.
+type callFrame struct {
+	d         *Debugger
+	ctx       StopCtx
+	snapshot  []*Breakpoint
+	finishers []*Breakpoint
+	exit      func(ret any) // fr.finish, bound once per frame
+}
+
+// frame takes a call frame off the debugger's free list.
+func (d *Debugger) frame() *callFrame {
+	if n := len(d.frames); n > 0 {
+		fr := d.frames[n-1]
+		d.frames = d.frames[:n-1]
+		return fr
+	}
+	fr := &callFrame{d: d}
+	fr.exit = fr.finish
+	return fr
+}
+
+// release returns a frame to the free list, dropping its references.
+func (d *Debugger) release(fr *callFrame) {
+	fr.ctx = StopCtx{}
+	clear(fr.snapshot)
+	clear(fr.finishers)
+	fr.snapshot, fr.finishers = fr.snapshot[:0], fr.finishers[:0]
+	d.frames = append(d.frames, fr)
+}
+
+// finish is a frame's return hook: it runs the finish breakpoints
+// collected at entry, in entry order, each able to stop the world before
+// the next runs, then recycles the frame.
+func (fr *callFrame) finish(ret any) {
+	d := fr.d
+	p, fn, args := fr.ctx.Proc, fr.ctx.Fn, fr.ctx.Args
+	fr.ctx = StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args, Ret: ret, IsReturn: true}
+	ctx := &fr.ctx
+	for _, bp := range fr.finishers {
+		if !bp.Enabled {
+			continue
+		}
+		if bp.IsData && !d.DataBreakpointsEnabled {
+			continue
+		}
+		if bp.OnReturn(ctx) == DispStop {
+			reason := fmt.Sprintf("Finish breakpoint %d, %s returned %v", bp.ID, fn, ret)
+			if bp.Note != "" {
+				reason = bp.Note
 			}
-			if bp.IsData && !d.DataBreakpointsEnabled {
-				continue
+			if ctx.StopNote != "" {
+				reason = ctx.StopNote
 			}
-			if bp.OnReturn(rctx) == DispStop {
-				reason := fmt.Sprintf("Finish breakpoint %d, %s returned %v", bp.ID, fn, ret)
-				if bp.Note != "" {
-					reason = bp.Note
-				}
-				if rctx.StopNote != "" {
-					reason = rctx.StopNote
-				}
-				d.stopWorld(p, &StopEvent{
-					Kind: StopAction, Reason: reason, Proc: p, Fn: fn,
-					Bp: bp, Args: args, Ret: ret, IsReturn: true,
-				})
-			}
+			d.stopWorld(p, &StopEvent{
+				Kind: StopAction, Reason: reason, Proc: p, Fn: fn,
+				Bp: bp, Args: cloneArgs(args), Ret: ret, IsReturn: true,
+			})
 		}
 	}
+	d.release(fr)
+}
+
+// cloneArgs copies a borrowed argument list for a stop event, which
+// outlives the call.
+func cloneArgs(args []Arg) []Arg {
+	if len(args) == 0 {
+		return args
+	}
+	return append([]Arg(nil), args...)
 }
 
 func formatArgs(args []Arg) string {

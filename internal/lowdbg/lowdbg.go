@@ -185,6 +185,7 @@ type Debugger struct {
 	stepFile  string
 
 	pendingStop *StopEvent
+	frames      []*callFrame // free list of EnterFunc call frames
 	resumeEv    *sim.Event
 
 	// HookCalls counts every EnterFunc/statement hook crossing — the
@@ -259,16 +260,21 @@ type ArmedTargets struct {
 }
 
 // ArmedTargets snapshots the armed surface (see ArmedTargets type).
+// FuncSyms and Files are sorted, so a reason derived from them (the
+// batched engine's demotion reason) does not depend on map order;
+// DataSyms keeps watchpoint creation order.
 func (d *Debugger) ArmedTargets() ArmedTargets {
 	var t ArmedTargets
 	for sym := range d.funcBPs {
 		t.FuncSyms = append(t.FuncSyms, sym)
 	}
+	sort.Strings(t.FuncSyms)
 	for key := range d.lineBPs {
 		if i := strings.LastIndexByte(key, ':'); i >= 0 {
 			t.Files = append(t.Files, key[:i])
 		}
 	}
+	sort.Strings(t.Files)
 	for _, w := range d.watchpoints {
 		t.DataSyms = append(t.DataSyms, w.Sym)
 	}

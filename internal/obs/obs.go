@@ -24,7 +24,10 @@
 //     (checked by the P2-style determinism test).
 package obs
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Kind classifies a recorded event.
 type Kind uint8
@@ -240,7 +243,7 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultCap
 	}
 	r := &Recorder{
-		ring:    make([]Event, capacity),
+		ring:    takeRing(capacity),
 		mask:    MaskDefault,
 		Metrics: NewRegistry(),
 	}
@@ -433,4 +436,55 @@ func (r *Recorder) Window(from uint64, max int) (events []Event, first uint64) {
 }
 
 // Reset discards all retained events (the ring keeps its capacity).
-func (r *Recorder) Reset() { r.head = 0 }
+func (r *Recorder) Reset() {
+	r.clearUsed()
+	r.head = 0
+}
+
+// clearUsed zeroes the slots written so far. Slots past the head of a
+// ring that never wrapped are zero already: rings start zeroed and
+// every release or reset clears what was used.
+func (r *Recorder) clearUsed() {
+	clear(r.ring[:min(r.head, uint64(len(r.ring)))])
+}
+
+// ringPools recycles event rings across recorders, one sync.Pool per
+// capacity (*sync.Pool values keyed by int). A debug server builds a
+// world per session, and without reuse each session's ring (65536
+// events, ~6.8 MB) is a fresh allocation large enough to trigger a GC
+// cycle during session creation.
+var ringPools sync.Map
+
+func ringPool(capacity int) *sync.Pool {
+	if p, ok := ringPools.Load(capacity); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := ringPools.LoadOrStore(capacity, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// takeRing returns a zeroed ring of the given capacity, reusing a
+// released one when the pool has it.
+func takeRing(capacity int) []Event {
+	if ring, ok := ringPool(capacity).Get().(*[]Event); ok {
+		return *ring
+	}
+	return make([]Event, capacity)
+}
+
+// Release ends the recorder's life and hands its ring to the next
+// recorder of the same capacity. Call it only once nothing records into
+// or reads from the recorder any more: its kernel is shut down and every
+// view of it (CLI, web tap, checkpoint capture) is gone. A released
+// recorder is empty with capacity 0, and recording into it panics
+// rather than writing into a ring another recorder now owns. Release is
+// idempotent and nil-safe.
+func (r *Recorder) Release() {
+	if r == nil || r.ring == nil {
+		return
+	}
+	r.clearUsed()
+	ring := r.ring
+	r.ring, r.head = nil, 0
+	ringPool(len(ring)).Put(&ring)
+}

@@ -402,11 +402,10 @@ func (rt *Runtime) filterLoop(p *sim.Proc, f *Filter) {
 // invokeWork runs one WORK firing under the work-symbol hook.
 func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 	f.resetWindows()
-	exit := rt.hook(p, WorkSymbol(f), []lowdbg.Arg{
-		{Name: "self", Val: f.Name},
-		{Name: "module", Val: f.Module.Name},
-		{Name: "firing", Val: int64(f.firings)},
-	})
+	var exit func(any)
+	if rt.Dbg != nil {
+		exit = rt.Dbg.EnterFunc(p, f.workSym, f.workArgs(f.firings))
+	}
 	rec := rt.K.Observer()
 	t0 := p.Now()
 	if rec.Wants(obs.KFireBegin) {
@@ -433,11 +432,9 @@ func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 		}
 	}
 	var err error
-	var ret any
+	var v filterc.Value
 	if f.Prog != nil {
-		var v filterc.Value
 		v, err = f.interp.CallFunc("work", nil)
-		ret = v
 	} else {
 		err = f.NativeWork(&WorkCtx{f: f, p: p})
 	}
@@ -455,7 +452,11 @@ func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 		rt.fireHist.Observe(float64(dur))
 	}
 	if exit != nil {
-		exit(ret)
+		if f.Prog != nil {
+			exit(v)
+		} else {
+			exit(nil)
+		}
 	}
 	return err
 }
@@ -466,12 +467,7 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 	m := c.Module
 	c.setState(StateRunning)
 	for !m.done {
-		exitBegin := rt.hook(p, SymStepBegin, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
-		})
-		if exitBegin != nil {
-			exitBegin(nil)
-		}
+		rt.hookStep(p, m, SymStepBegin)
 		if rec := rt.K.Observer(); rec.Wants(obs.KStepBegin) {
 			rec.Record(obs.Event{
 				At: uint64(p.Now()), Kind: obs.KStepBegin, PE: int32(c.PE.ID),
@@ -483,12 +479,7 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 		if err != nil {
 			panic(err)
 		}
-		exitEnd := rt.hook(p, SymStepEnd, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
-		})
-		if exitEnd != nil {
-			exitEnd(nil)
-		}
+		rt.hookStep(p, m, SymStepEnd)
 		if rec := rt.K.Observer(); rec.Wants(obs.KStepEnd) {
 			rec.Record(obs.Event{
 				At: uint64(p.Now()), Kind: obs.KStepEnd, PE: int32(c.PE.ID),
@@ -508,14 +499,28 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 	c.setState(StateDone)
 }
 
+// hookStep reports a step-protocol call (begin or end of module m's
+// current step).
+func (rt *Runtime) hookStep(p *sim.Proc, m *Module, sym string) {
+	if rt.Dbg == nil {
+		return
+	}
+	if m.stepArgs == nil {
+		m.stepArgs = []lowdbg.Arg{{Name: "module", Val: m.Name}, {Name: "step"}}
+	}
+	m.stepArgs[1].Val = int64(m.step)
+	if exit := rt.Dbg.EnterFunc(p, sym, m.stepArgs); exit != nil {
+		exit(nil)
+	}
+}
+
 // invokeController runs one controller WORK step; the return value (or
 // the native bool) decides whether the module continues.
 func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
-	exit := rt.hook(p, WorkSymbol(c), []lowdbg.Arg{
-		{Name: "self", Val: c.Name},
-		{Name: "module", Val: c.Module.Name},
-		{Name: "step", Val: int64(c.Module.step)},
-	})
+	var exit func(any)
+	if rt.Dbg != nil {
+		exit = rt.Dbg.EnterFunc(p, c.workSym, c.workArgs(c.Module.step))
+	}
 	rec := rt.K.Observer()
 	if rec.Wants(obs.KCtlBegin) {
 		rec.Record(obs.Event{
@@ -525,12 +530,10 @@ func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
 	}
 	var cont bool
 	var err error
-	var ret any
+	var v filterc.Value
 	if c.Prog != nil {
-		var v filterc.Value
 		v, err = c.interp.CallFunc("work", nil)
 		cont = v.I != 0
-		ret = v
 	} else {
 		cont, err = c.NativeCtl(&CtlCtx{WorkCtx{f: c, p: p}})
 	}
@@ -541,7 +544,11 @@ func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
 		})
 	}
 	if exit != nil {
-		exit(ret)
+		if c.Prog != nil {
+			exit(v)
+		} else {
+			exit(nil)
+		}
 	}
 	c.firings++
 	return cont, err
@@ -553,9 +560,7 @@ func (rt *Runtime) actorStart(p *sim.Proc, m *Module, name string) error {
 	if f == nil {
 		return fmt.Errorf("pedf: ACTOR_START(%q): no such filter in module %s", name, m.Name)
 	}
-	exit := rt.hook(p, SymActorStart, []lowdbg.Arg{
-		{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
-	})
+	exit := rt.hook(p, SymActorStart, f.schedArgs())
 	if rec := rt.K.Observer(); rec.Wants(obs.KActorStart) {
 		rec.Record(obs.Event{
 			At: uint64(p.Now()), Kind: obs.KActorStart, PE: int32(f.PE.ID),
@@ -583,9 +588,7 @@ func (rt *Runtime) actorSync(p *sim.Proc, m *Module, name string) error {
 	if f == nil {
 		return fmt.Errorf("pedf: ACTOR_SYNC(%q): no such filter in module %s", name, m.Name)
 	}
-	exit := rt.hook(p, SymActorSync, []lowdbg.Arg{
-		{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
-	})
+	exit := rt.hook(p, SymActorSync, f.schedArgs())
 	if rec := rt.K.Observer(); rec.Wants(obs.KActorSync) {
 		rec.Record(obs.Event{
 			At: uint64(p.Now()), Kind: obs.KActorSync, PE: int32(f.PE.ID),
@@ -604,7 +607,7 @@ func (rt *Runtime) actorSync(p *sim.Proc, m *Module, name string) error {
 
 // waitActorInit implements WAIT_FOR_ACTOR_INIT().
 func (rt *Runtime) waitActorInit(p *sim.Proc, m *Module) {
-	exit := rt.hook(p, SymWaitActorInit, []lowdbg.Arg{{Name: "module", Val: m.Name}})
+	exit := rt.hook(p, SymWaitActorInit, m.waitArgs())
 	rt.waitPending(p, m, "wait:init", func() bool {
 		for _, f := range m.Filters {
 			if f.pendingInit {
@@ -620,7 +623,7 @@ func (rt *Runtime) waitActorInit(p *sim.Proc, m *Module) {
 
 // waitActorSync implements WAIT_FOR_ACTOR_SYNC().
 func (rt *Runtime) waitActorSync(p *sim.Proc, m *Module) {
-	exit := rt.hook(p, SymWaitActorSync, []lowdbg.Arg{{Name: "module", Val: m.Name}})
+	exit := rt.hook(p, SymWaitActorSync, m.waitArgs())
 	rt.waitPending(p, m, "wait:sync", func() bool {
 		for _, f := range m.Filters {
 			if f.pendingSync {

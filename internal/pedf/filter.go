@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dfdbg/internal/filterc"
+	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/mach"
 	"dfdbg/internal/sim"
 )
@@ -192,6 +193,41 @@ type Filter struct {
 	batchRegion int
 	lazy        bool
 	lazyNS      sim.Duration
+
+	// Debugger interception state, built on first use: the mangled
+	// WORK symbol, the recycled WORK hook arguments, and the fixed
+	// ACTOR_START/ACTOR_SYNC arguments naming this filter (DESIGN §12).
+	workSym   string
+	workList  []lowdbg.Arg
+	schedList []lowdbg.Arg
+}
+
+// workArgs returns the WORK hook argument list for one firing: self,
+// module and the call counter n ("step" for a controller, "firing" for
+// a filter). The list is recycled; only the filter's own process fires
+// it, one firing at a time. The first call also computes f.workSym.
+func (f *Filter) workArgs(n uint64) []lowdbg.Arg {
+	if f.workList == nil {
+		counter := "firing"
+		if f.Role == RoleController {
+			counter = "step"
+		}
+		f.workSym = WorkSymbol(f)
+		f.workList = []lowdbg.Arg{
+			{Name: "self", Val: f.Name}, {Name: "module", Val: f.Module.Name}, {Name: counter},
+		}
+	}
+	f.workList[2].Val = int64(n)
+	return f.workList
+}
+
+// schedArgs returns the ACTOR_START/ACTOR_SYNC hook arguments naming
+// this filter. The list has no per-call entries, so every call shares it.
+func (f *Filter) schedArgs() []lowdbg.Arg {
+	if f.schedList == nil {
+		f.schedList = []lowdbg.Arg{{Name: "module", Val: f.Module.Name}, {Name: "filter", Val: f.Name}}
+	}
+	return f.schedList
 }
 
 // flushLazy pays the accumulated lazy compute time in one sleep. Must

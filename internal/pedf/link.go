@@ -109,6 +109,12 @@ type Link struct {
 	drops    uint64  // tokens removed without a pop (surgery or drop fault)
 	notEmpty *sim.Event
 	notFull  *sim.Event
+
+	// Debugger interception state, built on first use: the recycled
+	// push/pop hook argument lists (DESIGN §12) and the blocked-on
+	// labels.
+	pushArgs, popArgs     []lowdbg.Arg
+	pushReason, popReason string
 }
 
 // slot returns the i-th queued token (0 = oldest). The pointer is into
@@ -223,16 +229,31 @@ func (l *Link) popSym() string {
 	return SymLinkPop
 }
 
-// callArgs builds the hook argument list shared by push and pop.
-func (l *Link) callArgs(index uint64) []lowdbg.Arg {
-	return []lowdbg.Arg{
+// Positions of the per-call entries in a link's hook argument lists.
+const (
+	argIndex = 5 // push and pop: the token's index on the link
+	argValue = 6 // push only: the pushed value
+)
+
+// hookList builds a push (withValue) or pop hook argument list: the
+// link's boxed identity, then the per-call entries. The lists are
+// recycled: a push or pop writes only its per-call entries, and the
+// debugger borrows the list until the hook returns. One process drives
+// each list (the link's producer for push, its consumer for pop), and a
+// process makes one hooked call at a time, so no two calls share one.
+func (l *Link) hookList(withValue bool) []lowdbg.Arg {
+	list := []lowdbg.Arg{
 		{Name: "link", Val: int64(l.ID)},
 		{Name: "src", Val: l.Src.ActorName},
 		{Name: "src_port", Val: l.Src.Name},
 		{Name: "dst", Val: l.Dst.ActorName},
 		{Name: "dst_port", Val: l.Dst.Name},
-		{Name: "index", Val: int64(index)},
+		{Name: "index"},
 	}
+	if withValue {
+		list = append(list, lowdbg.Arg{Name: "value"})
+	}
+	return list
 }
 
 // push appends a token, blocking while the FIFO is full. producer is the
@@ -249,10 +270,14 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 	seq := l.pushes
 	var exit func(any)
 	if l.rt.Dbg != nil {
-		// Hook argument lists are only materialized when a debugger could
-		// observe them; the undebugged hot path skips the allocation.
-		args := append(l.callArgs(seq), lowdbg.Arg{Name: "value", Val: v})
-		exit = l.rt.hookData(p, l.Src.ActorName, l.pushSym(), args)
+		// Hook argument lists only exist when a debugger could observe
+		// them; the undebugged hot path never touches them.
+		if l.pushArgs == nil {
+			l.pushArgs = l.hookList(true)
+		}
+		l.pushArgs[argIndex].Val = int64(seq)
+		l.pushArgs[argValue].Val = v
+		exit = l.rt.hookData(p, l.Src.ActorName, l.pushSym(), l.pushArgs)
 	}
 	rec := l.rt.K.Observer()
 	fi := l.rt.K.Faults()
@@ -261,7 +286,10 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 		capEff = fi.LinkCap(uint64(p.Now()), l.Label(), seq, l.Cap)
 	}
 	if l.n >= capEff {
-		reason := "push:" + l.Src.Name
+		if l.pushReason == "" {
+			l.pushReason = "push:" + l.Src.Name
+		}
+		reason := l.pushReason
 		t0 := l.blockBegin(rec, p, producer, int32(pe.ID), reason)
 		for l.n >= capEff {
 			if producer != nil {
@@ -315,7 +343,7 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
 		if rec.Payloads() {
-			ev.Val = v.String()
+			ev.Val = l.rt.payload(v)
 		}
 		rec.Record(ev)
 	}
@@ -375,7 +403,11 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 	seq := l.pops
 	var exit func(any)
 	if l.rt.Dbg != nil {
-		exit = l.rt.hookData(p, l.Dst.ActorName, l.popSym(), l.callArgs(seq))
+		if l.popArgs == nil {
+			l.popArgs = l.hookList(false)
+		}
+		l.popArgs[argIndex].Val = int64(seq)
+		exit = l.rt.hookData(p, l.Dst.ActorName, l.popSym(), l.popArgs)
 	}
 	rec := l.rt.K.Observer()
 	dstPE := int32(l.rt.portPE(l.Dst).ID)
@@ -385,7 +417,10 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 		}
 	}
 	if l.n == 0 {
-		reason := "pop:" + l.Dst.Name
+		if l.popReason == "" {
+			l.popReason = "pop:" + l.Dst.Name
+		}
+		reason := l.popReason
 		t0 := l.blockBegin(rec, p, consumer, dstPE, reason)
 		for l.n == 0 {
 			if consumer != nil {
@@ -416,7 +451,7 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 			Actor: l.Dst.ActorName, Other: l.Src.ActorName, Port: l.Dst.Name,
 		}
 		if rec.Payloads() {
-			ev.Val = tok.Val.String()
+			ev.Val = l.rt.payload(tok.Val)
 		}
 		rec.Record(ev)
 	}
@@ -443,7 +478,7 @@ func (l *Link) InjectToken(v filterc.Value) {
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
 		if rec.Payloads() {
-			ev.Val = v.String()
+			ev.Val = l.rt.payload(v)
 		}
 		rec.Record(ev)
 	}
@@ -492,7 +527,7 @@ func (l *Link) ReplaceToken(i int, v filterc.Value) bool {
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
 		if rec.Payloads() {
-			ev.Val = v.String()
+			ev.Val = l.rt.payload(v)
 		}
 		rec.Record(ev)
 	}

@@ -5,10 +5,39 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"dfdbg/internal/core"
+	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/filterc"
+	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/mach"
 	"dfdbg/internal/sim"
 )
+
+// newBareLink builds a scalar link "a::o -> b::i" with the given
+// capacity outside any application graph.
+func newBareLink(k *sim.Kernel, rt *Runtime, capacity int) *Link {
+	return &Link{
+		ID:  1,
+		Src: &Port{ActorName: "a", Name: "o", Dir: Out, Type: u32},
+		Dst: &Port{ActorName: "b", Name: "i", Dir: In, Type: u32},
+		Cap: capacity, rt: rt,
+		notEmpty: k.NewEvent("ne"),
+		notFull:  k.NewEvent("nf"),
+	}
+}
+
+// announceBind reports l to the attached debugger the way the
+// initialization phase does, so the dataflow layer models the link.
+func announceBind(p *sim.Proc, rt *Runtime, l *Link) {
+	if exit := rt.hook(p, SymBind, []lowdbg.Arg{
+		{Name: "link", Val: int64(l.ID)},
+		{Name: "src", Val: l.Src.ActorName}, {Name: "src_port", Val: l.Src.Name},
+		{Name: "dst", Val: l.Dst.ActorName}, {Name: "dst_port", Val: l.Dst.Name},
+		{Name: "kind", Val: l.Kind.String()},
+	}); exit != nil {
+		exit(nil)
+	}
+}
 
 // TestLinkSteadyStateAllocs pins the ring-buffer link's core guarantee:
 // once the ring has reached its working size, a scalar push/pop cycle on
@@ -18,15 +47,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	m := mach.New(k, mach.Config{})
 	rt := NewRuntime(k, m, nil)
-	u32 := filterc.Scalar(filterc.U32)
-	l := &Link{
-		ID:  1,
-		Src: &Port{ActorName: "a", Name: "o", Dir: Out, Type: u32},
-		Dst: &Port{ActorName: "b", Name: "i", Dir: In, Type: u32},
-		Cap: 8, rt: rt,
-		notEmpty: k.NewEvent("ne"),
-		notFull:  k.NewEvent("nf"),
-	}
+	l := newBareLink(k, rt, 8)
 	var perToken float64
 	k.Spawn("bench", func(p *sim.Proc) {
 		var dst filterc.Value
@@ -63,5 +84,59 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 	}
 	if perToken != 0 {
 		t.Errorf("steady-state push/pop allocates %.3f objects per token, want 0", perToken)
+	}
+}
+
+// TestLinkAttachedAllocs pins the allocation budget of the always-armed
+// interception path (DESIGN §12): with lowdbg and the dataflow layer
+// attached and nothing armed by a user, a push/pop cycle allocates only
+// what genuinely remains per token. The dataflow layer's internal push
+// and pop breakpoints run in recycled call frames over the link's
+// recycled argument lists; what is left is
+//
+//   - push: the boxed index and value arguments (lowdbg.Arg.Val is an
+//     interface) and the dataflow layer's Token object;
+//   - pop: the boxed index argument and the boxed return value.
+func TestLinkAttachedAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	low := lowdbg.New(k, dbginfo.NewTable())
+	d := core.Attach(low)
+	m := mach.New(k, mach.Config{})
+	rt := NewRuntime(k, m, low)
+	l := newBareLink(k, rt, 8)
+	var perCycle float64
+	cycles := 0
+	k.Spawn("bench", func(p *sim.Proc) {
+		announceBind(p, rt, l)
+		var dst filterc.Value
+		cycle := func() {
+			if err := l.push(p, nil, m.Host, filterc.Int(filterc.U32, int64(cycles))); err != nil {
+				t.Error(err)
+			}
+			if _, err := l.pop(p, nil, &dst); err != nil {
+				t.Error(err)
+			}
+			cycles++
+		}
+		// Warm the ring, the frames and the model, and move the token
+		// index past 255: smaller integers box without allocating.
+		for cycles < 300 {
+			cycle()
+		}
+		// The kernel goroutine is parked on the baton, so the global
+		// malloc count AllocsPerRun reads is this loop's alone.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		perCycle = testing.AllocsPerRun(1000, cycle)
+	})
+	if st, err := k.Run(); err != nil || st != sim.RunIdle {
+		t.Fatalf("run = %v %v", st, err)
+	}
+	links := d.Links()
+	if len(links) != 1 || links[0].TotalPushed != uint64(cycles) || links[0].TotalPopped != uint64(cycles) {
+		t.Fatalf("dataflow layer did not model the cycles: %v", links)
+	}
+	const want = 5
+	if perCycle != want {
+		t.Errorf("attached push/pop cycle allocates %.0f objects, want %d", perCycle, want)
 	}
 }

@@ -27,6 +27,20 @@ type Module struct {
 	done      bool
 	// stateChange wakes controllers waiting on WAIT_FOR_ACTOR_INIT/SYNC.
 	stateChange *sim.Event
+
+	// Debugger interception state, built on first use: the recycled
+	// step-protocol hook arguments and the fixed WAIT_FOR_ACTOR_* ones
+	// (DESIGN §12).
+	stepArgs []lowdbg.Arg
+	waitList []lowdbg.Arg
+}
+
+// waitArgs returns the WAIT_FOR_ACTOR_INIT/SYNC hook arguments.
+func (m *Module) waitArgs() []lowdbg.Arg {
+	if m.waitList == nil {
+		m.waitList = []lowdbg.Arg{{Name: "module", Val: m.Name}}
+	}
+	return m.waitList
 }
 
 // Step returns the module's current step index.
@@ -141,6 +155,16 @@ type Runtime struct {
 	batchModes []RegionMode
 	batchHold  string // non-empty demotes every region (e.g. debug client attached)
 	batchWired bool   // arm/fault watchers installed
+
+	payloadBuf []byte // reused rendering buffer (see payload)
+}
+
+// payload renders a token value for an obs event's Val. The rendering
+// goes through a buffer the runtime keeps, so the event's string is the
+// only allocation.
+func (rt *Runtime) payload(v filterc.Value) string {
+	rt.payloadBuf = v.AppendString(rt.payloadBuf[:0])
+	return string(rt.payloadBuf)
 }
 
 // NewRuntime creates a runtime. dbg may be nil (undebugged run).

@@ -485,3 +485,31 @@ func TestFinalReplyWinsOverClose(t *testing.T) {
 		t.Errorf("%d of 200 final replies lost", lost)
 	}
 }
+
+// A session hands its event ring back at teardown only. A restore swap
+// retires the old world without releasing its ring (a live session never
+// pins a spare one); closing the session releases the live world's.
+func TestRingReleasedAtTeardownOnly(t *testing.T) {
+	mgr := NewManager(4, 0)
+	s, err := mgr.Create(*tinyParams)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	boot := s.recPtr.Load()
+	for _, line := range []string{"continue", "reverse-step"} {
+		if res, err := s.Exec(line); err != nil || res.Err != nil {
+			t.Fatalf("%s: %v %v", line, err, res.Err)
+		}
+	}
+	live := s.recPtr.Load()
+	if live == boot {
+		t.Fatal("reverse-step did not swap in a rebuilt world")
+	}
+	if boot.Cap() != 1<<16 {
+		t.Errorf("the retired world's ring was released at the swap (cap %d)", boot.Cap())
+	}
+	s.Close("test")
+	if live.Cap() != 0 {
+		t.Errorf("the live world's ring survived teardown (cap %d)", live.Cap())
+	}
+}

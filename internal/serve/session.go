@@ -518,6 +518,10 @@ func (s *Session) teardown(st *stack.Stack, reason string) {
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
 	_ = st.K.Shutdown()
+	// The world is gone: hand its event ring to the next session's
+	// recorder. Stacks retired by a restore swap keep theirs (it becomes
+	// garbage), so a live session never pins a spare ring.
+	st.Rec.Release()
 	s.mgr.remove(s)
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()
