@@ -1,6 +1,7 @@
 package filterc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -266,18 +267,25 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
+// internRuns numbers the runs of TestInternSharesAndBounds: programs
+// are interned process-wide, so a repeated run (-count) needs its own
+// file names to start from a program that was never compiled.
+var internRuns int
+
 // Intern shares one Program per (file, source), compiles it once, never
 // caches a parse error, and stays within its bound.
 func TestInternSharesAndBounds(t *testing.T) {
 	const src = "u32 work() { return 1; }"
-	a, err := Intern("intern_a.c", src)
+	internRuns++
+	fileA, fileB := fmt.Sprintf("intern_a%d.c", internRuns), fmt.Sprintf("intern_b%d.c", internRuns)
+	a, err := Intern(fileA, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := Intern("intern_a.c", src); b != a {
+	if b, _ := Intern(fileA, src); b != a {
 		t.Error("same file and source interned twice")
 	}
-	if b, _ := Intern("intern_b.c", src); b == a {
+	if b, _ := Intern(fileB, src); b == a {
 		t.Error("different files share a program")
 	}
 	compiles := CompileTotal()

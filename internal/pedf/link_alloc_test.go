@@ -67,8 +67,12 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 		}
 		// The simulation is single-threaded here (the kernel goroutine is
 		// parked on the baton) and the GC is paused, so the global malloc
-		// counter delta is exactly this loop's allocations.
+		// counter delta is exactly this loop's allocations. One P keeps
+		// the baton hand-offs on one P's cache of channel wait records;
+		// with several Ps the runtime can allocate fresh ones, which is
+		// its cost, not the link's.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		const n = 1024
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
