@@ -17,11 +17,9 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -86,15 +84,16 @@ func check(addr string, nSessions int, drainWorker string) bool {
 		fmt.Fprintf(os.Stderr, "fleetcheck: %v\n", err)
 		return false
 	}
-	defer admin.close()
+	defer admin.Close(nil)
 
 	totalCmds := int64(nSessions * len(script))
 	var cmdCount atomic.Int64
 	var drainOnce sync.Once
 	var drainResp serve.Response
+	var drainErr error
 	fireDrain := func() {
 		drainOnce.Do(func() {
-			drainResp = admin.roundTrip(serve.Request{Op: "drain", Worker: drainWorker})
+			drainResp, drainErr = admin.RoundTrip(serve.Request{Op: "drain", Worker: drainWorker}, 0)
 		})
 	}
 
@@ -105,7 +104,7 @@ func check(addr string, nSessions int, drainWorker string) bool {
 		failed.Store(true)
 	}
 	sids := make([]string, nSessions)
-	conns := make([]*wire, nSessions)
+	conns := make([]*conn, nSessions)
 	for i := 0; i < nSessions; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -116,15 +115,22 @@ func check(addr string, nSessions int, drainWorker string) bool {
 				return
 			}
 			conns[i] = cl
-			r := cl.roundTrip(serve.Request{Op: "new", Params: params})
-			if !r.OK {
-				fail("session %d: new: %s", i, r.Error)
+			r, err := cl.RoundTrip(serve.Request{Op: "new", Params: params}, 0)
+			if err == nil && !r.OK {
+				err = errors.New(r.Error)
+			}
+			if err != nil {
+				fail("session %d: new: %v", i, err)
 				return
 			}
 			sids[i] = r.Session
 			var b strings.Builder
 			for _, line := range script {
-				r := cl.roundTrip(serve.Request{Op: "exec", Session: sids[i], Line: line})
+				r, err := cl.RoundTrip(serve.Request{Op: "exec", Session: sids[i], Line: line}, 0)
+				if err != nil {
+					fail("%q: %v", line, err)
+					return
+				}
 				render(&b, line, r)
 				// Drain mid-run, from whichever session crosses the
 				// halfway line of the fleet-wide command volume.
@@ -140,8 +146,11 @@ func check(addr string, nSessions int, drainWorker string) bool {
 	wg.Wait()
 	if drainWorker != "" {
 		fireDrain() // tiny fleets can finish before the halfway trigger
-		if !drainResp.OK {
-			fail("drain %s: %s", drainWorker, drainResp.Error)
+		if drainErr == nil && !drainResp.OK {
+			drainErr = errors.New(drainResp.Error)
+		}
+		if drainErr != nil {
+			fail("drain %s: %v", drainWorker, drainErr)
 		}
 	}
 
@@ -157,7 +166,14 @@ func check(addr string, nSessions int, drainWorker string) bool {
 		if cl == nil {
 			continue
 		}
+		// The session's events travel on its own connection, so its
+		// session-migrated can trail the drain's response on the admin
+		// connection.
 		migrated, closed := cl.eventCounts(sids[i])
+		for wait := time.Now().Add(10 * time.Second); moved[sids[i]] && migrated == 0 && time.Now().Before(wait); {
+			time.Sleep(10 * time.Millisecond)
+			migrated, closed = cl.eventCounts(sids[i])
+		}
 		if moved[sids[i]] && migrated != 1 {
 			fail("session %s: %d session-migrated events, want 1", sids[i], migrated)
 		}
@@ -168,7 +184,7 @@ func check(addr string, nSessions int, drainWorker string) bool {
 			fail("session %s: saw session-closed", sids[i])
 		}
 		nMigrated += migrated
-		cl.close()
+		cl.Close(nil)
 	}
 	if drainWorker != "" && len(drainResp.Sessions) == 0 {
 		fail("drain of %s moved no sessions (fleet too small or worker empty?)", drainWorker)
@@ -226,83 +242,34 @@ func firstDiff(golden, got string) string {
 	return fmt.Sprintf("length %d vs %d lines", len(gl), len(ol))
 }
 
-// wire is a minimal JSON-line protocol client: synchronous round trips
-// matched by id, asynchronous events tallied on the side.
-type wire struct {
-	conn net.Conn
-	enc  *json.Encoder
+// conn is one router connection: the shared wire client, with the
+// connection's events tallied on the side.
+type conn struct {
+	*serve.Client
 
-	mu      sync.Mutex
-	seq     int64
-	pending map[int64]chan serve.Response
-	events  []serve.Event
+	mu     sync.Mutex
+	events []serve.Event
 }
 
-func dial(addr string) (*wire, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+func dial(addr string) (*conn, error) {
+	c := &conn{}
+	cl, err := serve.Dial(addr, 10*time.Second, func(_ *serve.Client, ev serve.Event) {
+		c.mu.Lock()
+		c.events = append(c.events, ev)
+		c.mu.Unlock()
+	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
-	w := &wire{conn: conn, enc: json.NewEncoder(conn), pending: make(map[int64]chan serve.Response)}
-	go w.readLoop()
-	return w, nil
-}
-
-func (w *wire) readLoop() {
-	sc := bufio.NewScanner(w.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if json.Unmarshal(line, &probe) != nil {
-			continue
-		}
-		if probe.Event != "" {
-			var ev serve.Event
-			if json.Unmarshal(line, &ev) == nil {
-				w.mu.Lock()
-				w.events = append(w.events, ev)
-				w.mu.Unlock()
-			}
-			continue
-		}
-		var resp serve.Response
-		if json.Unmarshal(line, &resp) != nil {
-			continue
-		}
-		w.mu.Lock()
-		ch := w.pending[resp.ID]
-		delete(w.pending, resp.ID)
-		w.mu.Unlock()
-		if ch != nil {
-			ch <- resp
-		}
-	}
-}
-
-func (w *wire) roundTrip(req serve.Request) serve.Response {
-	w.mu.Lock()
-	w.seq++
-	req.ID = w.seq
-	ch := make(chan serve.Response, 1)
-	w.pending[req.ID] = ch
-	w.mu.Unlock()
-	if err := w.enc.Encode(req); err != nil {
-		return serve.Response{ID: req.ID, Error: err.Error()}
-	}
-	return <-ch
+	c.Client = cl
+	return c, nil
 }
 
 // eventCounts tallies the migration-relevant events seen for a session.
-func (w *wire) eventCounts(sid string) (migrated, closed int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, ev := range w.events {
+func (c *conn) eventCounts(sid string) (migrated, closed int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ev := range c.events {
 		if ev.Session != sid {
 			continue
 		}
@@ -315,5 +282,3 @@ func (w *wire) eventCounts(sid string) (migrated, closed int) {
 	}
 	return
 }
-
-func (w *wire) close() { w.conn.Close() }

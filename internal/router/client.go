@@ -1,143 +1,20 @@
 package router
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
-	"sync"
 
 	"dfdbg/internal/serve"
 )
 
-// rclient is one downstream wire-protocol connection: requests are
-// handled in order (the same semantics as connecting to a worker
-// directly), responses are never dropped, and async events queue with
-// bounded drop-oldest backpressure — the mirror of serve's client.
+// rclient is one downstream wire-protocol connection: the shared
+// server end, handling requests in order with the same semantics as a
+// worker, plus the routes this connection is attached to.
 type rclient struct {
-	rt   *Router
-	conn net.Conn
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	resp    [][]byte // responses, unbounded, never dropped
-	events  [][]byte // async events, bounded, drop-oldest
-	dropped uint64
-	closed  bool
-
+	*serve.Endpoint
+	rt       *Router
 	attached map[string]*route
-}
-
-func newRClient(r *Router, conn net.Conn) *rclient {
-	cl := &rclient{rt: r, conn: conn, attached: make(map[string]*route)}
-	cl.cond = sync.NewCond(&cl.mu)
-	return cl
-}
-
-func (cl *rclient) serve() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.writer()
-	}()
-	cl.deliver(serve.Event{Event: "hello", Reason: "dfrouter/1"})
-
-	sc := bufio.NewScanner(cl.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req serve.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			cl.respond(serve.Response{ID: req.ID, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		cl.handle(req)
-	}
-	cl.shutdown()
-	<-done
-}
-
-func (cl *rclient) shutdown() {
-	for _, rt := range cl.attached {
-		rt.unsubscribe(cl)
-	}
-	cl.attached = nil
-	cl.mu.Lock()
-	cl.closed = true
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-func (cl *rclient) writer() {
-	defer cl.conn.Close()
-	for {
-		cl.mu.Lock()
-		for !cl.closed && len(cl.resp) == 0 && len(cl.events) == 0 && cl.dropped == 0 {
-			cl.cond.Wait()
-		}
-		batch := cl.resp
-		cl.resp = nil
-		if cl.dropped > 0 {
-			if b, err := json.Marshal(serve.Event{Event: "dropped", Dropped: cl.dropped}); err == nil {
-				batch = append(batch, b)
-			}
-			cl.dropped = 0
-		}
-		batch = append(batch, cl.events...)
-		cl.events = nil
-		closed := cl.closed
-		cl.mu.Unlock()
-		for _, b := range batch {
-			if _, err := cl.conn.Write(append(b, '\n')); err != nil {
-				cl.mu.Lock()
-				cl.closed = true
-				cl.mu.Unlock()
-				return
-			}
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-func (cl *rclient) respond(r serve.Response) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		b, _ = json.Marshal(serve.Response{ID: r.ID, Error: fmt.Sprintf("marshal: %v", err)})
-	}
-	cl.mu.Lock()
-	if !cl.closed {
-		cl.resp = append(cl.resp, b)
-	}
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// deliver queues an async event with drop-oldest backpressure.
-func (cl *rclient) deliver(ev serve.Event) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return
-	}
-	if len(cl.events) >= cl.rt.opts.EventQueueLen {
-		cl.events = cl.events[1:]
-		cl.dropped++
-		cl.rt.eventsDropped.Inc()
-	}
-	cl.events = append(cl.events, b)
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
 }
 
 // attach subscribes the client to a route's events.
@@ -154,7 +31,7 @@ func (cl *rclient) handle(req serve.Request) {
 	resp := serve.Response{ID: req.ID, Session: req.Session}
 	fail := func(err error) {
 		resp.Error = err.Error()
-		cl.respond(resp)
+		cl.Respond(resp)
 	}
 	switch req.Op {
 	case "ping":
@@ -214,7 +91,7 @@ func (cl *rclient) handle(req serve.Request) {
 		fail(fmt.Errorf("router: unknown op %q", req.Op))
 		return
 	}
-	cl.respond(resp)
+	cl.Respond(resp)
 }
 
 // handleNew places a session: the router mints the fleet-unique id,
@@ -242,13 +119,13 @@ func (cl *rclient) handleNew(req serve.Request, resp *serve.Response, fail func(
 			continue
 		}
 		up := serve.Request{Op: "new", Session: id, Params: req.Params}
-		r2, err := sc.roundTrip(up)
+		r2, err := sc.RoundTrip(up, 0)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		if !r2.OK {
-			sc.close(fmt.Errorf("router: new refused"))
+			sc.Close(fmt.Errorf("router: new refused"))
 			lastErr = fmt.Errorf("%s", r2.Error)
 			if strings.Contains(r2.Error, "already in use") {
 				// A duplicate pinned id must not fall through to another
@@ -266,7 +143,7 @@ func (cl *rclient) handleNew(req serve.Request, resp *serve.Response, fail func(
 		cl.rt.sessionsRouted.Inc()
 		resp.OK = true
 		resp.Session = id
-		cl.respond(*resp)
+		cl.Respond(*resp)
 		return
 	}
 	if lastErr == nil {
@@ -293,17 +170,17 @@ func (cl *rclient) forward(req serve.Request, resp *serve.Response, fail func(er
 		return
 	}
 	cl.rt.commandsTotal.Inc()
-	r2, err := sc.roundTrip(req)
+	r2, err := sc.RoundTrip(req, 0)
 	rt.mu.RUnlock()
 	if err != nil {
-		fail(fmt.Errorf("router: session %s: worker lost: %v", req.Session, err))
+		fail(fmt.Errorf("router: worker lost: %v", err))
 		return
 	}
 	r2.ID = req.ID
 	if r2.Session == "" {
 		r2.Session = req.Session
 	}
-	cl.respond(r2)
+	cl.Respond(r2)
 
 	// A session that ended upstream — quit, kill, or an export a client
 	// issued directly — leaves the table; the worker-side close event
@@ -327,7 +204,7 @@ func (r *Router) listFleet() []serve.SessionInfo {
 		if ctl == nil || !w.isHealthy() {
 			continue
 		}
-		resp, err := ctl.roundTrip(serve.Request{Op: "list"})
+		resp, err := ctl.RoundTrip(serve.Request{Op: "list"}, w.pingTimeout())
 		if err != nil || !resp.OK {
 			continue
 		}

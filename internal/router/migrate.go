@@ -23,7 +23,7 @@ func (r *Router) DrainWorker(w *worker) []string {
 	if ctl := w.ctlConn(); ctl != nil {
 		// Best effort: a worker that initiated the drain itself (SIGTERM)
 		// is already refusing admission.
-		ctl.roundTrip(serve.Request{Op: "drain"})
+		ctl.RoundTrip(serve.Request{Op: "drain"}, w.pingTimeout())
 	}
 	// Loop until the worker owns nothing: a concurrent migration that
 	// ranked this worker just before it started draining can still land
@@ -82,7 +82,7 @@ func (r *Router) migrate(rt *route, src *worker) error {
 	// Export seals the session — journal since birth plus state blob —
 	// and retires the source copy, so at most one live instance of the
 	// session ever exists.
-	resp, err := rt.sc.roundTrip(serve.Request{Op: "export", Session: rt.id})
+	resp, err := rt.sc.RoundTrip(serve.Request{Op: "export", Session: rt.id}, 0)
 	if err != nil {
 		// The worker died before the container left it: the session is
 		// gone (its next incarnation, if any, is the worker's own
@@ -119,23 +119,23 @@ func (r *Router) migrate(rt *route, src *worker) error {
 				lastErr = err
 				continue
 			}
-			resp, err := sc.roundTrip(serve.Request{
+			resp, err := sc.RoundTrip(serve.Request{
 				Op:        "import",
 				Session:   rt.id,
 				Params:    &params,
 				Container: container,
-			})
+			}, 0)
 			if err != nil || !resp.OK {
 				if err == nil {
 					err = fmt.Errorf("%s", resp.Error)
 				}
-				sc.close(fmt.Errorf("router: import %s failed", rt.id))
+				sc.Close(fmt.Errorf("router: import %s failed", rt.id))
 				lastErr = err
 				continue
 			}
 			rt.w = dst
 			rt.sc = sc
-			oldSC.close(fmt.Errorf("router: session %s migrated", rt.id))
+			oldSC.Close(fmt.Errorf("router: session %s migrated", rt.id))
 			r.migrations.Inc()
 			r.migrationBytes.Add(uint64(len(container)))
 			rt.publish(serve.Event{
@@ -154,7 +154,7 @@ func (r *Router) migrate(rt *route, src *worker) error {
 	}
 	r.sessionsLost.Inc()
 	r.dropRoute(rt, "migration-failed: "+lastErr.Error())
-	oldSC.close(fmt.Errorf("router: session %s lost", rt.id))
+	oldSC.Close(fmt.Errorf("router: session %s lost", rt.id))
 	return fmt.Errorf("router: migrate %s: %w", rt.id, lastErr)
 }
 

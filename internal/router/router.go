@@ -194,14 +194,21 @@ func (r *Router) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		cl := newRClient(r, conn)
+		cl := &rclient{
+			Endpoint: serve.NewEndpoint(conn, r.opts.EventQueueLen, r.eventsDropped),
+			rt:       r,
+			attached: make(map[string]*route),
+		}
 		r.mu.Lock()
 		r.clients[cl] = struct{}{}
 		r.mu.Unlock()
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			cl.serve()
+			cl.Serve("dfrouter/1", cl.handle)
+			for _, rt := range cl.attached {
+				rt.unsubscribe(cl)
+			}
 			r.mu.Lock()
 			delete(r.clients, cl)
 			r.mu.Unlock()
@@ -236,12 +243,12 @@ func (r *Router) Close() error {
 		ln.Close()
 	}
 	for _, cl := range clients {
-		cl.conn.Close()
+		cl.Close()
 	}
 	for _, rt := range routes {
 		rt.mu.Lock()
 		if rt.sc != nil {
-			rt.sc.close(fmt.Errorf("router: closed"))
+			rt.sc.Close(fmt.Errorf("router: closed"))
 		}
 		rt.mu.Unlock()
 	}
@@ -262,7 +269,7 @@ type route struct {
 
 	mu sync.RWMutex
 	w  *worker
-	sc *jconn
+	sc *serve.Client
 
 	subMu sync.Mutex
 	subs  map[*rclient]struct{}
@@ -294,7 +301,7 @@ func (rt *route) publish(ev serve.Event) {
 	}
 	rt.subMu.Unlock()
 	for _, cl := range subs {
-		cl.deliver(ev)
+		cl.Deliver(ev)
 	}
 }
 
@@ -332,7 +339,7 @@ func (r *Router) dropRoute(rt *route, reason string) {
 	delete(r.routes, rt.id)
 	r.mu.Unlock()
 	if rt.sc != nil {
-		rt.sc.close(fmt.Errorf("router: session %s closed: %s", rt.id, reason))
+		rt.sc.Close(fmt.Errorf("router: session %s closed: %s", rt.id, reason))
 		rt.sc = nil
 	}
 	rt.w = nil
@@ -349,7 +356,7 @@ func (r *Router) dropQuiet(rt *route) {
 	delete(r.routes, rt.id)
 	r.mu.Unlock()
 	if rt.sc != nil {
-		rt.sc.close(fmt.Errorf("router: session %s ended", rt.id))
+		rt.sc.Close(fmt.Errorf("router: session %s ended", rt.id))
 		rt.sc = nil
 	}
 	rt.w = nil

@@ -1,12 +1,9 @@
 package router
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -93,89 +90,53 @@ func (f *fleet) waitHealthy(n int) {
 	}
 }
 
-// wire is a test-side protocol client against the router.
+// wire is a test-side protocol client against the router: the shared
+// serve.Client with every failure a t.Fatalf, and async events on a
+// channel.
 type wire struct {
-	t    testing.TB
-	conn net.Conn
-
-	mu    sync.Mutex
-	id    int64
-	resps map[int64]chan serve.Response
-
+	t      testing.TB
+	c      *serve.Client
 	events chan serve.Event
 }
 
 func dialWire(t testing.TB, addr string) *wire {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	w := &wire{t: t, events: make(chan serve.Event, 1024)}
+	c, err := serve.Dial(addr, 10*time.Second, func(_ *serve.Client, ev serve.Event) {
+		select {
+		case w.events <- ev:
+		default:
+		}
+	}, nil)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	w := &wire{t: t, conn: conn, resps: make(map[int64]chan serve.Response), events: make(chan serve.Event, 1024)}
-	go w.readLoop()
-	t.Cleanup(func() { conn.Close() })
+	w.c = c
+	t.Cleanup(func() { c.Close(nil) })
 	return w
 }
 
-func (w *wire) readLoop() {
-	sc := bufio.NewScanner(w.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if json.Unmarshal(line, &probe) == nil && probe.Event != "" {
-			var ev serve.Event
-			if json.Unmarshal(line, &ev) == nil {
-				select {
-				case w.events <- ev:
-				default:
-				}
-			}
-			continue
-		}
-		var r serve.Response
-		if json.Unmarshal(line, &r) != nil {
-			continue
-		}
-		w.mu.Lock()
-		ch := w.resps[r.ID]
-		delete(w.resps, r.ID)
-		w.mu.Unlock()
-		if ch != nil {
-			ch <- r
-		}
-	}
-}
-
+// send issues req without waiting; the response arrives on the channel
+// (a failure is reported through t.Errorf and yields a zero Response).
 func (w *wire) send(req serve.Request) chan serve.Response {
-	w.t.Helper()
-	w.mu.Lock()
-	w.id++
-	req.ID = w.id
 	ch := make(chan serve.Response, 1)
-	w.resps[req.ID] = ch
-	w.mu.Unlock()
-	b, err := json.Marshal(req)
-	if err != nil {
-		w.t.Fatalf("marshal: %v", err)
-	}
-	if _, err := w.conn.Write(append(b, '\n')); err != nil {
-		w.t.Fatalf("write: %v", err)
-	}
+	go func() {
+		r, err := w.c.RoundTrip(req, 120*time.Second)
+		if err != nil {
+			w.t.Errorf("%v", err)
+		}
+		ch <- r
+	}()
 	return ch
 }
 
 func (w *wire) roundTrip(req serve.Request) serve.Response {
 	w.t.Helper()
-	select {
-	case r := <-w.send(req):
-		return r
-	case <-time.After(120 * time.Second):
-		w.t.Fatalf("no response to op %q", req.Op)
-		return serve.Response{}
+	r, err := w.c.RoundTrip(req, 120*time.Second)
+	if err != nil {
+		w.t.Fatalf("%v", err)
 	}
+	return r
 }
 
 func (w *wire) waitEvent(kind string) serve.Event {

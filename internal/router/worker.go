@@ -1,223 +1,12 @@
 package router
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"dfdbg/internal/serve"
 )
-
-// jconn is one upstream wire-protocol connection: requests are written
-// with connection-local ids and matched to responses; asynchronous
-// events go to the onEvent handler. The router keeps one control jconn
-// per worker (ping, list, drain — always responsive) and one dedicated
-// jconn per routed session, because a worker handles a connection's
-// requests in order: a long-running continue on a session's own conn
-// can never head-of-line-block another session or a health check.
-type jconn struct {
-	conn net.Conn
-
-	wmu sync.Mutex // serializes writes
-
-	mu      sync.Mutex
-	seq     int64
-	pending map[int64]chan serve.Response
-	closed  bool
-	err     error
-
-	// Events are decoupled from the read loop through an ordered queue:
-	// the pump goroutine runs onEvent, so a handler that blocks (a
-	// migration holds the route's write lock) can never stall response
-	// delivery on the same connection — that would deadlock an export
-	// waiting for its own reply. onDown likewise fires on its own
-	// goroutine: close() can be reached from a round trip that holds a
-	// route read lock.
-	onEvent func(serve.Event)
-	onDown  func(error)
-	evMu    sync.Mutex
-	evCond  *sync.Cond
-	events  []serve.Event
-	down    chan struct{}
-}
-
-// dialJConn connects to a worker. The caller wires onEvent/onDown and
-// then calls start(); nothing is read before that, so handlers never
-// race their own installation.
-func dialJConn(addr string, timeout time.Duration) (*jconn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &jconn{
-		conn:    conn,
-		pending: make(map[int64]chan serve.Response),
-		down:    make(chan struct{}),
-	}
-	c.evCond = sync.NewCond(&c.evMu)
-	return c, nil
-}
-
-// start launches the read loop and the event pump.
-func (c *jconn) start() {
-	go c.readLoop()
-	go c.pumpEvents()
-}
-
-// pumpEvents runs onEvent for queued events, in arrival order.
-func (c *jconn) pumpEvents() {
-	for {
-		c.evMu.Lock()
-		for len(c.events) == 0 {
-			select {
-			case <-c.down:
-				c.evMu.Unlock()
-				return
-			default:
-			}
-			c.evCond.Wait()
-		}
-		batch := c.events
-		c.events = nil
-		c.evMu.Unlock()
-		for _, ev := range batch {
-			if c.onEvent != nil {
-				c.onEvent(ev)
-			}
-		}
-	}
-}
-
-func (c *jconn) queueEvent(ev serve.Event) {
-	c.evMu.Lock()
-	c.events = append(c.events, ev)
-	c.evMu.Unlock()
-	c.evCond.Signal()
-}
-
-func (c *jconn) readLoop() {
-	// The max line must hold an export response carrying a base64 DFCK
-	// container (hundreds of KB for the case-study decoder).
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			continue
-		}
-		if probe.Event != "" {
-			var ev serve.Event
-			if json.Unmarshal(line, &ev) == nil {
-				c.queueEvent(ev)
-			}
-			continue
-		}
-		var resp serve.Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			continue
-		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
-		}
-	}
-	err := sc.Err()
-	if err == nil {
-		err = fmt.Errorf("router: worker connection closed")
-	}
-	c.close(err)
-}
-
-// close tears the connection down, failing every in-flight round trip.
-// Idempotent; the first error wins.
-func (c *jconn) close(err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.err = err
-	c.pending = nil
-	close(c.down)
-	c.mu.Unlock()
-	c.conn.Close()
-	c.evMu.Lock()
-	c.evCond.Broadcast()
-	c.evMu.Unlock()
-	if c.onDown != nil {
-		go c.onDown(err)
-	}
-}
-
-// roundTrip sends one request and waits for its response.
-func (c *jconn) roundTrip(req serve.Request) (serve.Response, error) {
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		return serve.Response{}, err
-	}
-	c.seq++
-	req.ID = c.seq
-	ch := make(chan serve.Response, 1)
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-
-	b, err := json.Marshal(req)
-	if err != nil {
-		return serve.Response{}, err
-	}
-	c.wmu.Lock()
-	_, err = c.conn.Write(append(b, '\n'))
-	c.wmu.Unlock()
-	if err != nil {
-		c.close(fmt.Errorf("router: worker write: %w", err))
-		return serve.Response{}, err
-	}
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-c.down:
-		return serve.Response{}, c.err
-	}
-}
-
-// roundTripTimeout is roundTrip with a deadline; on timeout the
-// connection is declared dead (a worker that cannot answer a ping is
-// not healthy, whatever the cause).
-func (c *jconn) roundTripTimeout(req serve.Request, d time.Duration) (serve.Response, error) {
-	type result struct {
-		resp serve.Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := c.roundTrip(req)
-		ch <- result{resp, err}
-	}()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case res := <-ch:
-		return res.resp, res.err
-	case <-t.C:
-		c.close(fmt.Errorf("router: worker unresponsive after %v", d))
-		return serve.Response{}, fmt.Errorf("router: worker unresponsive after %v", d)
-	}
-}
 
 // pingTimeout bounds a health-check round trip. It is floored well
 // above the ping cadence: a briefly CPU-starved worker (say, replaying
@@ -241,7 +30,7 @@ type worker struct {
 
 	mu       sync.Mutex
 	name     string
-	ctl      *jconn
+	ctl      *serve.Client
 	healthy  bool
 	draining bool
 	stopped  bool
@@ -277,7 +66,7 @@ func (w *worker) beginDrain() bool {
 	return true
 }
 
-func (w *worker) ctlConn() *jconn {
+func (w *worker) ctlConn() *serve.Client {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ctl
@@ -289,7 +78,7 @@ func (w *worker) shutdown() {
 	ctl := w.ctl
 	w.mu.Unlock()
 	if ctl != nil {
-		ctl.close(fmt.Errorf("router: closed"))
+		ctl.Close(fmt.Errorf("router: closed"))
 	}
 }
 
@@ -304,7 +93,7 @@ func (w *worker) run() {
 			return
 		default:
 		}
-		ctl, err := dialJConn(w.addr, w.rt.opts.DialTimeout)
+		ctl, err := serve.Dial(w.addr, w.rt.opts.DialTimeout, w.handleEvent, nil)
 		if err != nil {
 			w.setHealthy(false)
 			if !w.sleep(w.rt.opts.PingInterval) {
@@ -312,18 +101,16 @@ func (w *worker) run() {
 			}
 			continue
 		}
-		ctl.onEvent = w.handleEvent
-		ctl.start()
 		w.mu.Lock()
 		if w.stopped {
 			w.mu.Unlock()
-			ctl.close(fmt.Errorf("router: closed"))
+			ctl.Close(fmt.Errorf("router: closed"))
 			return
 		}
 		w.ctl = ctl
 		w.mu.Unlock()
 
-		resp, err := ctl.roundTripTimeout(serve.Request{Op: "ping"}, w.pingTimeout())
+		resp, err := ctl.RoundTrip(serve.Request{Op: "ping"}, w.pingTimeout())
 		if err == nil && resp.OK {
 			if resp.Worker != "" {
 				w.mu.Lock()
@@ -334,7 +121,7 @@ func (w *worker) run() {
 			w.rt.adoptWorker(w, ctl)
 			w.pingLoop(ctl)
 		} else {
-			ctl.close(fmt.Errorf("router: worker hello failed"))
+			ctl.Close(fmt.Errorf("router: worker hello failed"))
 		}
 		w.setHealthy(false)
 		if !w.sleep(w.rt.opts.PingInterval) {
@@ -363,17 +150,17 @@ func (w *worker) sleep(d time.Duration) bool {
 
 // pingLoop health-checks the control connection until it dies or the
 // router closes.
-func (w *worker) pingLoop(ctl *jconn) {
+func (w *worker) pingLoop(ctl *serve.Client) {
 	t := time.NewTicker(w.rt.opts.PingInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-w.rt.done:
 			return
-		case <-ctl.down:
+		case <-ctl.Done():
 			return
 		case <-t.C:
-			if _, err := ctl.roundTripTimeout(serve.Request{Op: "ping"}, w.pingTimeout()); err != nil {
+			if _, err := ctl.RoundTrip(serve.Request{Op: "ping"}, w.pingTimeout()); err != nil {
 				return
 			}
 		}
@@ -383,7 +170,7 @@ func (w *worker) pingLoop(ctl *jconn) {
 // handleEvent reacts to worker-wide events on the control connection.
 // A "draining" broadcast (the worker got SIGTERM) triggers the same
 // migration orchestration as the admin drain op.
-func (w *worker) handleEvent(ev serve.Event) {
+func (w *worker) handleEvent(_ *serve.Client, ev serve.Event) {
 	if ev.Event == "draining" {
 		go w.rt.DrainWorker(w)
 	}
@@ -393,8 +180,8 @@ func (w *worker) handleEvent(ev serve.Event) {
 // table: sessions created before the router started (or across a
 // router restart — the tier is stateless) get a dedicated session
 // connection and their ids reserved in the generator.
-func (r *Router) adoptWorker(w *worker, ctl *jconn) {
-	resp, err := ctl.roundTripTimeout(serve.Request{Op: "list"}, w.pingTimeout())
+func (r *Router) adoptWorker(w *worker, ctl *serve.Client) {
+	resp, err := ctl.RoundTrip(serve.Request{Op: "list"}, w.pingTimeout())
 	if err != nil || !resp.OK {
 		return
 	}
@@ -412,8 +199,8 @@ func (r *Router) adoptWorker(w *worker, ctl *jconn) {
 		if err != nil {
 			return
 		}
-		if resp, err := sc.roundTrip(serve.Request{Op: "attach", Session: si.ID}); err != nil || !resp.OK {
-			sc.close(fmt.Errorf("router: adopt attach failed"))
+		if resp, err := sc.RoundTrip(serve.Request{Op: "attach", Session: si.ID}, 0); err != nil || !resp.OK {
+			sc.Close(fmt.Errorf("router: adopt attach failed"))
 			continue
 		}
 		rt.mu.Lock()
@@ -427,15 +214,10 @@ func (r *Router) adoptWorker(w *worker, ctl *jconn) {
 // dialSession opens the dedicated upstream connection for one session:
 // its events flow to the route's subscribers, and its death takes the
 // route down (unless a migration already moved it).
-func (r *Router) dialSession(w *worker, rt *route) (*jconn, error) {
-	c, err := dialJConn(w.addr, r.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c.onEvent = func(ev serve.Event) { r.routeEvent(rt, ev, c) }
-	c.onDown = func(err error) { r.sessionConnDown(rt, c) }
-	c.start()
-	return c, nil
+func (r *Router) dialSession(w *worker, rt *route) (*serve.Client, error) {
+	return serve.Dial(w.addr, r.opts.DialTimeout,
+		func(c *serve.Client, ev serve.Event) { r.routeEvent(rt, ev, c) },
+		func(c *serve.Client, _ error) { r.sessionConnDown(rt, c) })
 }
 
 // routeEvent forwards a session's worker-side events to its
@@ -444,7 +226,7 @@ func (r *Router) dialSession(w *worker, rt *route) (*jconn, error) {
 // fleet-level truth is a single "session-migrated" event. Runs on the
 // connection's event pump, so blocking on the route lock here cannot
 // stall response delivery.
-func (r *Router) routeEvent(rt *route, ev serve.Event, sc *jconn) {
+func (r *Router) routeEvent(rt *route, ev serve.Event, sc *serve.Client) {
 	switch ev.Event {
 	case "hello", "goodbye", "dropped", "draining":
 		return
@@ -466,7 +248,7 @@ func (r *Router) routeEvent(rt *route, ev serve.Event, sc *jconn) {
 // route: if the route still points at this connection the session is
 // gone with its worker (a migration or kill swaps sc first and is not
 // affected).
-func (r *Router) sessionConnDown(rt *route, sc *jconn) {
+func (r *Router) sessionConnDown(rt *route, sc *serve.Client) {
 	if r.isClosed() {
 		return
 	}

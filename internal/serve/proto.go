@@ -26,6 +26,11 @@
 // events carry an "event" key instead. Commands on one connection are
 // handled in order; open more connections for client-side concurrency.
 //
+// Both tiers frame the protocol with the same two types: Endpoint, the
+// server end every dfserve and dfrouter connection runs, and Client, the
+// client end of the router's worker connections, fleetcheck and the
+// tests.
+//
 // Fleet ops (DESIGN §14) speak the same protocol: "new" accepts an
 // explicit session id (the router assigns fleet-unique ids), "export"
 // seals a session into a DFCK migration container and retires it,

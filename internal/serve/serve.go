@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -161,14 +160,21 @@ func (s *Server) Serve(ln net.Listener) error {
 			conn.Close()
 			continue
 		}
-		cl := newClient(s, conn)
+		cl := &client{
+			Endpoint: NewEndpoint(conn, s.opts.EventQueueLen, s.mgr.eventsDropped),
+			srv:      s,
+			attached: make(map[string]*Session),
+		}
 		s.mu.Lock()
 		s.clients[cl] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			cl.serve()
+			cl.Serve("dfserve/1", cl.handle)
+			for _, sess := range cl.attached {
+				sess.Unsubscribe(cl)
+			}
 			s.mu.Lock()
 			delete(s.clients, cl)
 			s.mu.Unlock()
@@ -197,7 +203,7 @@ func (s *Server) Broadcast(ev Event) {
 	}
 	s.mu.Unlock()
 	for _, cl := range clients {
-		cl.deliver(ev)
+		cl.Deliver(ev)
 	}
 }
 
@@ -223,149 +229,19 @@ func (s *Server) Close() error {
 	// Sever live connections: a closed server must look dead to its
 	// clients (the router's health checks included), not half-alive.
 	for _, cl := range clients {
-		cl.conn.Close()
+		cl.Close()
 	}
 	s.mgr.CloseAll()
 	s.wg.Wait()
 	return nil
 }
 
-// client is one wire-protocol connection: a reader goroutine handling
-// requests in order, and a writer goroutine draining the outbound
-// queue. Responses are never dropped; asynchronous events are queued
-// with a bounded drop-oldest policy so one slow reader cannot stall a
-// session or the server (the drop count is surfaced to the client in a
-// "dropped" event and to the operator in events_dropped_total).
+// client is one wire-protocol connection: the shared server end plus
+// the sessions this connection is attached to.
 type client struct {
-	srv  *Server
-	conn net.Conn
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	resp    [][]byte // responses, unbounded, never dropped
-	events  [][]byte // async events, bounded, drop-oldest
-	dropped uint64   // drops since the last "dropped" notice
-	closed  bool
-
+	*Endpoint
+	srv      *Server
 	attached map[string]*Session
-}
-
-func newClient(s *Server, conn net.Conn) *client {
-	cl := &client{srv: s, conn: conn, attached: make(map[string]*Session)}
-	cl.cond = sync.NewCond(&cl.mu)
-	return cl
-}
-
-// serve runs the connection to completion.
-func (cl *client) serve() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.writer()
-	}()
-	cl.deliver(Event{Event: "hello", Reason: "dfserve/1"})
-
-	// The max line must hold an "import" request carrying a base64 DFCK
-	// migration container (hundreds of KB for the case-study decoder).
-	sc := bufio.NewScanner(cl.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			cl.respond(Response{ID: req.ID, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		cl.handle(req)
-	}
-	cl.shutdown()
-	<-done
-}
-
-// shutdown detaches from every session and wakes the writer to flush
-// and exit.
-func (cl *client) shutdown() {
-	for _, s := range cl.attached {
-		s.Unsubscribe(cl)
-	}
-	cl.attached = nil
-	cl.mu.Lock()
-	cl.closed = true
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// writer drains the outbound queues onto the connection.
-func (cl *client) writer() {
-	defer cl.conn.Close()
-	for {
-		cl.mu.Lock()
-		for !cl.closed && len(cl.resp) == 0 && len(cl.events) == 0 && cl.dropped == 0 {
-			cl.cond.Wait()
-		}
-		batch := cl.resp
-		cl.resp = nil
-		if cl.dropped > 0 {
-			if b, err := json.Marshal(Event{Event: "dropped", Dropped: cl.dropped}); err == nil {
-				batch = append(batch, b)
-			}
-			cl.dropped = 0
-		}
-		batch = append(batch, cl.events...)
-		cl.events = nil
-		closed := cl.closed
-		cl.mu.Unlock()
-		for _, b := range batch {
-			if _, err := cl.conn.Write(append(b, '\n')); err != nil {
-				cl.mu.Lock()
-				cl.closed = true
-				cl.mu.Unlock()
-				return
-			}
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-// respond queues a response (never dropped).
-func (cl *client) respond(r Response) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		b, _ = json.Marshal(Response{ID: r.ID, Error: fmt.Sprintf("marshal: %v", err)})
-	}
-	cl.mu.Lock()
-	if !cl.closed {
-		cl.resp = append(cl.resp, b)
-	}
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// deliver queues an async event with drop-oldest backpressure
-// (subscriber interface; called from session goroutines).
-func (cl *client) deliver(ev Event) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return
-	}
-	if len(cl.events) >= cl.srv.opts.EventQueueLen {
-		cl.events = cl.events[1:]
-		cl.dropped++
-		cl.srv.mgr.eventsDropped.Inc()
-	}
-	cl.events = append(cl.events, b)
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
 }
 
 // handle executes one request. Requests on a connection run in order;
@@ -375,7 +251,7 @@ func (cl *client) handle(req Request) {
 	resp := Response{ID: req.ID, Session: req.Session}
 	fail := func(err error) {
 		resp.Error = err.Error()
-		cl.respond(resp)
+		cl.Respond(resp)
 	}
 	switch req.Op {
 	case "ping":
@@ -544,7 +420,7 @@ func (cl *client) handle(req Request) {
 		fail(fmt.Errorf("serve: unknown op %q", req.Op))
 		return
 	}
-	cl.respond(resp)
+	cl.Respond(resp)
 }
 
 // execInto runs one command line on s and renders the result into resp.

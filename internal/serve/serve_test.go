@@ -1,15 +1,13 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"dfdbg/internal/obs"
 )
 
 // tinyParams keeps per-session simulation cost low in tests.
@@ -29,86 +27,39 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// wire is a test-side protocol client: requests get matched responses,
-// async events land on a channel.
+// wire is a test-side protocol client: the shared Client with every
+// failure a t.Fatalf, and async events on a channel.
 type wire struct {
-	t    *testing.T
-	conn net.Conn
-
-	mu    sync.Mutex
-	id    int64
-	resps map[int64]chan Response
-
+	t      *testing.T
+	c      *Client
 	events chan Event
 }
 
 func dialWire(t *testing.T, addr string) *wire {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	w := &wire{t: t, events: make(chan Event, 256)}
+	c, err := Dial(addr, 10*time.Second, func(_ *Client, ev Event) {
+		select {
+		case w.events <- ev:
+		default:
+		}
+	}, nil)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	w := &wire{t: t, conn: conn, resps: make(map[int64]chan Response), events: make(chan Event, 256)}
-	go w.readLoop()
-	t.Cleanup(func() { conn.Close() })
+	w.c = c
+	t.Cleanup(func() { c.Close(nil) })
 	return w
-}
-
-func (w *wire) readLoop() {
-	sc := bufio.NewScanner(w.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if json.Unmarshal(line, &probe) == nil && probe.Event != "" {
-			var ev Event
-			if json.Unmarshal(line, &ev) == nil {
-				select {
-				case w.events <- ev:
-				default:
-				}
-			}
-			continue
-		}
-		var r Response
-		if json.Unmarshal(line, &r) != nil {
-			continue
-		}
-		w.mu.Lock()
-		ch := w.resps[r.ID]
-		delete(w.resps, r.ID)
-		w.mu.Unlock()
-		if ch != nil {
-			ch <- r
-		}
-	}
 }
 
 // roundTrip sends req (assigning an id) and waits for its response.
 func (w *wire) roundTrip(req Request) Response {
 	w.t.Helper()
-	w.mu.Lock()
-	w.id++
-	req.ID = w.id
-	ch := make(chan Response, 1)
-	w.resps[req.ID] = ch
-	w.mu.Unlock()
-	b, err := json.Marshal(req)
+	r, err := w.c.RoundTrip(req, 60*time.Second)
 	if err != nil {
-		w.t.Fatalf("marshal: %v", err)
+		w.t.Fatalf("%v", err)
 	}
-	if _, err := w.conn.Write(append(b, '\n')); err != nil {
-		w.t.Fatalf("write: %v", err)
-	}
-	select {
-	case r := <-ch:
-		return r
-	case <-time.After(60 * time.Second):
-		w.t.Fatalf("no response to op %q (id %d)", req.Op, req.ID)
-		return Response{}
-	}
+	return r
 }
 
 // waitEvent waits for the next event of the given kind, discarding
@@ -202,11 +153,11 @@ func TestProtocolBasics(t *testing.T) {
 	}
 
 	// A malformed line yields an id-0 error response, not a dead server.
-	w.mu.Lock()
+	w.c.mu.Lock()
 	ch := make(chan Response, 1)
-	w.resps[0] = ch
-	w.mu.Unlock()
-	if _, err := w.conn.Write([]byte("{not json\n")); err != nil {
+	w.c.pending[0] = ch
+	w.c.mu.Unlock()
+	if _, err := w.c.conn.Write([]byte("{not json\n")); err != nil {
 		t.Fatalf("write garbage: %v", err)
 	}
 	select {
@@ -300,78 +251,19 @@ func TestConnLimit(t *testing.T) {
 	w := dialWire(t, addr)
 	w.waitEvent("hello")
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
+	over := dialWire(t, addr)
+	select {
+	case ev := <-over.events:
+		if ev.Event != "goodbye" || !strings.Contains(ev.Reason, "connection limit") {
+			t.Fatalf("goodbye event: %+v", ev)
+		}
+	case <-time.After(10 * time.Second):
 		t.Fatal("over-limit connection closed without a goodbye")
 	}
-	var ev Event
-	if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-		t.Fatalf("goodbye unmarshal: %v", err)
-	}
-	if ev.Event != "goodbye" || !strings.Contains(ev.Reason, "connection limit") {
-		t.Fatalf("goodbye event: %+v", ev)
-	}
-	if sc.Scan() {
-		t.Fatalf("over-limit connection stayed open: %q", sc.Text())
-	}
-}
-
-func TestEventQueueDropOldest(t *testing.T) {
-	srv := NewServer(Options{EventQueueLen: 4, IdleTimeout: -1})
-	local, remote := net.Pipe()
-	defer remote.Close()
-	cl := newClient(srv, local)
-
-	// Writer not running: the queue fills and drops oldest.
-	for i := 0; i < 10; i++ {
-		cl.deliver(Event{Event: "stop", Reason: fmt.Sprint(i)})
-	}
-	cl.mu.Lock()
-	qlen, dropped := len(cl.events), cl.dropped
-	var first Event
-	json.Unmarshal(cl.events[0], &first)
-	cl.mu.Unlock()
-	if qlen != 4 || dropped != 6 {
-		t.Fatalf("queue len %d dropped %d, want 4 and 6", qlen, dropped)
-	}
-	if first.Reason != "6" {
-		t.Errorf("oldest surviving event = %q, want 6 (drop-oldest)", first.Reason)
-	}
-	if got := srv.Manager().eventsDropped.Value(); got != 6 {
-		t.Errorf("events_dropped_total = %d, want 6", got)
-	}
-
-	// Once the writer drains, the client is told how much it missed,
-	// then gets the surviving events in order.
-	go cl.writer()
-	sc := bufio.NewScanner(remote)
-	want := []Event{
-		{Event: "dropped", Dropped: 6},
-		{Event: "stop", Reason: "6"},
-		{Event: "stop", Reason: "7"},
-		{Event: "stop", Reason: "8"},
-		{Event: "stop", Reason: "9"},
-	}
-	for i, wantEv := range want {
-		if !sc.Scan() {
-			t.Fatalf("stream ended at line %d", i)
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if ev != wantEv {
-			t.Errorf("line %d = %+v, want %+v", i, ev, wantEv)
-		}
-	}
-	cl.shutdown()
-	if sc.Scan() {
-		t.Errorf("unexpected trailing line %q", sc.Text())
+	select {
+	case <-over.c.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("over-limit connection stayed open")
 	}
 }
 
@@ -405,7 +297,7 @@ func TestIdleReap(t *testing.T) {
 // chanSub collects published events for assertions.
 type chanSub struct{ ch chan Event }
 
-func (c *chanSub) deliver(ev Event) {
+func (c *chanSub) Deliver(ev Event) {
 	select {
 	case c.ch <- ev:
 	default:
@@ -495,10 +387,16 @@ func TestRingReleasedAtTeardownOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	boot := s.recPtr.Load()
-	for _, line := range []string{"continue", "reverse-step"} {
+	// The session goroutine publishes its world after Create returns and
+	// swaps in a restored one after replying, so each read of recPtr
+	// follows a query: commands run in order, after both.
+	var boot *obs.Recorder
+	for _, line := range []string{"info filters", "continue", "reverse-step", "info filters"} {
 		if res, err := s.Exec(line); err != nil || res.Err != nil {
 			t.Fatalf("%s: %v %v", line, err, res.Err)
+		}
+		if boot == nil {
+			boot = s.recPtr.Load()
 		}
 	}
 	live := s.recPtr.Load()

@@ -29,7 +29,7 @@ var (
 // subscriber receives a session's asynchronous events. Implementations
 // must not block: the client layer queues with drop-oldest semantics.
 type subscriber interface {
-	deliver(Event)
+	Deliver(Event)
 }
 
 // Manager hosts the concurrent debug sessions behind one server:
@@ -721,7 +721,7 @@ func (s *Session) publish(ev Event) {
 	}
 	s.subMu.Unlock()
 	for _, sub := range subs {
-		sub.deliver(ev)
+		sub.Deliver(ev)
 	}
 }
 

@@ -123,7 +123,7 @@ func (h *webHost) Stream(st *web.Stream) (func(), error) {
 // onto a web stream as notes.
 type webSub struct{ st *web.Stream }
 
-func (w *webSub) deliver(ev Event) { w.st.PushNote(ev.Event, ev) }
+func (w *webSub) Deliver(ev Event) { w.st.PushNote(ev.Event, ev) }
 
 // webBroadcaster lazily creates the session's fan-out over the
 // recorder tap.
