@@ -243,20 +243,25 @@ func firstDiff(golden, got string) string {
 }
 
 // conn is one router connection: the shared wire client, with the
-// connection's events tallied on the side.
+// session-migrated and session-closed events it saw counted per session.
 type conn struct {
 	*serve.Client
 
-	mu     sync.Mutex
-	events []serve.Event
+	mu               sync.Mutex
+	migrated, closed map[string]int
 }
 
 func dial(addr string) (*conn, error) {
-	c := &conn{}
+	c := &conn{migrated: map[string]int{}, closed: map[string]int{}}
 	cl, err := serve.Dial(addr, 10*time.Second, func(_ *serve.Client, ev serve.Event) {
 		c.mu.Lock()
-		c.events = append(c.events, ev)
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		switch ev.Event {
+		case "session-migrated":
+			c.migrated[ev.Session]++
+		case "session-closed":
+			c.closed[ev.Session]++
+		}
 	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
@@ -265,20 +270,9 @@ func dial(addr string) (*conn, error) {
 	return c, nil
 }
 
-// eventCounts tallies the migration-relevant events seen for a session.
+// eventCounts reports the migration-relevant events seen for a session.
 func (c *conn) eventCounts(sid string) (migrated, closed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ev := range c.events {
-		if ev.Session != sid {
-			continue
-		}
-		switch ev.Event {
-		case "session-migrated":
-			migrated++
-		case "session-closed":
-			closed++
-		}
-	}
-	return
+	return c.migrated[sid], c.closed[sid]
 }

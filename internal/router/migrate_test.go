@@ -255,8 +255,17 @@ func TestDrainDuringWatchdogStall(t *testing.T) {
 	src := rt.w
 	rt.mu.RUnlock()
 
-	// The wedge: a continue that runs into the induced rate stall.
-	contCh := w.send(serve.Request{Op: "exec", Session: sid, Line: "continue"})
+	// The wedge: a continue that runs into the induced rate stall. A
+	// failed round trip comes back as an error response, reported below:
+	// this goroutine may outlive the test.
+	contCh := make(chan serve.Response, 1)
+	go func() {
+		r, err := w.c.RoundTrip(serve.Request{Op: "exec", Session: sid, Line: "continue"}, 120*time.Second)
+		if err != nil {
+			r.Error = err.Error()
+		}
+		contCh <- r
+	}()
 	drained := make(chan []string, 1)
 	go func() { drained <- f.r.DrainWorker(src) }()
 

@@ -194,11 +194,7 @@ func (r *Router) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		cl := &rclient{
-			Endpoint: serve.NewEndpoint(conn, r.opts.EventQueueLen, r.eventsDropped),
-			rt:       r,
-			attached: make(map[string]*route),
-		}
+		cl := r.newClient(conn)
 		r.mu.Lock()
 		r.clients[cl] = struct{}{}
 		r.mu.Unlock()
@@ -213,6 +209,16 @@ func (r *Router) Serve(ln net.Listener) error {
 			delete(r.clients, cl)
 			r.mu.Unlock()
 		}()
+	}
+}
+
+// newClient wraps an accepted connection in the server end of the wire,
+// with the router's event queue bound and drop counter.
+func (r *Router) newClient(conn net.Conn) *rclient {
+	return &rclient{
+		Endpoint: serve.NewEndpoint(conn, r.opts.EventQueueLen, r.eventsDropped),
+		rt:       r,
+		attached: make(map[string]*route),
 	}
 }
 

@@ -116,20 +116,6 @@ func dialWire(t testing.TB, addr string) *wire {
 	return w
 }
 
-// send issues req without waiting; the response arrives on the channel
-// (a failure is reported through t.Errorf and yields a zero Response).
-func (w *wire) send(req serve.Request) chan serve.Response {
-	ch := make(chan serve.Response, 1)
-	go func() {
-		r, err := w.c.RoundTrip(req, 120*time.Second)
-		if err != nil {
-			w.t.Errorf("%v", err)
-		}
-		ch <- r
-	}()
-	return ch
-}
-
 func (w *wire) roundTrip(req serve.Request) serve.Response {
 	w.t.Helper()
 	r, err := w.c.RoundTrip(req, 120*time.Second)
@@ -344,5 +330,50 @@ func TestRouterWorkerLost(t *testing.T) {
 	}
 	if _, ok := f.r.getRoute(sid); ok {
 		t.Error("route still present after worker loss")
+	}
+}
+
+// TestEventQueueDropOldest is serve's drop-oldest test against the
+// router's wiring: a connection built as Serve builds it drops the
+// oldest events past Options.EventQueueLen, counts them on
+// router_events_dropped_total, and tells its client how many it lost
+// before the surviving events, in order.
+func TestEventQueueDropOldest(t *testing.T) {
+	r := New(Options{EventQueueLen: 4})
+	defer r.Close()
+	local, remote := net.Pipe()
+	cl := r.newClient(local)
+
+	for i := 0; i < 10; i++ {
+		cl.Deliver(serve.Event{Event: "stop", Reason: fmt.Sprint(i)})
+	}
+	if got := r.eventsDropped.Value(); got != 6 {
+		t.Errorf("router_events_dropped_total = %d, want 6", got)
+	}
+	events := make(chan serve.Event, 16)
+	c := serve.NewClient(remote, func(_ *serve.Client, ev serve.Event) { events <- ev }, nil)
+	defer c.Close(nil)
+	go cl.Serve("dfrouter/1", cl.handle)
+	for i, want := range []serve.Event{
+		{Event: "hello", Reason: "dfrouter/1"},
+		{Event: "dropped", Dropped: 6},
+		{Event: "stop", Reason: "6"},
+		{Event: "stop", Reason: "7"},
+		{Event: "stop", Reason: "8"},
+		{Event: "stop", Reason: "9"},
+	} {
+		select {
+		case ev := <-events:
+			if ev != want {
+				t.Errorf("event %d = %+v, want %+v", i, ev, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("stream ended at event %d", i)
+		}
+	}
+	select {
+	case ev := <-events:
+		t.Errorf("unexpected trailing event %+v", ev)
+	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -160,11 +160,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			conn.Close()
 			continue
 		}
-		cl := &client{
-			Endpoint: NewEndpoint(conn, s.opts.EventQueueLen, s.mgr.eventsDropped),
-			srv:      s,
-			attached: make(map[string]*Session),
-		}
+		cl := s.newClient(conn)
 		s.mu.Lock()
 		s.clients[cl] = struct{}{}
 		s.mu.Unlock()
@@ -180,6 +176,16 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.mu.Unlock()
 			s.connsActive.Add(-1)
 		}()
+	}
+}
+
+// newClient wraps an accepted connection in the server end of the wire,
+// with this server's event queue bound and drop counter.
+func (s *Server) newClient(conn net.Conn) *client {
+	return &client{
+		Endpoint: NewEndpoint(conn, s.opts.EventQueueLen, s.mgr.eventsDropped),
+		srv:      s,
+		attached: make(map[string]*Session),
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -264,6 +265,58 @@ func TestConnLimit(t *testing.T) {
 	case <-over.c.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("over-limit connection stayed open")
+	}
+	// Events read before the close may still be in the client's pump.
+	select {
+	case ev := <-over.events:
+		t.Fatalf("over-limit connection sent after its goodbye: %+v", ev)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestEventQueueDropOldest: a reader that falls behind loses the oldest
+// events first and events_dropped_total advances; once the writer
+// drains, the reader is told how much it missed, then gets the
+// surviving events in order. The connection is built as Serve builds
+// it; internal/router runs the same test against the router's wiring.
+func TestEventQueueDropOldest(t *testing.T) {
+	srv := NewServer(Options{EventQueueLen: 4, IdleTimeout: -1})
+	defer srv.Close()
+	local, remote := net.Pipe()
+	cl := srv.newClient(local)
+
+	// Writer not running: the queue fills and drops oldest.
+	for i := 0; i < 10; i++ {
+		cl.Deliver(Event{Event: "stop", Reason: fmt.Sprint(i)})
+	}
+	if got := srv.Manager().eventsDropped.Value(); got != 6 {
+		t.Errorf("events_dropped_total = %d, want 6", got)
+	}
+	events := make(chan Event, 16)
+	c := NewClient(remote, func(_ *Client, ev Event) { events <- ev }, nil)
+	defer c.Close(nil)
+	go cl.Serve("dfserve/1", cl.handle)
+	for i, want := range []Event{
+		{Event: "hello", Reason: "dfserve/1"},
+		{Event: "dropped", Dropped: 6},
+		{Event: "stop", Reason: "6"},
+		{Event: "stop", Reason: "7"},
+		{Event: "stop", Reason: "8"},
+		{Event: "stop", Reason: "9"},
+	} {
+		select {
+		case ev := <-events:
+			if ev != want {
+				t.Errorf("event %d = %+v, want %+v", i, ev, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("stream ended at event %d", i)
+		}
+	}
+	select {
+	case ev := <-events:
+		t.Errorf("unexpected trailing event %+v", ev)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
