@@ -1,11 +1,13 @@
 package dfdbg
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"dfdbg/internal/analysis/pedfgraph"
+	"dfdbg/internal/ckpt/wire"
 	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
@@ -126,9 +128,8 @@ func TestBatchDifferentialDecode(t *testing.T) {
 }
 
 // TestBatchMidRunDemotion drives the batch/demote state machine through
-// a live debug session: arming a breakpoint on a region actor demotes
-// the region mid-run, deleting it promotes the region back, armed
-// instrumentation outside the region leaves it batched, and the decode
+// a live debug session: arming a breakpoint anywhere demotes the region,
+// also mid-run, deleting it promotes the region back, and the decode
 // still completes with per-token-identical output.
 func TestBatchMidRunDemotion(t *testing.T) {
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 2}
@@ -159,13 +160,19 @@ func TestBatchMidRunDemotion(t *testing.T) {
 	}
 
 	// A breakpoint on an actor OUTSIDE the region (bh is dynamic, so the
-	// analyzer keeps it off the plan) must not demote the region.
+	// analyzer keeps it off the plan) demotes the region too: it can stop
+	// the world while a lazy region actor runs ahead of the clock
+	// (TestBatchStopStateMatchesPerToken).
 	outside, err := low.BreakFunc(dbginfo.MangleFilterWork("bh"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if mode := region(); mode.Batched || mode.Reason != "breakpoint on "+outside.Sym {
+		t.Fatalf("breakpoint outside the region did not demote it: %+v", mode)
+	}
+	low.SetBreakEnabled(outside, false)
 	if !region().Batched {
-		t.Fatalf("breakpoint outside the region demoted it: %+v", region())
+		t.Fatalf("disabled breakpoint kept the region demoted: %+v", region())
 	}
 	if err := low.DeleteBp(outside.ID); err != nil {
 		t.Fatal(err)
@@ -226,5 +233,61 @@ func TestBatchMidRunDemotion(t *testing.T) {
 	}
 	if refT == 0 {
 		t.Fatal("reference run observed nothing")
+	}
+}
+
+// TestBatchStopStateMatchesPerToken stops a batched world at the 1st,
+// 3rd and 6th hit of a breakpoint on bh's WORK, an actor outside every
+// region, and compares the runtime's encoded state with a per-token
+// world's at the same hits. A lazy actor runs statements ahead of the
+// clock between flush points, so had the region stayed batched, its
+// private data would be ahead of the per-token world at these stops.
+func TestBatchStopStateMatchesPerToken(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 2}
+	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := batchPlansFor(t, p, bits)
+	stops := func(plans []pedf.BatchPlan) []string {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		low := lowdbg.New(k, dbginfo.NewTable())
+		rt := pedf.NewRuntime(k, mach.New(k, mach.Config{}), low)
+		if _, err := h264.Build(rt, p, bits, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if plans != nil {
+			if err := rt.EnableBatch(plans); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := low.BreakFunc(dbginfo.MangleFilterWork("bh")); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for hit := 1; hit <= 6; hit++ {
+			if ev := low.Continue(); ev.Kind != lowdbg.StopBreakpoint {
+				t.Fatalf("hit %d: expected a breakpoint stop, got %+v", hit, ev)
+			}
+			if hit == 1 || hit == 3 || hit == 6 {
+				w := wire.NewWriter()
+				if err := rt.EncodeState(w); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprintf("t=%d state=%x", k.Now(), sha256.Sum256(w.Data())))
+			}
+		}
+		return out
+	}
+	ref, bat := stops(nil), stops(plans)
+	for i, hit := range []int{1, 3, 6} {
+		if ref[i] != bat[i] {
+			t.Errorf("hit %d: batched world differs from per-token\n  per-token %s\n  batched   %s",
+				hit, ref[i], bat[i])
+		}
 	}
 }

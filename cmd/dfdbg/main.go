@@ -118,12 +118,12 @@ type faultOpts struct {
 // recipe resolves the command line into the REPL world, once per
 // process: the requested bug, the static pre-flight (warnings surface
 // on out before the first dispatch; `dfdbg analyze` is the gating
-// form), the batched engine (a region demotes to the per-token path
-// the moment instrumentation arms on it) and the fault flags. A fault
-// spec naming an existing file is read here, anything else parses as
-// an inline plan, and an explicit spec wins over a seed. Checkpoint
-// rebuilds replay the recipe and never look at the flags or the file
-// again.
+// form), the batched engine (every region demotes to the per-token
+// path the moment anything that can stop the run is armed) and the
+// fault flags. A fault spec naming an existing file is read here,
+// anything else parses as an inline plan, and an explicit spec wins
+// over a seed. Checkpoint rebuilds replay the recipe and never look
+// at the flags or the file again.
 func recipe(p h264.Params, bugName string, fo faultOpts, out io.Writer) (stack.Recipe, error) {
 	bug, err := h264.ParseBug(bugName)
 	r := stack.Recipe{Params: p, Bug: bug, Ring: 4096, Trace: true, Batch: stack.BatchOn, PreRun: out}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"dfdbg/internal/cli"
 	"dfdbg/internal/h264"
 )
 
@@ -177,10 +178,11 @@ func TestREPLStateDigest(t *testing.T) {
 	}
 }
 
-// TestBatchOutputStable builds the REPL world 20 times. With the
-// dataflow layer attached every region is demoted, and `batch` must
-// name the same demoting breakpoint every time rather than whichever
-// symbol map iteration happened to visit first.
+// TestBatchOutputStable builds the REPL world 20 times. With nothing
+// armed its regions run batched: the dataflow layer's interception does
+// not demote them. With several stop-capable items armed, `batch` must
+// name the same one every time rather than whichever map iteration
+// happened to visit first.
 func TestBatchOutputStable(t *testing.T) {
 	outputs := map[string]int{}
 	for i := 0; i < 20; i++ {
@@ -192,10 +194,20 @@ func TestBatchOutputStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := st.CLI.Dispatch("batch")
+		idle := st.CLI.Dispatch("batch")
+		if idle.Err != nil || !strings.Contains(idle.Output, ": batched") || strings.Contains(idle.Output, "per-token") {
+			t.Fatalf("nothing armed, `batch` printed %q (%v)", idle.Output, idle.Err)
+		}
+		var res cli.Result
+		for _, line := range []string{"filter ipred catch Pipe_in=1", "break BhFilter_work_function",
+			"filter pipe catch work", "batch"} {
+			if res = st.CLI.Dispatch(line); res.Err != nil {
+				t.Fatalf("%q: %v", line, res.Err)
+			}
+		}
 		st.Shutdown()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if !strings.Contains(res.Output, "per-token (breakpoint on BhFilter_work_function)") {
+			t.Fatalf("armed, `batch` printed %q", res.Output)
 		}
 		outputs[res.Output]++
 	}

@@ -10,6 +10,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -65,16 +66,22 @@ func Receive(r io.Reader) (*Checkpoint, error) {
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("ckpt: frame length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// Grow the body as its bytes arrive instead of trusting the length
+	// prefix: a torn or hostile stream cannot make the receiver reserve
+	// memory it never delivers.
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("ckpt: torn transfer: body: %w", err)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, fmt.Errorf("ckpt: torn transfer: checksum: %w", err)
 	}
-	if got := crc32.ChecksumIEEE(body); got != binary.LittleEndian.Uint32(sum[:]) {
+	if got := crc32.ChecksumIEEE(body.Bytes()); got != binary.LittleEndian.Uint32(sum[:]) {
 		return nil, fmt.Errorf("ckpt: frame checksum mismatch (corrupt transfer)")
 	}
-	return Decode(body)
+	return Decode(body.Bytes())
 }

@@ -358,8 +358,8 @@ func (c *CLI) regionsCmd(rest []string) error {
 
 // batchCmd reports the batched-execution mode of every proven-SDF
 // region: whether it currently runs schedule-driven or per-token, and
-// the demotion reason (an armed breakpoint, watchpoint, fault plan or
-// attach hold forces the per-token path; see DESIGN §12).
+// the demotion reason (anything armed that can stop the run, a fault
+// plan or an attach hold forces the per-token path; see DESIGN §12).
 func (c *CLI) batchCmd(rest []string) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("usage: batch")
@@ -1136,14 +1136,14 @@ func (c *CLI) enableCmd(rest []string, on bool) error {
 	}
 	for _, bp := range c.Low.Breakpoints() {
 		if bp.ID == id {
-			bp.Enabled = on
+			c.Low.SetBreakEnabled(bp, on)
 			c.printf("Breakpoint %d %sd\n", id, verb)
 			return nil
 		}
 	}
 	for _, w := range c.Low.Watchpoints() {
 		if w.ID == id {
-			w.Enabled = on
+			c.Low.SetWatchEnabled(w, on)
 			c.printf("Watchpoint %d %sd\n", id, verb)
 			return nil
 		}

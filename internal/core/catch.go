@@ -116,7 +116,22 @@ func (d *Debugger) addCatch(c *Catchpoint) *Catchpoint {
 	c.ID = d.nextCatchID
 	c.Enabled = true
 	d.catchpoints = append(d.catchpoints, c)
+	d.publishStops()
 	return c
+}
+
+// publishStops tells the low-level debugger which catchpoints can stop
+// the world. They stop from inside this layer's internal breakpoints,
+// which lowdbg does not count as stop-capable. A `catch work`
+// catchpoint is left out: its work-symbol breakpoint already counts.
+func (d *Debugger) publishStops() {
+	var reasons []string
+	for _, c := range d.catchpoints {
+		if c.Enabled && c.workBp == nil {
+			reasons = append(reasons, fmt.Sprintf("catchpoint %d", c.ID))
+		}
+	}
+	d.Low.PublishStops(reasons)
 }
 
 // Catchpoints lists the planted dataflow catchpoints.
@@ -133,8 +148,9 @@ func (d *Debugger) SetCatchEnabled(id int, on bool) error {
 		if c.ID == id {
 			c.Enabled = on
 			if c.workBp != nil {
-				c.workBp.Enabled = on
+				d.Low.SetBreakEnabled(c.workBp, on)
 			}
+			d.publishStops()
 			return nil
 		}
 	}
@@ -149,6 +165,7 @@ func (d *Debugger) DeleteCatch(id int) error {
 				_ = d.Low.DeleteBp(c.workBp.ID)
 			}
 			d.catchpoints = append(d.catchpoints[:i], d.catchpoints[i+1:]...)
+			d.publishStops()
 			return nil
 		}
 	}

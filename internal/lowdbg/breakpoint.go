@@ -85,11 +85,15 @@ type Breakpoint struct {
 	Note string
 }
 
-func (b *Breakpoint) String() string {
-	loc := b.Sym
+// loc names where the breakpoint sits: its symbol, or file:line.
+func (b *Breakpoint) loc() string {
 	if b.Kind == BpLine {
-		loc = fmt.Sprintf("%s:%d", b.File, b.Line)
+		return lineKey(b.File, b.Line)
 	}
+	return b.Sym
+}
+
+func (b *Breakpoint) String() string {
 	attrs := ""
 	if !b.Enabled {
 		attrs += " (disabled)"
@@ -104,7 +108,7 @@ func (b *Breakpoint) String() string {
 	if b.Note != "" {
 		note = " — " + b.Note
 	}
-	return fmt.Sprintf("#%d %s %s hits=%d%s%s", b.ID, b.Kind, loc, b.HitCount, attrs, note)
+	return fmt.Sprintf("#%d %s %s hits=%d%s%s", b.ID, b.Kind, b.loc(), b.HitCount, attrs, note)
 }
 
 // BreakFunc plants a user-visible breakpoint at a function symbol's
@@ -173,6 +177,13 @@ func (d *Debugger) insertBp(bp *Breakpoint) {
 }
 
 func lineKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
+
+// SetBreakEnabled enables or disables a breakpoint. Toggle through here
+// rather than the field, so the arm watchers learn whether it can stop.
+func (d *Debugger) SetBreakEnabled(bp *Breakpoint, on bool) {
+	bp.Enabled = on
+	d.armChanged()
+}
 
 // DeleteBp removes a user breakpoint by id. Internal breakpoints (the
 // dataflow layer's function breakpoints) are invisible to this path, as
@@ -274,6 +285,13 @@ func (d *Debugger) Watch(sym string) (*Watchpoint, error) {
 	d.armedStmt++
 	d.armChanged()
 	return w, nil
+}
+
+// SetWatchEnabled enables or disables a watchpoint, notifying the arm
+// watchers as SetBreakEnabled does.
+func (d *Debugger) SetWatchEnabled(w *Watchpoint, on bool) {
+	w.Enabled = on
+	d.armChanged()
 }
 
 // Watchpoints lists planted watchpoints.

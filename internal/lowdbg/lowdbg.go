@@ -22,6 +22,7 @@ package lowdbg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -163,12 +164,15 @@ type Debugger struct {
 	armedFunc int // breakpoints in funcBPs
 	armedStmt int // line breakpoints + watchpoints + pending step request
 
-	// armWatchers run after every armed-surface change (same sites that
-	// maintain the counters above). The batched-execution layer hooks
-	// here to demote proven-SDF regions the instant instrumentation
-	// lands on one of their actors, and to re-promote on removal. All
-	// arming happens world-stopped, so watchers run race-free.
+	// armWatchers run after every change to what can stop the world
+	// (see StopReason). The batched-execution layer hooks here to
+	// demote proven-SDF regions the instant a stop-capable item is
+	// armed, and to re-promote when the last one goes. Arming happens
+	// between dispatches, so watchers run race-free.
 	armWatchers []func()
+	// stops names the stop-capable items a higher layer arms without
+	// planting a breakpoint (the dataflow layer's catchpoints).
+	stops []string
 
 	objects map[string]*filterc.Value // registered data objects by symbol
 	interps map[*sim.Proc]*filterc.Interp
@@ -232,9 +236,10 @@ func New(k *sim.Kernel, syms *dbginfo.Table) *Debugger {
 	return d
 }
 
-// OnArmChange registers fn to run after every change to the armed
-// instrumentation surface (breakpoint, watchpoint or step request added
-// or removed). Watchers fire under a stopped world.
+// OnArmChange registers fn to run after every change to what can stop
+// the world: a user breakpoint or watchpoint added, removed, enabled
+// or disabled, a step request set or cleared, or a higher layer's
+// PublishStops.
 func (d *Debugger) OnArmChange(fn func()) { d.armWatchers = append(d.armWatchers, fn) }
 
 // armChanged notifies registered arm watchers.
@@ -244,44 +249,41 @@ func (d *Debugger) armChanged() {
 	}
 }
 
-// Armed reports whether any instrumentation is currently armed on
-// either hook surface.
-func (d *Debugger) Armed() bool { return d.armedFunc > 0 || d.armedStmt > 0 }
-
-// ArmedTargets describes the armed instrumentation surface in terms a
-// higher layer can map onto actors: which function symbols carry
-// breakpoints, which source files carry line breakpoints, which data
-// symbols are watched, and which process owns a pending step request.
-type ArmedTargets struct {
-	FuncSyms []string
-	Files    []string
-	DataSyms []string
-	StepProc *sim.Proc
+// PublishStops replaces the stop-capable items a higher layer has armed
+// without planting a breakpoint, each named as StopReason reports it
+// (the dataflow layer's catchpoints stop from inside its internal
+// breakpoints' actions), and notifies the arm watchers.
+func (d *Debugger) PublishStops(reasons []string) {
+	d.stops = append(d.stops[:0], reasons...)
+	d.armChanged()
 }
 
-// ArmedTargets snapshots the armed surface (see ArmedTargets type).
-// FuncSyms and Files are sorted, so a reason derived from them (the
-// batched engine's demotion reason) does not depend on map order;
-// DataSyms keeps watchpoint creation order.
-func (d *Debugger) ArmedTargets() ArmedTargets {
-	var t ArmedTargets
-	for sym := range d.funcBPs {
-		t.FuncSyms = append(t.FuncSyms, sym)
-	}
-	sort.Strings(t.FuncSyms)
-	for key := range d.lineBPs {
-		if i := strings.LastIndexByte(key, ':'); i >= 0 {
-			t.Files = append(t.Files, key[:i])
+// StopReason names an armed item that can stop the world mid-run, or
+// returns "" when nothing can: an enabled user breakpoint ("breakpoint
+// on pipe_work", "breakpoint on ipred.c:12"), an enabled watchpoint
+// ("watchpoint on S"), a pending step or finish ("step request"), or
+// an item a higher layer published. Internal breakpoints only
+// intercept and do not count. Of several items it names the least in
+// string order, so the reason does not depend on map order.
+func (d *Debugger) StopReason() string {
+	reasons := append([]string(nil), d.stops...)
+	for _, bp := range d.bps {
+		if !bp.Internal && bp.Enabled {
+			reasons = append(reasons, "breakpoint on "+bp.loc())
 		}
 	}
-	sort.Strings(t.Files)
 	for _, w := range d.watchpoints {
-		t.DataSyms = append(t.DataSyms, w.Sym)
+		if w.Enabled {
+			reasons = append(reasons, "watchpoint on "+w.Sym)
+		}
 	}
 	if d.stepKind != stepNone {
-		t.StepProc = d.stepProc
+		reasons = append(reasons, "step request")
 	}
-	return t
+	if len(reasons) == 0 {
+		return ""
+	}
+	return slices.Min(reasons)
 }
 
 // BpHits returns how many hook crossings ran at least one breakpoint

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/obs"
 )
 
@@ -12,18 +11,20 @@ import (
 // the static analyzer proves a subgraph is consistent SDF (repetition
 // vector, single-appearance schedule, buffer bounds), its actors can
 // run "lazily" — statement costs accumulate on the actor instead of
-// paying one kernel round-trip each, and are flushed as a single sleep
+// paying one kernel round-trip each, and are paid by one SleepSteps
 // before every externally observable action (token push/pop, occupancy
 // read, firing end). Together with the kernel's inline-sleep fast path
 // this fires whole schedule periods within one dispatch while keeping
-// every recorded timestamp identical to the per-token engine.
+// every recorded timestamp, and the dispatch order, identical to the
+// per-token engine.
 //
-// Eligibility is revoked — a region is "demoted" back to the per-token
-// path, mid-run — the moment anything could observe a difference: a
-// fault plan is armed (trigger indices count per-token), any debugger
-// instrumentation lands on a region actor (or on a surface that can
-// stop anywhere, like a watchpoint), or a higher layer places an
-// explicit hold (the web layer, while a debug client is attached).
+// Eligibility is revoked — every region is "demoted" back to the
+// per-token path, mid-run — while anything could observe a difference:
+// a higher layer's explicit hold (the serving layer, while a debug
+// client is attached), an armed fault plan (trigger indices count
+// per-token), or anything armed that can stop the world mid-run. A
+// lazy actor runs ahead of the clock between flush points, so a stop
+// caused by any actor would show it ahead of the per-token world.
 
 // BatchRing sizes one intra-region link ring from its proven bound.
 type BatchRing struct {
@@ -55,7 +56,7 @@ type RegionMode struct {
 // whose actors cannot run lazily (native work functions, controllers,
 // unknown names) are skipped — those regions simply stay on the
 // per-token path. Call after Start; demotion/promotion tracking is
-// wired into the debugger's arm watcher and the kernel's fault watcher,
+// wired into the debugger's and the kernel's arm watchers,
 // so mode changes are automatic from here on.
 func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 	if !rt.started {
@@ -73,11 +74,6 @@ func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 		if !eligible {
 			continue
 		}
-		for _, name := range plan.Actors {
-			f := rt.actors[name]
-			f.batched = true
-			f.batchRegion = plan.Region
-		}
 		for _, r := range plan.Rings {
 			for _, l := range rt.links {
 				if l.ID == r.Link {
@@ -93,7 +89,7 @@ func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 		if rt.Dbg != nil {
 			rt.Dbg.OnArmChange(rt.recomputeBatch)
 		}
-		rt.K.OnFaultsChange(rt.recomputeBatch)
+		rt.K.OnArmChange(rt.recomputeBatch)
 	}
 	rt.recomputeBatch()
 	return nil
@@ -111,62 +107,67 @@ func (rt *Runtime) SetBatchHold(reason string) {
 // BatchHold returns the active hold reason ("" when none).
 func (rt *Runtime) BatchHold() string { return rt.batchHold }
 
-// RegionModes reports the execution mode of every planned region (empty
-// when EnableBatch was never called or installed nothing).
+// RegionModes reports the execution mode of every planned region (nil
+// when EnableBatch was never called or installed nothing). All regions
+// share one mode.
 func (rt *Runtime) RegionModes() []RegionMode {
-	return append([]RegionMode(nil), rt.batchModes...)
+	var modes []RegionMode
+	for _, plan := range rt.batchPlans {
+		modes = append(modes, RegionMode{
+			Region:   plan.Region,
+			Actors:   plan.Actors,
+			Schedule: plan.Schedule,
+			Batched:  rt.batchReason == "",
+			Reason:   rt.batchReason,
+		})
+	}
+	return modes
 }
 
-// recomputeBatch re-derives each region's mode from the current fault,
-// debugger and hold state, applies it to the actors, and emits one
-// KBatchMode event per changed region. Runs under a stopped world
-// (arming and fault changes only happen between dispatches), so flag
+// demoteReason names why every planned region must run per-token, or
+// returns "" when they may run batched.
+func (rt *Runtime) demoteReason() string {
+	switch {
+	case rt.batchHold != "":
+		return rt.batchHold
+	case rt.K.Faults() != nil:
+		return "fault plan armed"
+	case rt.K.Watchdog() > 0:
+		return "watchdog armed"
+	case rt.K.WallBudget() > 0:
+		return "wall budget armed"
+	case rt.Dbg != nil:
+		return rt.Dbg.StopReason()
+	}
+	return ""
+}
+
+// recomputeBatch re-derives the regions' mode from the current hold,
+// kernel and debugger state, applies it to the actors, and emits one
+// KBatchMode event per region whose mode was not yet recorded. It runs
+// world-stopped, or inside a hook when a temporary breakpoint or
+// one-shot catchpoint removes itself, so no other process runs and flag
 // flips are race-free; parked lazy actors provably hold no unflushed
 // time (they only yield at flush points).
 func (rt *Runtime) recomputeBatch() {
 	if len(rt.batchPlans) == 0 {
 		return
 	}
-	hold := rt.batchHold
-	if hold == "" && rt.K.Faults() != nil {
-		hold = "fault plan armed"
+	if reason := rt.demoteReason(); reason != rt.batchReason {
+		rt.batchReason, rt.batchShown = reason, 0
 	}
-	var at lowdbg.ArmedTargets
-	armed := false
-	if hold == "" && rt.Dbg != nil && rt.Dbg.Armed() {
-		at = rt.Dbg.ArmedTargets()
-		armed = true
-	}
-	prev := rt.batchModes
-	modes := make([]RegionMode, 0, len(rt.batchPlans))
-	var changed []RegionMode
-	for i, plan := range rt.batchPlans {
-		reason := hold
-		if reason == "" && armed {
-			reason = rt.regionArmReason(plan, at)
-		}
-		mode := RegionMode{
-			Region:   plan.Region,
-			Actors:   plan.Actors,
-			Schedule: plan.Schedule,
-			Batched:  reason == "",
-			Reason:   reason,
-		}
+	for _, plan := range rt.batchPlans {
 		for _, name := range plan.Actors {
 			if f := rt.actors[name]; f != nil {
-				f.lazy = mode.Batched
+				f.lazy = rt.batchReason == ""
 			}
 		}
-		if i >= len(prev) || prev[i].Batched != mode.Batched || prev[i].Reason != mode.Reason {
-			changed = append(changed, mode)
-		}
-		modes = append(modes, mode)
 	}
-	rt.batchModes = modes
+	changed := rt.RegionModes()[rt.batchShown:]
+	rt.batchShown = len(rt.batchPlans)
 	if rec := rt.K.Observer(); rec.Wants(obs.KBatchMode) && len(changed) > 0 {
-		// Mode flips arrive in bursts (every region at once when a fault
-		// plan arms); compose them in the recorder's arena and commit in
-		// one call.
+		// Mode flips arrive in bursts (every region at once); compose
+		// them in the recorder's arena and commit in one call.
 		evs := rec.Scratch(len(changed))
 		for i, c := range changed {
 			b := int64(0)
@@ -181,62 +182,4 @@ func (rt *Runtime) recomputeBatch() {
 		}
 		rec.RecordBatch(evs)
 	}
-}
-
-// regionArmReason maps the debugger's armed surface onto one region:
-// it returns a non-empty demotion reason when any armed instrumentation
-// could stop or observe a region actor, and "" when the armed surface
-// provably cannot touch the region.
-func (rt *Runtime) regionArmReason(plan BatchPlan, at lowdbg.ArmedTargets) string {
-	inRegion := func(actor string) bool {
-		for _, a := range plan.Actors {
-			if a == actor {
-				return true
-			}
-		}
-		return false
-	}
-	for _, sym := range at.FuncSyms {
-		s := rt.Syms.Lookup(sym)
-		if s == nil || s.Owner == "" {
-			// Runtime symbols (link push/pop, scheduling calls) announce
-			// on every actor; unknown symbols get the same conservative
-			// treatment.
-			return "breakpoint on " + sym
-		}
-		if inRegion(s.Owner) {
-			return "breakpoint on " + sym
-		}
-	}
-	for _, file := range at.Files {
-		for _, a := range plan.Actors {
-			if f := rt.actors[a]; f != nil && f.SourceFile == file {
-				return "line breakpoint in " + file
-			}
-		}
-	}
-	if len(at.DataSyms) > 0 {
-		// Watchpoint change detection can fire at any actor's next
-		// statement, regardless of who owns the watched object; every
-		// region demotes while one is armed.
-		return "watchpoint on " + at.DataSyms[0]
-	}
-	if at.StepProc != nil {
-		mapped := false
-		for _, a := range plan.Actors {
-			if f := rt.actors[a]; f != nil && f.proc == at.StepProc {
-				return "step request on " + a
-			}
-		}
-		for _, f := range rt.actorList {
-			if f.proc == at.StepProc {
-				mapped = true
-				break
-			}
-		}
-		if !mapped {
-			return "step request on unknown process"
-		}
-	}
-	return ""
 }

@@ -14,7 +14,7 @@ import (
 func (rt *Runtime) UnflushedLazy() uint64 {
 	var total uint64
 	for _, f := range rt.actorList {
-		total += uint64(f.lazyNS)
+		total += uint64(f.lazyStmts) * uint64(rt.M.Cfg.CycleTime)
 	}
 	return total
 }

@@ -93,7 +93,7 @@ func (rt *Runtime) wrapCrash(f *Filter, r any) *CrashError {
 // it re-panics any escaping panic wrapped in a CrashError so the sim
 // kernel's PanicError carries an actor-attributed backtrace.
 func (rt *Runtime) containCrash(f *Filter) {
-	if f.lazyNS > 0 && !f.proc.Poisoned() {
+	if f.lazyStmts > 0 && !f.proc.Poisoned() {
 		// A crash unwound past banked lazy compute time; settle it so
 		// the crash timestamp is the true simulated instant. Poisoned
 		// procs are being torn down by the kernel and must not sleep.

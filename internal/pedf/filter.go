@@ -183,16 +183,14 @@ type Filter struct {
 	readCache  map[string][]filterc.Value
 	writeCount map[string]int
 
-	// Batched execution (DESIGN §12). batched marks membership in a
-	// proven-SDF region plan; lazy is the live mode bit, flipped by
-	// Runtime.recomputeBatch whenever the fault/debugger/hold state
-	// changes. While lazy, statement costs accumulate in lazyNS and are
-	// flushed as a single sleep before any externally observable action,
-	// so recorded timestamps match the per-token engine exactly.
-	batched     bool
-	batchRegion int
-	lazy        bool
-	lazyNS      sim.Duration
+	// Batched execution (DESIGN §12). lazy is the live mode bit of a
+	// proven-SDF region's actor, flipped by Runtime.recomputeBatch. While
+	// lazy, executed statements are counted in lazyStmts and their cycles
+	// paid in one SleepSteps before any externally observable action, so
+	// timestamps and the kernel's dispatch order match the per-token
+	// engine exactly.
+	lazy      bool
+	lazyStmts int
 
 	// Debugger interception state, built on first use: the mangled
 	// WORK symbol, the recycled WORK hook arguments, and the fixed
@@ -230,17 +228,17 @@ func (f *Filter) schedArgs() []lowdbg.Arg {
 	return f.schedList
 }
 
-// flushLazy pays the accumulated lazy compute time in one sleep. Must
-// run before every action whose timestamp or ordering another process
-// can observe: pushing/popping a token, reading link occupancy, or
-// stamping the end of a firing.
+// flushLazy pays the banked statement cycles with one baton round trip.
+// Must run before every action whose timestamp or ordering another
+// process can observe: pushing/popping a token, reading link occupancy,
+// or stamping the end of a firing.
 func (f *Filter) flushLazy() {
-	if f.lazyNS == 0 {
+	if f.lazyStmts == 0 {
 		return
 	}
-	d := f.lazyNS
-	f.lazyNS = 0
-	f.proc.Sleep(d)
+	n := f.lazyStmts
+	f.lazyStmts = 0
+	f.proc.SleepSteps(n, f.rt.M.Cfg.CycleTime)
 }
 
 // State returns the scheduling state.
@@ -500,10 +498,10 @@ func (h *costHooks) OnStmt(fr *filterc.Frame, pos filterc.Pos) {
 	if f.lazy {
 		// Batched mode: bank the cycle instead of a kernel round-trip;
 		// flushLazy settles the balance before any observable action.
-		f.lazyNS += f.rt.M.Cfg.CycleTime
+		f.lazyStmts++
 		return
 	}
-	if f.lazyNS > 0 {
+	if f.lazyStmts > 0 {
 		// Demoted mid-firing: charge the banked backlog before resuming
 		// per-statement accounting, keeping total time identical.
 		f.flushLazy()

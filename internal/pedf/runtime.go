@@ -151,10 +151,11 @@ type Runtime struct {
 	fireHist *obs.Histogram
 
 	// Batched execution engine state (batch.go / DESIGN §12).
-	batchPlans []BatchPlan
-	batchModes []RegionMode
-	batchHold  string // non-empty demotes every region (e.g. debug client attached)
-	batchWired bool   // arm/fault watchers installed
+	batchPlans  []BatchPlan
+	batchReason string // why every region runs per-token ("" when batched)
+	batchShown  int    // regions whose current mode KBatchMode recorded
+	batchHold   string // non-empty demotes every region (e.g. debug client attached)
+	batchWired  bool   // arm/fault watchers installed
 
 	payloadBuf []byte // reused rendering buffer (see payload)
 }

@@ -26,6 +26,8 @@ type Proc struct {
 	// (note + closure) disappears.
 	sleepNote timedNote
 	sleepFn   func()
+	steps     int // Sleep(step) calls SleepSteps still owes
+	step      Duration
 
 	// Tag is an arbitrary user annotation (the platform layer stores the
 	// processing element a process is mapped to; the debugger uses it to
@@ -176,43 +178,108 @@ func (p *Proc) WaitTimeout(ev *Event, d Duration) bool {
 
 // Sleep blocks the process for d units of simulated time.
 //
-// Fast path (DESIGN §12): when this process is provably the next — and
-// only — thing the kernel could run at the wakeup instant, the clock is
-// advanced inline without yielding the baton. The resulting schedule is
-// identical to the yield-and-redispatch path: no other process is
-// runnable, no notification fires in (now, wake], the horizon is not
-// crossed, and neither the watchdog nor an armed fault plan could
-// intervene. Every 4096 consecutive inline advances one full scheduler
-// pass is forced so the wall-clock budget check stays live.
+// Fast path (DESIGN §12): when nothing the kernel could run before the
+// wakeup instant would do more than re-arm a SleepSteps step, the clock
+// is advanced inline without yielding the baton, with a schedule
+// identical to the yield-and-redispatch path (see sleepInline). Every
+// 4096 consecutive inline advances one full scheduler pass is forced so
+// the wall-clock budget check stays live.
 func (p *Proc) Sleep(d Duration) {
 	p.checkCurrent("Sleep")
 	if d == 0 {
 		p.YieldNow()
 		return
 	}
-	k := p.k
-	wake := k.now + d
-	if k.runHead == len(k.runnable) && !k.paused && k.flt == nil &&
-		k.err == nil && !p.frozen && !p.poisoned &&
-		wake <= k.until &&
-		(k.notes.Len() == 0 || k.notes.peek().at > wake) &&
-		(k.watchLimit == 0 || wake <= k.progressAt+k.watchLimit) &&
-		k.fastSleeps < 4096 {
-		k.fastSleeps++
-		k.advances++
-		if k.obs.Wants(obs.KTimeAdvance) {
-			k.obs.Record(obs.Event{
-				At: uint64(wake), Kind: obs.KTimeAdvance,
-				PE: -1, Arg: int64(d),
-			})
-		}
-		k.now = wake
-		return
+	if !p.k.sleepInline(p, d) {
+		p.k.armSleep(p, d)
+		p.yieldAndWait()
 	}
+}
+
+// SleepSteps is n consecutive Sleep(step) calls, step > 0, for one
+// baton round trip instead of n. Between steps the kernel only re-arms
+// the process's timer, at the dispatch position the step-by-step loop
+// would hold, so every other process sees the same schedule down to
+// the order of same-instant wakeups (DESIGN §12).
+func (p *Proc) SleepSteps(n int, step Duration) {
+	p.checkCurrent("SleepSteps")
+	p.steps, p.step = n, step
+	if p.k.takeSteps(p) {
+		p.yieldAndWait()
+	}
+}
+
+// takeSteps pays p's owed steps, inline while the fast path allows, and
+// arms the timer for the first one it cannot, reporting whether it did.
+// p holds the baton, or, between steps, the run loop calls it in place of
+// dispatching p.
+func (k *Kernel) takeSteps(p *Proc) bool {
+	for p.steps > 0 {
+		p.steps--
+		if !k.sleepInline(p, p.step) {
+			k.armSleep(p, p.step)
+			return true
+		}
+	}
+	return false
+}
+
+// armSleep parks p until now+d on its reusable timed note.
+func (k *Kernel) armSleep(p *Proc, d Duration) {
 	p.state = ProcWaitTime
-	p.wakeAt = wake
-	k.scheduleNoteIn(&p.sleepNote, wake, p.sleepFn)
-	p.yieldAndWait()
+	p.wakeAt = k.now + d
+	k.scheduleNoteIn(&p.sleepNote, p.wakeAt, p.sleepFn)
+}
+
+// sleepInline advances the clock by d for p, and reports whether it
+// could: no fault plan, watchdog or horizon intervenes, and every
+// process queued or note due by then is a SleepSteps step that would
+// only re-arm. Those steps are taken here, in the kernel's order: a
+// step due exactly at the wakeup fires ahead of p and re-arms; a queued
+// step would re-arm for the same instant behind p, so it stays queued,
+// one step further on.
+func (k *Kernel) sleepInline(p *Proc, d Duration) bool {
+	wake := k.now + d
+	queued := k.runnable[k.runHead:]
+	steps := len(queued) > 0 || (k.notes.Len() > 0 && k.notes.peek().at <= wake)
+	if steps && !k.onlySteps(queued, wake, d) ||
+		k.paused || k.flt != nil || k.err != nil || p.frozen || p.poisoned ||
+		wake > k.until ||
+		(k.watchLimit > 0 && wake > k.progressAt+k.watchLimit) ||
+		k.fastSleeps >= 4096 {
+		return false
+	}
+	k.fastSleeps++
+	k.advances++
+	if k.obs.Wants(obs.KTimeAdvance) {
+		k.obs.Record(obs.Event{
+			At: uint64(wake), Kind: obs.KTimeAdvance,
+			PE: -1, Arg: int64(d),
+		})
+	}
+	k.now = wake
+	if steps {
+		for k.notes.Len() > 0 && k.notes.peek().at == wake {
+			q := k.notes.pop().owner
+			q.steps--
+			k.armSleep(q, q.step)
+		}
+		for _, q := range queued {
+			q.steps--
+		}
+	}
+	return true
+}
+
+// onlySteps reports whether every queued process is a SleepSteps step
+// of length d and every note due by w a step falling exactly at w.
+func (k *Kernel) onlySteps(queued []*Proc, w Time, d Duration) bool {
+	for _, q := range queued {
+		if q.steps == 0 || q.step != d || q.frozen || q.state != ProcReady {
+			return false
+		}
+	}
+	return k.notes.onlySteps(0, w)
 }
 
 // YieldNow relinquishes the baton but stays runnable at the current time

@@ -52,6 +52,22 @@ func (h *noteHeap) peek() *timedNote {
 	return h.items[0]
 }
 
+// onlySteps reports whether every note due by w in the subtree at i is
+// a SleepSteps step, falling exactly at w with steps still owed, whose
+// sleeper is not frozen: one that would only re-arm. Notes due by w
+// form a subtree at the root, so each path stops at the first later
+// note.
+func (h *noteHeap) onlySteps(i int, w Time) bool {
+	if i >= len(h.items) || h.items[i].at > w {
+		return true
+	}
+	n := h.items[i]
+	if n.at < w || n.owner == nil || n.owner.steps == 0 || n.owner.frozen {
+		return false
+	}
+	return h.onlySteps(2*i+1, w) && h.onlySteps(2*i+2, w)
+}
+
 // remove cancels a pending note; it is a no-op if the note already fired.
 func (h *noteHeap) remove(n *timedNote) {
 	if n == nil || n.heap < 0 || n.heap >= len(h.items) || h.items[n.heap] != n {

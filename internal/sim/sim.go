@@ -211,10 +211,11 @@ func (r *StallReport) String() string {
 // timedNote is a scheduled future action (an event notification, a sleep
 // wakeup, or a wait timeout).
 type timedNote struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	heap int // index in the heap, for cancellation
+	at    Time
+	seq   uint64
+	fn    func()
+	heap  int   // index in the heap, for cancellation
+	owner *Proc // the sleeping process, for a Proc's own sleep note
 }
 
 // Kernel is the simulation scheduler. All methods must be called either
@@ -262,7 +263,7 @@ type Kernel struct {
 	// progress (NoteProgress call) lands for watchLimit simulated units;
 	// the wall budget bounds real time spent inside one RunUntil call.
 	flt            *fault.Injector
-	onFaults       []func()
+	onArm          []func()
 	watchLimit     Duration
 	progressAt     Time
 	wallBudget     time.Duration
@@ -317,18 +318,22 @@ func (k *Kernel) Observer() *obs.Recorder { return k.obs }
 // SetFaults arms (or, with nil, disarms) a fault injector. Like the
 // recorder it is shared down the stack: pedf and mach reach it through
 // Kernel.Faults, so arming one injector covers every injection point.
-// Registered fault watchers run after the swap (the batched-execution
-// layer demotes proven-SDF regions whenever a plan is armed, so fault
-// trigger indices keep their per-token accounting).
 func (k *Kernel) SetFaults(in *fault.Injector) {
 	k.flt = in
-	for _, fn := range k.onFaults {
+	k.armChanged()
+}
+
+// OnArmChange registers fn to run after every SetFaults, SetWatchdog
+// and SetWallBudget call. The batched-execution layer demotes
+// proven-SDF regions while any of them is armed: fault trigger indices
+// count per-token actions, and a stall can stop the run mid-schedule.
+func (k *Kernel) OnArmChange(fn func()) { k.onArm = append(k.onArm, fn) }
+
+func (k *Kernel) armChanged() {
+	for _, fn := range k.onArm {
 		fn()
 	}
 }
-
-// OnFaultsChange registers fn to run after every SetFaults call.
-func (k *Kernel) OnFaultsChange(fn func()) { k.onFaults = append(k.onFaults, fn) }
 
 // Faults returns the armed injector (nil when fault injection is off).
 func (k *Kernel) Faults() *fault.Injector { return k.flt }
@@ -339,6 +344,7 @@ func (k *Kernel) Faults() *fault.Injector { return k.flt }
 func (k *Kernel) SetWatchdog(limit Duration) {
 	k.watchLimit = limit
 	k.progressAt = k.now
+	k.armChanged()
 }
 
 // Watchdog returns the armed progress limit (0 when disarmed).
@@ -348,7 +354,16 @@ func (k *Kernel) Watchdog() Duration { return k.watchLimit }
 // exceeding it returns RunStalled with a Wall-flagged report. The check
 // is amortized (every few thousand scheduler iterations) and abort-only,
 // so it cannot perturb the deterministic schedule. 0 disarms it.
-func (k *Kernel) SetWallBudget(d time.Duration) { k.wallBudget = d }
+func (k *Kernel) SetWallBudget(d time.Duration) {
+	k.wallBudget = d
+	k.armChanged()
+}
+
+// WallBudget returns the armed wall-clock budget (0 when disarmed).
+func (k *Kernel) WallBudget() time.Duration { return k.wallBudget }
+
+// Dispatches returns how many process dispatches the kernel has made.
+func (k *Kernel) Dispatches() uint64 { return k.dispatches }
 
 // NoteProgress marks the current instant as "the application moved".
 // The pedf layer calls it on every token push and pop, making the
@@ -455,6 +470,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 			k.makeRunnable(p)
 		}
 	}
+	p.sleepNote.owner = p
 	k.procs = append(k.procs, p)
 	k.pushRunnable(p)
 	go p.run(fn)
@@ -532,6 +548,9 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 				// Withheld by the debugger; remember the wakeup.
 				p.thawPending = true
 				continue
+			}
+			if p.steps > 0 && k.takeSteps(p) {
+				continue // between SleepSteps steps: re-armed, still parked
 			}
 			k.dispatches++
 			if k.obs.Wants(obs.KDispatch) {

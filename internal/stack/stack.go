@@ -52,6 +52,8 @@ const (
 // Recipe is the plain-data description of one world. Building the same
 // recipe twice yields byte-identical captured state.
 type Recipe struct {
+	// Params shapes the synthetic sequence the world decodes: frame
+	// size, quantizer, content seed, frame count and chroma.
 	Params h264.Params
 	Bug    h264.Bug
 
@@ -121,7 +123,7 @@ func (r Recipe) Build() (*Stack, error) {
 		_ = k.Shutdown()
 		return nil, err
 	}
-	bits, err := h264.Encode(h264.GenerateFrame(r.Params), r.Params)
+	bits, err := h264.EncodeSequence(h264.GenerateSequence(r.Params), r.Params)
 	if err != nil {
 		return fail(err)
 	}
