@@ -59,12 +59,15 @@ func (e *Event) fire() {
 	if len(e.waiters) == 0 {
 		return
 	}
+	// Waking only queues the waiters, so none can wait again before the
+	// loop ends, and the emptied slice is reused for the next waiters.
 	woken := e.waiters
-	e.waiters = nil
 	for _, p := range woken {
 		p.wokenByEvent = true
 		e.k.makeRunnable(p)
 	}
+	clear(woken)
+	e.waiters = woken[:0]
 	e.k.eventFires++
 	if e.k.obs.Wants(obs.KEventFire) {
 		e.k.obs.Record(obs.Event{

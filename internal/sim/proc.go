@@ -7,7 +7,9 @@ import (
 )
 
 // Proc is a simulation process: a goroutine that runs only while it holds
-// the kernel's baton, and yields by blocking on an Event or on time.
+// the kernel's baton, and yields by blocking on an Event or on time. The
+// process that yields runs the scheduler and resumes the next process
+// itself (see Kernel.handoff).
 type Proc struct {
 	id     int
 	name   string
@@ -111,7 +113,11 @@ func (p *Proc) run(fn func(*Proc)) {
 		}
 		p.state = ProcDone
 		p.waitEvent = nil
-		p.k.yield <- struct{}{}
+		if p.poisoned {
+			p.k.wake <- runResult{}
+			return
+		}
+		p.k.handoff(p)
 	}()
 	if p.poisoned {
 		panic(errProcShutdown)
@@ -132,11 +138,14 @@ func (p *Proc) checkCurrent(op string) {
 	}
 }
 
-// yieldAndWait gives the baton back to the kernel and blocks until the
-// kernel dispatches this process again.
+// yieldAndWait passes the baton on and blocks until the scheduler
+// dispatches this process again: at once, without a goroutine switch,
+// when the pick it runs itself chooses this process. A poisoned process
+// never picks; it unwinds, and Proc.run hands the baton to the driver.
 func (p *Proc) yieldAndWait() {
-	p.k.yield <- struct{}{}
-	<-p.resume
+	if !p.poisoned && !p.k.handoff(p) {
+		<-p.resume
+	}
 	if p.poisoned {
 		panic(errProcShutdown)
 	}
@@ -197,7 +206,7 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // SleepSteps is n consecutive Sleep(step) calls, step > 0, for one
-// baton round trip instead of n. Between steps the kernel only re-arms
+// baton handoff instead of n. Between steps the kernel only re-arms
 // the process's timer, at the dispatch position the step-by-step loop
 // would hold, so every other process sees the same schedule down to
 // the order of same-instant wakeups (DESIGN §12).

@@ -9,6 +9,12 @@
 // are dispatched in FIFO order of when they became runnable, and timed
 // notifications fire in (time, sequence) order.
 //
+// The baton passes directly from process to process, like the user-level
+// threads of a cooperative SystemC scheduler: a process that blocks runs
+// the scheduler itself and resumes the next process, one goroutine switch
+// per dispatch (none when it picks itself). The goroutine that called
+// Run sleeps until a process hands it the status Run returns.
+//
 // Determinism is a load-bearing property for the reproduction: the paper
 // argues that breakpoint-induced slowdown does not alter dataflow
 // execution semantics precisely because the execution is deterministic
@@ -231,10 +237,15 @@ type Kernel struct {
 	notes    noteHeap
 	procs    []*Proc
 	current  *Proc
-	yield    chan struct{} // process → kernel baton
+	wake     chan runResult // baton holder → driver: Run returns
 	paused   bool
 	err      error
 	running  bool
+
+	// Per-RunUntil scheduler state: pick counts its iterations for the
+	// amortized wall-budget check, measured from wallStart.
+	iter      uint
+	wallStart time.Time
 
 	// Batched-execution support (DESIGN §12). RunUntil mirrors its horizon
 	// in `until` so Proc.Sleep can advance the clock inline — no note
@@ -278,7 +289,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{wake: make(chan runResult)}
 }
 
 // Now returns the current simulated time.
@@ -492,6 +503,11 @@ func (k *Kernel) OnPreRun(fn func()) {
 
 // RunUntil is Run with a time horizon: the kernel stops advancing the
 // clock past `until` (events scheduled exactly at `until` still fire).
+// The driver makes the first pick; from then on processes pass the baton
+// among themselves, and the driver sleeps until one of them hands back
+// the status. A panic raised by the scheduler while a process held the
+// baton (a timed-note callback, the fault injector, an obs tap) is
+// re-raised here, on the driver.
 func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 	if k.running {
 		return RunError, fmt.Errorf("sim: RunUntil called reentrantly")
@@ -505,28 +521,54 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 			fn()
 		}
 	}
-	var wallStart time.Time
+	k.iter = 0
 	if k.wallBudget > 0 {
-		wallStart = time.Now()
+		k.wallStart = time.Now()
 	}
-	var iter uint
+	p, st, err := k.pick()
+	if p == nil {
+		return st, err
+	}
+	p.resume <- struct{}{}
+	res := <-k.wake
+	if res.panicked {
+		panic(res.value)
+	}
+	return res.status, res.err
+}
+
+// runResult is what the baton holder hands the driver when Run returns:
+// a status, or a panic the scheduler raised on a process goroutine.
+type runResult struct {
+	status   RunStatus
+	err      error
+	panicked bool
+	value    any
+}
+
+// pick is the scheduler. It fires due notes and advances the clock until
+// it either chooses the next process, which it marks running and
+// returns, or has the status RunUntil must return. It runs on whichever
+// goroutine holds the baton: the driver for a run's first pick, then the
+// process giving the baton up.
+func (k *Kernel) pick() (*Proc, RunStatus, error) {
 	for {
 		if k.err != nil {
 			err := k.err
 			k.err = nil
-			return RunError, err
+			return nil, RunError, err
 		}
 		if k.paused {
-			return RunPaused, nil
+			return nil, RunPaused, nil
 		}
 		// The wall-budget check is amortized and abort-only: it never
 		// influences which process runs next, so a run that stays within
 		// budget is bit-identical to one with no budget armed.
-		iter++
+		k.iter++
 		k.fastSleeps = 0
-		if k.wallBudget > 0 && iter&4095 == 0 && time.Since(wallStart) > k.wallBudget {
+		if k.wallBudget > 0 && k.iter&4095 == 0 && time.Since(k.wallStart) > k.wallBudget {
 			k.commitStall(k.stallReport(false, true))
-			return RunStalled, nil
+			return nil, RunStalled, nil
 		}
 		if k.runHead < len(k.runnable) {
 			p := k.runnable[k.runHead]
@@ -559,23 +601,24 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 					PE: -1, Arg: int64(p.id), Actor: p.name,
 				})
 			}
-			k.dispatch(p)
-			continue
+			k.current = p
+			p.state = ProcRunning
+			return p, 0, nil
 		}
 		// No runnable process: advance time to the next notification.
 		if k.notes.Len() == 0 {
 			if k.watchLimit > 0 {
 				if r := k.stallReport(true, false); len(r.Procs) > 0 {
 					k.commitStall(r)
-					return RunStalled, nil
+					return nil, RunStalled, nil
 				}
 			}
-			return RunIdle, nil
+			return nil, RunIdle, nil
 		}
 		next := k.notes.peek()
-		if next.at > until {
-			k.now = until
-			return RunHorizon, nil
+		if next.at > k.until {
+			k.now = k.until
+			return nil, RunHorizon, nil
 		}
 		if k.watchLimit > 0 && next.at > k.progressAt+k.watchLimit {
 			// No token movement across a full watchdog span. Pretend
@@ -585,7 +628,7 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 			k.progressAt = next.at
 			if len(r.Procs) > 0 {
 				k.commitStall(r)
-				return RunStalled, nil
+				return nil, RunStalled, nil
 			}
 		}
 		if next.at > k.now {
@@ -607,9 +650,43 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 	}
 }
 
+// handoff gives up the baton from, a process that blocked or finished:
+// it picks the next process and resumes it, or wakes the driver when Run
+// must return. It reports whether from picked itself, in which case from
+// keeps running without a goroutine switch.
+func (k *Kernel) handoff(from *Proc) bool {
+	k.current = nil
+	next, res := k.pickOnProc()
+	switch next {
+	case from:
+		return true
+	case nil:
+		k.wake <- res
+	default:
+		next.resume <- struct{}{}
+	}
+	return false
+}
+
+// pickOnProc is pick on a process goroutine. A panic the scheduler
+// raises there belongs to the driver, not to the process that happened
+// to hold the baton, so it is caught here, before the process's own
+// recovers (crash containment, Proc.run) can see it, and handed to
+// RunUntil to re-raise.
+func (k *Kernel) pickOnProc() (next *Proc, res runResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			next, res = nil, runResult{panicked: true, value: r}
+		}
+	}()
+	next, res.status, res.err = k.pick()
+	return next, res
+}
+
 // Shutdown tears the kernel down: every process that has not finished
 // is resumed one last time with a poison mark and unwinds via a
-// sentinel panic, so no goroutine outlives the kernel. A debug server
+// sentinel panic, so no goroutine outlives the kernel. A poisoned
+// process hands the baton straight back to the driver; it never picks. A debug server
 // hosting many sessions calls this when a session is killed mid-run;
 // without it, parked process goroutines (blocked on the baton) would
 // leak for the life of the server. Must be called from the driver
@@ -626,7 +703,7 @@ func (k *Kernel) Shutdown() error {
 		p.state = ProcRunning
 		k.current = p
 		p.resume <- struct{}{}
-		<-k.yield
+		<-k.wake
 		k.current = nil
 	}
 	// Poison unwinds are expected; do not surface them as process errors.
@@ -634,15 +711,6 @@ func (k *Kernel) Shutdown() error {
 	k.runnable = nil
 	k.runHead = 0
 	return nil
-}
-
-// dispatch hands the baton to p and waits for it to yield back.
-func (k *Kernel) dispatch(p *Proc) {
-	k.current = p
-	p.state = ProcRunning
-	p.resume <- struct{}{}
-	<-k.yield
-	k.current = nil
 }
 
 // Blocked returns a DeadlockInfo if any live process is blocked on an
