@@ -28,29 +28,41 @@ func stateSkip(k Kind) bool { return k == KCheckpoint || k == KRestore }
 //     events cannot shift the comparison window;
 //   - the raw head/dropped counters are omitted (they count skipped
 //     events too).
+//
+// Each record's length prefix and fields go straight into w: no
+// per-event writer and no copy of the ring.
 func (r *Recorder) EncodeState(w *wire.Writer) {
-	var evs []Event
+	kept := 0
 	r.Range(func(ev Event) bool {
 		if !stateSkip(ev.Kind) {
-			evs = append(evs, ev)
+			kept++
 		}
 		return true
 	})
+	skip := 0
 	if r.head > uint64(len(r.ring)) { // wrapped: normalize the window
-		limit := len(r.ring) - ckptSlack
-		if limit < 0 {
-			limit = 0
-		}
-		if len(evs) > limit {
-			evs = evs[len(evs)-limit:]
-		}
+		limit := max(len(r.ring)-ckptSlack, 0)
+		skip = max(kept-limit, 0)
 	}
-	w.U32(uint32(len(evs)))
-	for _, ev := range evs {
-		rec := wire.NewWriter()
-		encodeEvent(rec, ev)
-		w.Bytes(rec.Data())
-	}
+	w.U32(uint32(kept - skip))
+	r.Range(func(ev Event) bool {
+		if stateSkip(ev.Kind) {
+			return true
+		}
+		if skip > 0 {
+			skip--
+			return true
+		}
+		w.U32(uint32(eventLen(ev)))
+		encodeEvent(w, ev)
+		return true
+	})
+}
+
+// eventLen is the length of ev's record as encodeEvent writes it: six
+// fixed-width scalars and four length-prefixed strings.
+func eventLen(ev Event) int {
+	return 8 + 1 + 4*8 + 4*4 + len(ev.Actor) + len(ev.Other) + len(ev.Port) + len(ev.Val)
 }
 
 func encodeEvent(w *wire.Writer, ev Event) {

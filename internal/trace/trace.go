@@ -120,61 +120,63 @@ func (r *Recorder) AttachWork(_ *lowdbg.Debugger, workSyms []string) {
 // Events translates the retained obs events into trace events.
 func (r *Recorder) Events() []Event {
 	var out []Event
-	for _, ev := range r.rec.Snapshot() {
-		switch ev.Kind {
-		case obs.KPush:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvPush, Fn: "pedf_link_push",
-				Actor: ev.Actor, Other: ev.Other, Port: ev.Port,
-				Link: int64(ev.Link), Value: ev.Val,
-			})
-		case obs.KPop:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvPop, Fn: "pedf_link_pop",
-				Actor: ev.Actor, Other: ev.Other, Port: ev.Port,
-				Link: int64(ev.Link), Value: ev.Val,
-			})
-		case obs.KFireBegin:
-			if r.workSyms[dbginfo.MangleFilterWork(ev.Actor)] {
-				out = append(out, Event{
-					At: sim.Time(ev.At), Kind: EvWork,
-					Fn: dbginfo.MangleFilterWork(ev.Actor), Actor: ev.Actor,
-				})
-			}
-		case obs.KCtlBegin:
-			if r.workSyms[dbginfo.MangleControllerWork(ev.Other)] {
-				out = append(out, Event{
-					At: sim.Time(ev.At), Kind: EvWork,
-					Fn: dbginfo.MangleControllerWork(ev.Other), Actor: ev.Actor,
-				})
-			}
-		case obs.KActorStart:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvSched, Fn: "pedf_actor_start", Actor: ev.Actor,
-			})
-		case obs.KActorSync:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvSched, Fn: "pedf_actor_sync", Actor: ev.Actor,
-			})
-		case obs.KStepBegin:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvSched, Fn: "pedf_step_begin", Actor: ev.Actor,
-			})
-		case obs.KStepEnd:
-			out = append(out, Event{
-				At: sim.Time(ev.At), Kind: EvSched, Fn: "pedf_step_end", Actor: ev.Actor,
-			})
-		}
-	}
+	r.each(func(e Event) { out = append(out, e) })
 	return out
+}
+
+// each calls fn for every retained obs event that translates into a
+// trace event, oldest first, folding over the ring without copying it.
+func (r *Recorder) each(fn func(Event)) {
+	r.rec.Range(func(ev obs.Event) bool {
+		if e, ok := r.translate(ev); ok {
+			fn(e)
+		}
+		return true
+	})
+}
+
+// translate maps one obs event into the trace-analysis model, reporting
+// false for kinds (and WORK firings of unselected actors) the model
+// leaves out.
+func (r *Recorder) translate(ev obs.Event) (Event, bool) {
+	at := sim.Time(ev.At)
+	switch ev.Kind {
+	case obs.KPush:
+		return Event{
+			At: at, Kind: EvPush, Fn: "pedf_link_push",
+			Actor: ev.Actor, Other: ev.Other, Port: ev.Port,
+			Link: int64(ev.Link), Value: ev.Val,
+		}, true
+	case obs.KPop:
+		return Event{
+			At: at, Kind: EvPop, Fn: "pedf_link_pop",
+			Actor: ev.Actor, Other: ev.Other, Port: ev.Port,
+			Link: int64(ev.Link), Value: ev.Val,
+		}, true
+	case obs.KFireBegin:
+		if fn := dbginfo.MangleFilterWork(ev.Actor); r.workSyms[fn] {
+			return Event{At: at, Kind: EvWork, Fn: fn, Actor: ev.Actor}, true
+		}
+	case obs.KCtlBegin:
+		if fn := dbginfo.MangleControllerWork(ev.Other); r.workSyms[fn] {
+			return Event{At: at, Kind: EvWork, Fn: fn, Actor: ev.Actor}, true
+		}
+	case obs.KActorStart:
+		return Event{At: at, Kind: EvSched, Fn: "pedf_actor_start", Actor: ev.Actor}, true
+	case obs.KActorSync:
+		return Event{At: at, Kind: EvSched, Fn: "pedf_actor_sync", Actor: ev.Actor}, true
+	case obs.KStepBegin:
+		return Event{At: at, Kind: EvSched, Fn: "pedf_step_begin", Actor: ev.Actor}, true
+	case obs.KStepEnd:
+		return Event{At: at, Kind: EvSched, Fn: "pedf_step_end", Actor: ev.Actor}, true
+	}
+	return Event{}, false
 }
 
 // CountByKind tallies events per kind.
 func (r *Recorder) CountByKind() map[EventKind]int {
 	out := make(map[EventKind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
+	r.each(func(e Event) { out[e.Kind]++ })
 	return out
 }
 
@@ -183,38 +185,44 @@ func (r *Recorder) CountByKind() map[EventKind]int {
 // rate mismatches offline.
 func (r *Recorder) LinkBalance() map[int64]int {
 	out := make(map[int64]int)
-	for _, e := range r.Events() {
+	r.each(func(e Event) {
 		switch e.Kind {
 		case EvPush:
 			out[e.Link]++
 		case EvPop:
 			out[e.Link]--
 		}
-	}
+	})
 	return out
 }
 
 // ActorActivity returns per-actor event counts.
 func (r *Recorder) ActorActivity() map[string]int {
 	out := make(map[string]int)
-	for _, e := range r.Events() {
+	r.each(func(e Event) {
 		if e.Actor != "" {
 			out[e.Actor]++
 		}
-	}
+	})
 	return out
 }
 
 // Dump renders the last n events (all if n <= 0).
 func (r *Recorder) Dump(n int) string {
-	evs := r.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
+	skip := 0
+	if n > 0 {
+		total := 0
+		r.each(func(Event) { total++ })
+		skip = max(total-n, 0)
 	}
 	var b strings.Builder
-	for _, e := range evs {
+	r.each(func(e Event) {
+		if skip > 0 {
+			skip--
+			return
+		}
 		b.WriteString(e.String())
 		b.WriteByte('\n')
-	}
+	})
 	return b.String()
 }
