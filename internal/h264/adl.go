@@ -222,11 +222,7 @@ func BuildFromADL(rt *pedf.Runtime, p Params, bits []byte) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	feed := make([]filterc.Value, len(bits))
-	for i, by := range bits {
-		feed[i] = filterc.Int(filterc.U8, int64(by))
-	}
-	if err := rt.FeedInput(top.Port("stream"), feed); err != nil {
+	if err := rt.FeedBytes(top.Port("stream"), bits); err != nil {
 		return nil, err
 	}
 	col, err := rt.CollectOutput(top.Port("frame"))

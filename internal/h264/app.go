@@ -306,11 +306,7 @@ func BuildVariant(rt *pedf.Runtime, p Params, bits []byte, bug Bug) (*App, error
 		}
 	}
 
-	feed := make([]filterc.Value, len(bits))
-	for i, by := range bits {
-		feed[i] = filterc.Int(filterc.U8, int64(by))
-	}
-	if err := rt.FeedInput(streamIn, feed); err != nil {
+	if err := rt.FeedBytes(streamIn, bits); err != nil {
 		return nil, err
 	}
 	col, err := rt.CollectOutput(frameOut)

@@ -14,7 +14,7 @@ type Feed struct {
 func (rt *Runtime) Feeds() []Feed {
 	out := make([]Feed, 0, len(rt.feeders))
 	for _, f := range rt.feeders {
-		out = append(out, Feed{Src: f.src, Count: len(f.values)})
+		out = append(out, Feed{Src: f.src, Count: f.count()})
 	}
 	return out
 }

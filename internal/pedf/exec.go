@@ -347,8 +347,8 @@ func (rt *Runtime) spawnActors() {
 	for i := range rt.feeders {
 		fs := rt.feeders[i]
 		rt.M.SpawnOn(rt.M.Host, "env.feed."+fs.src.Name, func(p *sim.Proc) {
-			for _, v := range fs.values {
-				if err := fs.src.link.push(p, nil, rt.M.Host, v); err != nil {
+			for i := 0; i < fs.count(); i++ {
+				if err := fs.src.link.push(p, nil, rt.M.Host, fs.token(i)); err != nil {
 					panic(err)
 				}
 			}

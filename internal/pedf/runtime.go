@@ -111,10 +111,23 @@ type bindSpec struct {
 	a, b *Port
 }
 
-// feederSpec is a recorded external input feed.
+// feederSpec is a recorded external input feed: a token sequence, or a
+// byte stream pushed as u8 tokens.
 type feederSpec struct {
 	src    *Port // environment-side output port
 	values []filterc.Value
+	bytes  []byte
+}
+
+// count is the number of tokens the feed pushes.
+func (fs *feederSpec) count() int { return len(fs.values) + len(fs.bytes) }
+
+// token returns the feed's i-th token.
+func (fs *feederSpec) token(i int) filterc.Value {
+	if fs.bytes != nil {
+		return filterc.Int(filterc.U8, int64(fs.bytes[i]))
+	}
+	return fs.values[i]
 }
 
 // Runtime hosts a PEDF application on a machine, under an optional
@@ -606,15 +619,26 @@ func resolve(p *Port) (*Port, error) {
 // FeedInput connects a top-level module input port to the environment
 // and schedules the given token sequence to be pushed from the host.
 func (rt *Runtime) FeedInput(port *Port, values []filterc.Value) error {
+	return rt.feed("FeedInput", port, feederSpec{values: values})
+}
+
+// FeedBytes is FeedInput for a byte stream: each byte is pushed as a u8
+// token, made as it is pushed instead of held as one token per byte for
+// the life of the world.
+func (rt *Runtime) FeedBytes(port *Port, bytes []byte) error {
+	return rt.feed("FeedBytes", port, feederSpec{bytes: bytes})
+}
+
+func (rt *Runtime) feed(op string, port *Port, fs feederSpec) error {
 	if rt.started {
 		return fmt.Errorf("pedf: cannot feed after Start")
 	}
 	if port.Dir != In {
-		return fmt.Errorf("pedf: FeedInput on non-input %s", port.Qualified())
+		return fmt.Errorf("pedf: %s on non-input %s", op, port.Qualified())
 	}
-	src := &Port{ActorName: EnvActor, Name: "feed_" + port.Name, Dir: Out, Type: port.Type}
-	rt.binds = append(rt.binds, bindSpec{a: src, b: port})
-	rt.feeders = append(rt.feeders, feederSpec{src: src, values: values})
+	fs.src = &Port{ActorName: EnvActor, Name: "feed_" + port.Name, Dir: Out, Type: port.Type}
+	rt.binds = append(rt.binds, bindSpec{a: fs.src, b: port})
+	rt.feeders = append(rt.feeders, fs)
 	return nil
 }
 
