@@ -16,7 +16,9 @@
 //     path — is opt-in (SetPayloads) and only the post-mortem trace
 //     comparator asks for it.
 //   - Single writer per kernel: the baton-passing protocol guarantees
-//     one process runs at a time, so the ring needs no locks. Metrics
+//     one process runs at a time, and the kernel's scheduler records on
+//     whichever goroutine holds the baton (the driver or the process
+//     handing it on), so the ring needs no locks. Metrics
 //     use atomics so an optional net/http exposition endpoint can read
 //     them from another goroutine.
 //   - Passive: recording never notifies events, sleeps, or touches

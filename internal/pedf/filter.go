@@ -228,7 +228,7 @@ func (f *Filter) schedArgs() []lowdbg.Arg {
 	return f.schedList
 }
 
-// flushLazy pays the banked statement cycles with one baton round trip.
+// flushLazy pays the banked statement cycles with one baton handoff.
 // Must run before every action whose timestamp or ordering another
 // process can observe: pushing/popping a token, reading link occupancy,
 // or stamping the end of a firing.

@@ -7,8 +7,8 @@ import (
 )
 
 // TestSleepFastPathSkipsDispatch verifies the inline sleep fast path: a
-// lone runnable process advancing the clock must not pay a kernel
-// round-trip per sleep. The clock and the advance counter behave as if
+// lone runnable process advancing the clock must not pay a scheduler
+// pass per sleep. The clock and the advance counter behave as if
 // every sleep had gone through the note heap.
 func TestSleepFastPathSkipsDispatch(t *testing.T) {
 	const n = 10_000

@@ -220,8 +220,8 @@ func (p *Proc) SleepSteps(n int, step Duration) {
 
 // takeSteps pays p's owed steps, inline while the fast path allows, and
 // arms the timer for the first one it cannot, reporting whether it did.
-// p holds the baton, or, between steps, the run loop calls it in place of
-// dispatching p.
+// p holds the baton, or, between steps, the scheduler calls it in place
+// of dispatching p.
 func (k *Kernel) takeSteps(p *Proc) bool {
 	for p.steps > 0 {
 		p.steps--

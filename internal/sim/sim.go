@@ -249,7 +249,7 @@ type Kernel struct {
 
 	// Batched-execution support (DESIGN §12). RunUntil mirrors its horizon
 	// in `until` so Proc.Sleep can advance the clock inline — no note
-	// allocation, no baton round-trip — when the sleeping process is
+	// allocation, no scheduler pass — when the sleeping process is
 	// provably the only thing the kernel could run next. fastSleeps counts
 	// consecutive inline advances and forces a full scheduler pass every
 	// 4096 so the wall-budget check stays live.
