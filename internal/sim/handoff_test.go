@@ -23,10 +23,10 @@ func settleGoroutines(t *testing.T, base int) {
 
 // runRecovering runs k to completion and returns what RunUntil panicked
 // with, if anything.
-func runRecovering(k *Kernel) (st RunStatus, err error, panicked any) {
+func runRecovering(k *Kernel) (st RunStatus, panicked any, err error) {
 	defer func() { panicked = recover() }()
 	st, err = k.Run()
-	return st, err, nil
+	return st, nil, err
 }
 
 // TestSchedulerPanicReachesDriver pins the failure route of the direct
@@ -68,7 +68,7 @@ func TestSchedulerPanicReachesDriver(t *testing.T) {
 					panic(boom)
 				}
 			})
-			st, err, got := runRecovering(k)
+			st, got, err := runRecovering(k)
 			if got != boom {
 				t.Fatalf("Run = %v %v, panicked %v; want a re-raised %v", st, err, got, boom)
 			}
@@ -96,7 +96,7 @@ func TestProcessPanicIsRunError(t *testing.T) {
 		p.Sleep(3)
 		panic("body boom")
 	})
-	st, err, got := runRecovering(k)
+	st, got, err := runRecovering(k)
 	var pe *PanicError
 	if got != nil || st != RunError || !errors.As(err, &pe) || pe.Proc != "crasher" || pe.Value != "body boom" {
 		t.Fatalf("Run = %v %v, panicked %v; want RunError with crasher's PanicError", st, err, got)
