@@ -531,19 +531,19 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 	}
 	p.resume <- struct{}{}
 	res := <-k.wake
-	if res.panicked {
-		panic(res.value)
+	if res.panicked != nil {
+		panic(res.panicked)
 	}
 	return res.status, res.err
 }
 
 // runResult is what the baton holder hands the driver when Run returns:
-// a status, or a panic the scheduler raised on a process goroutine.
+// a status, or the value of a panic the scheduler raised on a process
+// goroutine.
 type runResult struct {
 	status   RunStatus
 	err      error
-	panicked bool
-	value    any
+	panicked any
 }
 
 // pick is the scheduler. It fires due notes and advances the clock until
@@ -676,7 +676,7 @@ func (k *Kernel) handoff(from *Proc) bool {
 func (k *Kernel) pickOnProc() (next *Proc, res runResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			next, res = nil, runResult{panicked: true, value: r}
+			next, res = nil, runResult{panicked: r}
 		}
 	}()
 	next, res.status, res.err = k.pick()
