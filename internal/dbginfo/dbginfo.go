@@ -13,6 +13,7 @@ package dbginfo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -199,29 +200,92 @@ func (t *Table) Files() []string {
 // for line breakpoints and stepping.
 type LineTable struct {
 	File  string
-	stmts []stmtEntry
+	stmts []Stmt // sorted by line
+	// mixed is set once some line holds statements of two functions;
+	// see AddStmts.
+	mixed bool
 }
 
-type stmtEntry struct {
-	line int
-	fn   string // mangled function name covering the line
+// Stmt is one executable statement: its line and the (mangled)
+// function covering it.
+type Stmt struct {
+	Line int
+	Func string
 }
 
 // AddStmt records that `line` holds an executable statement inside fn.
 func (lt *LineTable) AddStmt(line int, fn string) {
-	lt.stmts = append(lt.stmts, stmtEntry{line: line, fn: fn})
-	sort.Slice(lt.stmts, func(i, j int) bool { return lt.stmts[i].line < lt.stmts[j].line })
+	lt.AddStmts([]Stmt{{Line: line, Func: fn}})
+}
+
+// AddStmts records a batch of statements. The table is the one AddStmt
+// on each statement in turn used to build by appending and re-sorting:
+// the same lines, and among equal lines the same functions in the same
+// order. While no line holds two functions, equal lines are equal
+// entries, so one stable merge of the batch gives that table in linear
+// time. Once some line holds two functions, the order among them is
+// whatever the re-sorting left, so the table is built the old way.
+func (lt *LineTable) AddStmts(batch []Stmt) {
+	byLine := func(a, b Stmt) int { return a.Line - b.Line }
+	sorted := batch
+	if !slices.IsSortedFunc(batch, byLine) {
+		sorted = slices.Clone(batch)
+		slices.SortStableFunc(sorted, byLine)
+	}
+	if !lt.mixed && !lt.mixes(sorted) {
+		lt.merge(sorted)
+		return
+	}
+	lt.mixed = true
+	for _, s := range batch {
+		lt.stmts = append(lt.stmts, s)
+		sort.Slice(lt.stmts, func(i, j int) bool { return lt.stmts[i].Line < lt.stmts[j].Line })
+	}
+}
+
+// mixes reports whether adding the line-sorted batch would put two
+// functions on one line.
+func (lt *LineTable) mixes(sorted []Stmt) bool {
+	i, j := 0, 0
+	var prev *Stmt
+	for i < len(lt.stmts) || j < len(sorted) {
+		var s *Stmt
+		if j == len(sorted) || (i < len(lt.stmts) && lt.stmts[i].Line <= sorted[j].Line) {
+			s, i = &lt.stmts[i], i+1
+		} else {
+			s, j = &sorted[j], j+1
+		}
+		if prev != nil && prev.Line == s.Line && prev.Func != s.Func {
+			return true
+		}
+		prev = s
+	}
+	return false
+}
+
+// merge adds the line-sorted batch after the table's equal lines,
+// merging from the back in place.
+func (lt *LineTable) merge(sorted []Stmt) {
+	i, j := len(lt.stmts)-1, len(sorted)-1
+	lt.stmts = append(lt.stmts, sorted...)
+	for k := len(lt.stmts) - 1; j >= 0; k-- {
+		if i >= 0 && lt.stmts[i].Line > sorted[j].Line {
+			lt.stmts[k], i = lt.stmts[i], i-1
+		} else {
+			lt.stmts[k], j = sorted[j], j-1
+		}
+	}
 }
 
 // NearestStmt returns the first statement line >= line, matching GDB's
 // "break file:line slides forward to the next statement" behaviour. The
 // boolean reports whether any statement exists at or after line.
 func (lt *LineTable) NearestStmt(line int) (stmtLine int, fn string, ok bool) {
-	i := sort.Search(len(lt.stmts), func(i int) bool { return lt.stmts[i].line >= line })
+	i := sort.Search(len(lt.stmts), func(i int) bool { return lt.stmts[i].Line >= line })
 	if i == len(lt.stmts) {
 		return 0, "", false
 	}
-	return lt.stmts[i].line, lt.stmts[i].fn, true
+	return lt.stmts[i].Line, lt.stmts[i].Func, true
 }
 
 // HasStmt reports whether the exact line holds a statement.
@@ -233,8 +297,8 @@ func (lt *LineTable) HasStmt(line int) bool {
 // FuncAt returns the function covering the statement at line ("" if none).
 func (lt *LineTable) FuncAt(line int) string {
 	for _, e := range lt.stmts {
-		if e.line == line {
-			return e.fn
+		if e.Line == line {
+			return e.Func
 		}
 	}
 	return ""
@@ -244,7 +308,7 @@ func (lt *LineTable) FuncAt(line int) string {
 func (lt *LineTable) Stmts() []int {
 	out := make([]int, len(lt.stmts))
 	for i, e := range lt.stmts {
-		out[i] = e.line
+		out[i] = e.Line
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package dbginfo
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,5 +229,49 @@ func TestKindStrings(t *testing.T) {
 func TestPrettyWork(t *testing.T) {
 	if PrettyWork("ipf") != "ipf::work" {
 		t.Errorf("PrettyWork = %q", PrettyWork("ipf"))
+	}
+}
+
+// TestAddStmtsMatchesResort checks the batched line table against the
+// way it used to be built: append each statement and re-sort the whole
+// table. Batches repeat (several actors share one source file), arrive
+// in and out of line order, and sometimes put two functions on one
+// line; the tables must be identical entry for entry.
+func TestAddStmtsMatchesResort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fns := []string{"work", "init", "helper"}
+	for round := 0; round < 300; round++ {
+		var ref []Stmt
+		lt := &LineTable{}
+		lines := 5 + rng.Intn(60)
+		mixing := rng.Intn(3) == 0
+		var batches [][]Stmt
+		for b := 0; b < 1+rng.Intn(4); b++ {
+			var batch []Stmt
+			for i := 0; i < rng.Intn(40); i++ {
+				line := 1 + rng.Intn(lines)
+				fn := fns[line%2]
+				if mixing && rng.Intn(8) == 0 {
+					fn = fns[rng.Intn(len(fns))]
+				}
+				batch = append(batch, Stmt{Line: line, Func: fn})
+			}
+			if rng.Intn(2) == 0 {
+				slices.SortStableFunc(batch, func(a, b Stmt) int { return a.Line - b.Line })
+			}
+			batches = append(batches, batch)
+		}
+		for rep := 0; rep < 1+rng.Intn(3); rep++ { // instances sharing sources
+			for _, batch := range batches {
+				for _, s := range batch {
+					ref = append(ref, s)
+					sort.Slice(ref, func(i, j int) bool { return ref[i].Line < ref[j].Line })
+				}
+				lt.AddStmts(batch)
+			}
+		}
+		if !slices.Equal(lt.stmts, ref) {
+			t.Fatalf("round %d: AddStmts built\n%v\nre-sorting built\n%v", round, lt.stmts, ref)
+		}
 	}
 }

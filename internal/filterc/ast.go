@@ -16,6 +16,9 @@ type Program struct {
 
 	codeOnce sync.Once
 	code     *Code // built on first execution, see compiled
+
+	stmtsOnce sync.Once
+	stmts     []StmtLine // built on first use, see StmtLines
 }
 
 // Func returns a function by name, or nil.
@@ -251,14 +254,16 @@ type StmtLine struct {
 }
 
 // StmtLines lists every executable statement of the program in source
-// order, for registration into a dbginfo.LineTable.
+// order, for registration into a dbginfo.LineTable. The list is built
+// once per program (an interned program serves every world that
+// instantiates it) and shared: callers must not modify it.
 func (p *Program) StmtLines() []StmtLine {
-	var out []StmtLine
-	for _, name := range p.Order {
-		fn := p.Funcs[name]
-		collectStmtLines(fn.Body, name, &out)
-	}
-	return out
+	p.stmtsOnce.Do(func() {
+		for _, name := range p.Order {
+			collectStmtLines(p.Funcs[name].Body, name, &p.stmts)
+		}
+	})
+	return p.stmts
 }
 
 func collectStmtLines(s Stmt, fn string, out *[]StmtLine) {

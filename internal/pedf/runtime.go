@@ -170,7 +170,8 @@ type Runtime struct {
 	batchHold   string // non-empty demotes every region (e.g. debug client attached)
 	batchWired  bool   // arm/fault watchers installed
 
-	payloadBuf []byte // reused rendering buffer (see payload)
+	payloadBuf []byte         // reused rendering buffer (see payload)
+	stmtBuf    []dbginfo.Stmt // reused line-table batch (see newActor)
 }
 
 // payload renders a token value for an obs event's Val. The rendering
@@ -417,10 +418,11 @@ func (rt *Runtime) newActor(m *Module, name string, role Role, source, sourceFil
 		if rt.Dbg != nil {
 			rt.Dbg.AddSource(sourceFile, source)
 		}
-		lt := rt.Syms.LineTableFor(sourceFile)
+		rt.stmtBuf = rt.stmtBuf[:0]
 		for _, sl := range prog.StmtLines() {
-			lt.AddStmt(sl.Line, sl.Func)
+			rt.stmtBuf = append(rt.stmtBuf, dbginfo.Stmt(sl))
 		}
+		rt.Syms.LineTableFor(sourceFile).AddStmts(rt.stmtBuf)
 	}
 	for _, v := range data {
 		val := initValue(v)
