@@ -330,11 +330,15 @@ func (d *Debugger) CatchScheduledOf(filter string) (*Catchpoint, error) {
 
 // ---- evaluation from the event actions ----
 
-// finishCatch handles bookkeeping shared by all hits.
-func (d *Debugger) hitCatch(c *Catchpoint, ctx *lowdbg.StopCtx, note string) lowdbg.Disposition {
+// hitCatch handles bookkeeping shared by all hits. walk is the calling
+// loop's view of d.catchpoints, which the loops walk without copying:
+// deleting a one-shot catchpoint edits the live list in place, so the
+// walk moves to a copy first.
+func (d *Debugger) hitCatch(walk *[]*Catchpoint, c *Catchpoint, ctx *lowdbg.StopCtx, note string) lowdbg.Disposition {
 	c.Hits++
 	c.rearm()
 	if c.OneShot {
+		*walk = append([]*Catchpoint(nil), *walk...)
 		_ = d.DeleteCatch(c.ID)
 	}
 	ctx.StopNote = note
@@ -343,21 +347,23 @@ func (d *Debugger) hitCatch(c *Catchpoint, ctx *lowdbg.StopCtx, note string) low
 
 func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	cps := d.catchpoints
+	for i := 0; i < len(cps); i++ {
+		c := cps[i]
 		if !c.Enabled {
 			continue
 		}
 		switch c.Kind {
 		case CatchCondition:
 			if c.when != nil && c.when(d) {
-				disp = d.hitCatch(c, ctx, fmt.Sprintf("[Stopped: condition %s became true]", c.Spec))
+				disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf("[Stopped: condition %s became true]", c.Spec))
 			}
 		case CatchReceive:
 			if c.Actor != conn.Actor.Name || !condsTouch(c, conn) {
 				continue
 			}
 			if allSatisfied(c) {
-				disp = d.hitCatch(c, ctx, fmt.Sprintf(
+				disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 					"[Stopped after receiving token from `%s']", conn.Qualified()))
 			}
 		case CatchContent:
@@ -365,7 +371,7 @@ func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *
 				continue
 			}
 			if c.pred(tok.Hop.Val) {
-				disp = d.hitCatch(c, ctx, fmt.Sprintf(
+				disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 					"[Stopped: token content matched %s on `%s']", c.Spec, conn.Qualified()))
 			}
 		}
@@ -375,13 +381,15 @@ func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *
 
 func (d *Debugger) evalSendCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	cps := d.catchpoints
+	for i := 0; i < len(cps); i++ {
+		c := cps[i]
 		if !c.Enabled {
 			continue
 		}
 		if c.Kind == CatchCondition {
 			if c.when != nil && c.when(d) {
-				disp = d.hitCatch(c, ctx, fmt.Sprintf("[Stopped: condition %s became true]", c.Spec))
+				disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf("[Stopped: condition %s became true]", c.Spec))
 			}
 			continue
 		}
@@ -392,7 +400,7 @@ func (d *Debugger) evalSendCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Tok
 			continue
 		}
 		if allSatisfied(c) {
-			disp = d.hitCatch(c, ctx, fmt.Sprintf(
+			disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 				"[Stopped after sending token on `%s']", conn.Qualified()))
 		}
 	}
@@ -407,12 +415,14 @@ func (d *Debugger) evalStepCatch(ctx *lowdbg.StopCtx, module string, atEnd bool)
 		boundary = "end"
 	}
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	cps := d.catchpoints
+	for i := 0; i < len(cps); i++ {
+		c := cps[i]
 		if !c.Enabled || c.Kind != want || c.Actor != module {
 			continue
 		}
 		step := lowdbg.ArgInt(ctx.Args, "step")
-		disp = d.hitCatch(c, ctx, fmt.Sprintf(
+		disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 			"[Stopped at the %s of step %d of module `%s']", boundary, step, module))
 	}
 	return disp
@@ -420,11 +430,13 @@ func (d *Debugger) evalStepCatch(ctx *lowdbg.StopCtx, module string, atEnd bool)
 
 func (d *Debugger) evalScheduledCatch(ctx *lowdbg.StopCtx, a *Actor) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	cps := d.catchpoints
+	for i := 0; i < len(cps); i++ {
+		c := cps[i]
 		if !c.Enabled || c.Kind != CatchScheduled || c.Actor != a.Name {
 			continue
 		}
-		disp = d.hitCatch(c, ctx, fmt.Sprintf(
+		disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 			"[Stopped: controller scheduled filter `%s' for execution]", a.Name))
 	}
 	return disp

@@ -102,6 +102,32 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 //     interface) and the dataflow layer's Token object;
 //   - pop: the boxed index argument and the boxed return value.
 func TestLinkAttachedAllocs(t *testing.T) {
+	if got := attachedCycleAllocs(t, nil); got != 5 {
+		t.Errorf("attached push/pop cycle allocates %.0f objects, want 5", got)
+	}
+}
+
+// TestLinkAttachedCatchAllocs extends the budget to armed catchpoints
+// that never hit: evaluating them on every send and receive walks the
+// live catchpoint list, so the cycle allocates exactly what it does
+// with none armed.
+func TestLinkAttachedCatchAllocs(t *testing.T) {
+	arm := func(d *core.Debugger) {
+		d.CatchWhen("never", func(*core.Debugger) bool { return false })
+		if _, err := d.CatchContentOf("b::i", "== -1", func(v filterc.Value) bool { return v.I == -1 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := attachedCycleAllocs(t, arm); got != 5 {
+		t.Errorf("attached push/pop cycle with catchpoints armed allocates %.0f objects, want 5", got)
+	}
+}
+
+// attachedCycleAllocs measures the objects one push/pop cycle allocates
+// on a bare link with lowdbg and the dataflow layer attached, after arm
+// (if set) armed the dataflow layer.
+func attachedCycleAllocs(t *testing.T, arm func(*core.Debugger)) float64 {
+	t.Helper()
 	k := sim.NewKernel()
 	low := lowdbg.New(k, dbginfo.NewTable())
 	d := core.Attach(low)
@@ -112,6 +138,9 @@ func TestLinkAttachedAllocs(t *testing.T) {
 	cycles := 0
 	k.Spawn("bench", func(p *sim.Proc) {
 		announceBind(p, rt, l)
+		if arm != nil {
+			arm(d)
+		}
 		var dst filterc.Value
 		cycle := func() {
 			if err := l.push(p, nil, m.Host, filterc.Int(filterc.U32, int64(cycles))); err != nil {
@@ -139,8 +168,5 @@ func TestLinkAttachedAllocs(t *testing.T) {
 	if len(links) != 1 || links[0].TotalPushed != uint64(cycles) || links[0].TotalPopped != uint64(cycles) {
 		t.Fatalf("dataflow layer did not model the cycles: %v", links)
 	}
-	const want = 5
-	if perCycle != want {
-		t.Errorf("attached push/pop cycle allocates %.0f objects, want %d", perCycle, want)
-	}
+	return perCycle
 }
