@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,16 +134,17 @@ func renderLabels(labels []string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	var buf [128]byte
+	b := append(buf[:0], '{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		b = append(b, labels[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 func (r *Registry) register(m *metric) *metric {

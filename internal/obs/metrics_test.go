@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -193,5 +194,40 @@ func TestSnapshot(t *testing.T) {
 		if snap[i] != w {
 			t.Errorf("snapshot[%d] = %+v, want %+v", i, snap[i], w)
 		}
+	}
+}
+
+// renderLabels must render exactly what fmt's `%s=%q` rendering did,
+// since label strings are part of every metric's identity and of the
+// exposition output.
+func TestRenderLabelsMatchesFmt(t *testing.T) {
+	viaFmt := func(labels []string) string {
+		if len(labels) == 0 {
+			return ""
+		}
+		var b strings.Builder
+		b.WriteByte('{')
+		for i := 0; i+1 < len(labels); i += 2 {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		}
+		b.WriteByte('}')
+		return b.String()
+	}
+	values := []string{"", "mb", `quo"te`, `back\slash`, "tab\tnew\nline", "ünïcode", "\x00\x7f", "bad\xffutf8",
+		" ", strings.Repeat("long", 60)}
+	cases := [][]string{nil, {"k"}, {"actor", "mb"}, {"a", "1", "b", "2", "odd"}}
+	for i, v := range values {
+		cases = append(cases, []string{"k", v}, []string{"x" + v, v, "y", values[(i+1)%len(values)]})
+	}
+	for _, labels := range cases {
+		if got, want := renderLabels(labels), viaFmt(labels); got != want {
+			t.Errorf("renderLabels(%q) = %s, want %s", labels, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { renderLabels([]string{"actor", "filter.mb", "pe", "3"}) }); allocs > 1 {
+		t.Errorf("renderLabels allocates %.0f times, want 1", allocs)
 	}
 }
