@@ -1,47 +1,115 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
-// TestSlotCommitEquivalentToRecord checks the in-place reservation path
-// produces the same ring contents and tap sequence as Record.
-func TestSlotCommitEquivalentToRecord(t *testing.T) {
-	a := NewRecorder(8)
-	b := NewRecorder(8)
-	var tapped []uint64
-	b.SetTap(func(ev Event, seq uint64) { tapped = append(tapped, seq) })
-	for i := 0; i < 12; i++ { // wraps the 8-slot ring
-		ev := Event{At: uint64(i), Kind: KPush, Arg: int64(i)}
-		a.Record(ev)
-		*b.Slot() = ev
-		b.Commit()
+// TestRecordPayloadDoesNotAllocate pins the ring's recording path: once a
+// recorder knows an event's names, Record (payload included, ring
+// wrapped) and RecordPayload are free of per-event heap traffic.
+func TestRecordPayloadDoesNotAllocate(t *testing.T) {
+	r := NewRecorder(16)
+	actor := "filter." + strings.Repeat("x", 3) // a name built at run time
+	ev := Event{At: 1, Kind: KPush, PE: 2, Link: 3, Actor: actor, Other: "ctl", Port: "o", Val: "[1, 2, 3]"}
+	payload := []byte("{re = 4, im = -1}")
+	for i := 0; i < 40; i++ { // learn the names, wrap the ring, size the arena
+		r.Record(ev)
+		r.RecordPayload(ev, payload)
 	}
-	evA, evB := a.Snapshot(), b.Snapshot()
-	if len(evA) != len(evB) {
-		t.Fatalf("lengths differ: %d vs %d", len(evA), len(evB))
+	if allocs := testing.AllocsPerRun(1000, func() { r.Record(ev) }); allocs != 0 {
+		t.Errorf("Record allocates %.1f objects per event, want 0", allocs)
 	}
-	for i := range evA {
-		if evA[i] != evB[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, evA[i], evB[i])
-		}
+	if allocs := testing.AllocsPerRun(1000, func() { r.RecordPayload(ev, payload) }); allocs != 0 {
+		t.Errorf("RecordPayload allocates %.1f objects per event, want 0", allocs)
 	}
-	if len(tapped) != 12 || tapped[0] != 0 || tapped[11] != 11 {
-		t.Fatalf("tap saw %v, want sequences 0..11", tapped)
+	last := r.Snapshot()[r.Len()-1]
+	if want := (Event{At: 1, Kind: KPush, PE: 2, Link: 3, Actor: actor, Other: "ctl", Port: "o", Val: string(payload)}); last != want {
+		t.Errorf("last event = %+v, want %+v", last, want)
 	}
 }
 
-// TestSlotCommitDoesNotAllocate pins the point of the reservation API:
-// the ring is the arena, so recording through Slot/Commit is free of
-// per-event heap traffic.
-func TestSlotCommitDoesNotAllocate(t *testing.T) {
-	r := NewRecorder(16)
-	allocs := testing.AllocsPerRun(1000, func() {
-		*r.Slot() = Event{At: 1, Kind: KPop}
-		r.Commit()
-	})
-	if allocs != 0 {
-		t.Errorf("Slot/Commit allocates %.1f objects per event, want 0", allocs)
+// TestRecordRoundTrip checks the compact ring against the events it was
+// given: over random capacities, names (literals and strings built at
+// run time, so equal names arrive at different addresses) and payloads
+// (up to several arena growths and wraps), Snapshot, Range and Window
+// return exactly the newest min(n, cap) events, the tap sees every event
+// with its sequence number, and RecordPayload stores what Record does.
+func TestRecordRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pool := []string{"", "a", "filter.mb", "ctl", "pop:i", "push:o"}
+	name := func() string {
+		if rng.Intn(4) == 0 {
+			return fmt.Sprintf("n%d", rng.Intn(20))
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	for round := 0; round < 200; round++ {
+		capacity := 1 + rng.Intn(64)
+		n := rng.Intn(300)
+		r := NewRecorder(capacity)
+		var tapped []uint64
+		r.SetTap(func(ev Event, seq uint64) { tapped = append(tapped, seq) })
+		var all []Event
+		for i := 0; i < n; i++ {
+			ev := Event{
+				At: uint64(i), Kind: Kind(1 + rng.Intn(int(numKinds)-1)), PE: int32(rng.Intn(5) - 1),
+				Link: int32(rng.Intn(9)), Arg: rng.Int63(), Arg2: -rng.Int63(),
+				Actor: name(), Other: name(), Port: name(),
+			}
+			if rng.Intn(3) > 0 {
+				ev.Val = strings.Repeat(fmt.Sprint(i%10), rng.Intn(1+rng.Intn(600)))
+			}
+			all = append(all, ev)
+			if rng.Intn(2) == 0 {
+				r.RecordPayload(Event{At: ev.At, Kind: ev.Kind, PE: ev.PE, Link: ev.Link,
+					Arg: ev.Arg, Arg2: ev.Arg2, Actor: ev.Actor, Other: ev.Other, Port: ev.Port,
+					Val: "ignored"}, []byte(ev.Val))
+			} else {
+				r.Record(ev)
+			}
+		}
+		want := all[max(n-capacity, 0):]
+		check := func(what string, got []Event) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("round %d %s: %d events, want %d", round, what, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("round %d %s: event %d = %+v, want %+v", round, what, i, got[i], want[i])
+				}
+			}
+		}
+		check("Snapshot", r.Snapshot())
+		var ranged []Event
+		r.Range(func(ev Event) bool { ranged = append(ranged, ev); return true })
+		check("Range", ranged)
+		windowed, first := r.Window(0, 0)
+		if first != uint64(n-len(want)) {
+			t.Fatalf("round %d: Window starts at %d, want %d", round, first, n-len(want))
+		}
+		check("Window", windowed)
+		if from, limit := uint64(rng.Intn(n+1)), rng.Intn(8); from >= first {
+			got, _ := r.Window(from, limit)
+			end := min(int(from-first)+limit, len(want))
+			if limit == 0 {
+				end = len(want)
+			}
+			if len(got) != max(end-int(from-first), 0) {
+				t.Fatalf("round %d: Window(%d, %d) returned %d events", round, from, limit, len(got))
+			}
+			for i := range got {
+				if got[i] != want[int(from-first)+i] {
+					t.Fatalf("round %d: Window(%d, %d) event %d differs", round, from, limit, i)
+				}
+			}
+		}
+		if len(tapped) != n || (n > 0 && tapped[n-1] != uint64(n-1)) {
+			t.Fatalf("round %d: tap saw %d events, want sequences 0..%d", round, len(tapped), n-1)
+		}
 	}
 }
 

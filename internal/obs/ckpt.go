@@ -33,12 +33,11 @@ func stateSkip(k Kind) bool { return k == KCheckpoint || k == KRestore }
 // per-event writer and no copy of the ring.
 func (r *Recorder) EncodeState(w *wire.Writer) {
 	kept := 0
-	r.Range(func(ev Event) bool {
-		if !stateSkip(ev.Kind) {
+	for seq := r.head - uint64(r.Len()); seq < r.head; seq++ {
+		if !stateSkip(r.slot(seq).kind) {
 			kept++
 		}
-		return true
-	})
+	}
 	skip := 0
 	if r.head > uint64(len(r.ring)) { // wrapped: normalize the window
 		limit := max(len(r.ring)-ckptSlack, 0)

@@ -10,11 +10,15 @@
 //   - Off by default: nothing records until a Recorder is installed on
 //     the kernel (sim.Kernel.SetObserver). Every hook point is a
 //     nil-receiver-safe mask check when disabled.
-//   - Allocation-free recording: the ring is allocated once; Event is a
-//     flat struct whose string fields alias names that already exist
-//     (actor, port, module). Payload rendering — the only allocating
-//     path — is opt-in (SetPayloads) and only the post-mortem trace
-//     comparator asks for it.
+//   - Allocation-free recording into recycled storage: the ring stores
+//     a pointer-free slot per event, with the event's names as ids into
+//     a per-recorder name table and its payload text in a per-recorder
+//     byte arena, so the collector never scans it. When a world's stack
+//     shuts down its storage goes to a process-wide spare list, and the
+//     next recorder of that capacity reuses it without zeroing: a debug
+//     server rebuilding worlds on every restore and reverse-step
+//     allocates no ring. Payload rendering is opt-in (SetPayloads); the
+//     trace comparator and every served world ask for it.
 //   - Single writer per kernel: the baton-passing protocol guarantees
 //     one process runs at a time, and the kernel's scheduler records on
 //     whichever goroutine holds the baton (the driver or the process
@@ -27,8 +31,8 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind classifies a recorded event.
@@ -221,8 +225,10 @@ const DefaultCap = 1 << 14
 // read-side methods (Snapshot, Dropped, ...) are meant for the same
 // goroutine between runs.
 type Recorder struct {
-	ring     []Event
-	head     uint64 // total events ever recorded
+	st       *storage // nil once released
+	ring     []slot   // st.slots
+	head     uint64   // total events ever recorded
+	next     int      // ring index of the next event: head % len(ring)
 	mask     Mask
 	payloads bool
 	scratch  []Event // reusable burst-composition arena (see Scratch)
@@ -239,13 +245,16 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder with the given ring capacity
-// (DefaultCap if <= 0) and the default kind mask.
+// (DefaultCap if <= 0) and the default kind mask. Its storage is a
+// released recorder's when one of the same capacity is spare.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
+	st := takeStorage(capacity)
 	r := &Recorder{
-		ring:    takeRing(capacity),
+		st:      st,
+		ring:    st.slots,
 		mask:    MaskDefault,
 		Metrics: NewRegistry(),
 	}
@@ -255,7 +264,7 @@ func NewRecorder(capacity int) *Recorder {
 	r.Metrics.CounterFunc("obs_events_dropped_total", "events overwritten by drop-oldest",
 		func() float64 { return float64(r.Dropped()) })
 	r.Metrics.GaugeFunc("obs_ring_capacity", "event ring capacity",
-		func() float64 { return float64(len(r.ring)) })
+		func() float64 { return float64(r.Cap()) })
 	return r
 }
 
@@ -272,7 +281,8 @@ func (r *Recorder) Wants(k Kind) bool {
 func (r *Recorder) Payloads() bool { return r != nil && r.payloads }
 
 // SetPayloads toggles payload rendering on KPush/KPop events. Rendering
-// allocates, so it is off unless a trace consumer asks for it.
+// costs time on every token event, so it is off unless a trace consumer
+// asks for it.
 func (r *Recorder) SetPayloads(on bool) { r.payloads = on }
 
 // SetMask replaces the kind mask.
@@ -286,35 +296,52 @@ func (r *Recorder) Mask() Mask { return r.mask }
 
 // Record stores one event, overwriting the oldest when the ring is
 // full. Callers are expected to gate on Wants; Record itself is
-// unconditional (and nil-safe).
+// unconditional (and nil-safe). Once the recorder knows the event's
+// names, recording allocates nothing but arena growth.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	seq := r.head
-	r.ring[seq%uint64(len(r.ring))] = ev
-	r.head++
+	r.put(&ev, ev.Val)
 	if t := r.tap.Load(); t != nil {
-		(*t)(ev, seq)
+		(*t)(ev, r.head-1)
 	}
 }
 
-// Slot returns in-place storage for the next event: the ring IS the
-// arena. The caller must overwrite the whole slot (struct-literal
-// assignment — slots hold stale events) and publish it with Commit.
-// Nothing is recorded if Commit is never called. Nil-receiver-safe:
-// callers gate on Wants, which returns false for a nil recorder.
-func (r *Recorder) Slot() *Event {
-	return &r.ring[r.head%uint64(len(r.ring))]
+// RecordPayload is Record with the payload given as bytes, which are
+// copied into the recorder; ev.Val is ignored. A producer rendering
+// payloads into a reused buffer records without allocating.
+func (r *Recorder) RecordPayload(ev Event, val []byte) {
+	if r == nil {
+		return
+	}
+	r.put(&ev, unsafe.String(unsafe.SliceData(val), len(val)))
+	if t := r.tap.Load(); t != nil {
+		ev.Val = string(val)
+		(*t)(ev, r.head-1)
+	}
 }
 
-// Commit publishes the event written into Slot's storage.
-func (r *Recorder) Commit() {
-	seq := r.head
-	r.head++
-	if t := r.tap.Load(); t != nil {
-		(*t)(r.ring[seq%uint64(len(r.ring))], seq)
+// put writes ev with payload val into the next slot, releasing the
+// payload of the event it overwrites.
+func (r *Recorder) put(ev *Event, val string) {
+	st := r.st
+	s := &r.ring[r.next]
+	if r.next++; r.next == len(r.ring) {
+		r.next = 0
 	}
+	if r.head >= uint64(len(r.ring)) && s.hasVal {
+		st.dropVal()
+	}
+	if len(val) > 0 {
+		st.pushVal(val)
+	}
+	*s = slot{
+		at: ev.At, arg: ev.Arg, arg2: ev.Arg2, pe: ev.PE, link: ev.Link,
+		actor: st.nameID(ev.Actor), other: st.nameID(ev.Other), port: st.nameID(ev.Port),
+		kind: ev.Kind, hasVal: len(val) > 0,
+	}
+	r.head++
 }
 
 // Scratch returns the recorder's reusable composition arena, at least n
@@ -376,17 +403,61 @@ func (r *Recorder) Dropped() uint64 {
 	return r.head - uint64(len(r.ring))
 }
 
+// each calls fn for the retained events from sequence from on, oldest
+// first, until fn returns false or n events were passed (n < 0: no
+// limit). from must be retained. The events' payloads are copied out of
+// the arena as one string, and every Val is a substring of it: a read
+// allocates once for all its payloads, and a caller that keeps one Val
+// keeps that read's copy alive.
+func (r *Recorder) each(from uint64, n int, fn func(Event) bool) {
+	st := r.st
+	seq, pos := r.head-uint64(r.Len()), st.valOff
+	for ; seq < from; seq++ {
+		if r.slot(seq).hasVal {
+			pos += 4 + st.valLen(pos)
+		}
+	}
+	last, end := r.head, st.valEnd
+	if n >= 0 && from+uint64(n) < r.head {
+		last, end = from+uint64(n), pos
+		for i := from; i < last; i++ {
+			if r.slot(i).hasVal {
+				end += 4 + st.valLen(end)
+			}
+		}
+	}
+	a, b := st.span(pos, end-pos)
+	vals := valString(a, b)
+	for off := 0; seq < last; seq++ {
+		s := r.slot(seq)
+		ev := Event{
+			At: s.at, Kind: s.kind, PE: s.pe, Link: s.link, Arg: s.arg, Arg2: s.arg2,
+			Actor: st.names[s.actor], Other: st.names[s.other], Port: st.names[s.port],
+		}
+		if s.hasVal {
+			size := int(vals[off]) | int(vals[off+1])<<8 | int(vals[off+2])<<16 | int(vals[off+3])<<24
+			ev.Val = vals[off+4 : off+4+size]
+			off += 4 + size
+		}
+		if !fn(ev) {
+			return
+		}
+	}
+}
+
+// slot returns the slot of the retained event with sequence seq.
+func (r *Recorder) slot(seq uint64) *slot { return &r.ring[seq%uint64(len(r.ring))] }
+
 // Snapshot copies the retained events in chronological order.
 func (r *Recorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	n := r.Len()
-	out := make([]Event, n)
-	start := r.head - uint64(n)
-	for i := 0; i < n; i++ {
-		out[i] = r.ring[(start+uint64(i))%uint64(len(r.ring))]
-	}
+	out := make([]Event, 0, r.Len())
+	r.Range(func(ev Event) bool {
+		out = append(out, ev)
+		return true
+	})
 	return out
 }
 
@@ -395,16 +466,10 @@ func (r *Recorder) Snapshot() []Event {
 // Like Snapshot, it must run on the goroutine that owns the kernel —
 // the web layer calls it from inside a session's serialized query.
 func (r *Recorder) Range(fn func(Event) bool) {
-	if r == nil {
+	if r == nil || r.st == nil {
 		return
 	}
-	n := r.Len()
-	start := r.head - uint64(n)
-	for i := 0; i < n; i++ {
-		if !fn(r.ring[(start+uint64(i))%uint64(len(r.ring))]) {
-			return
-		}
-	}
+	r.each(r.head-uint64(r.Len()), -1, fn)
 }
 
 // Window copies retained events by total-order sequence number: every
@@ -430,63 +495,34 @@ func (r *Recorder) Window(from uint64, max int) (events []Event, first uint64) {
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.ring[(from+uint64(i))%uint64(len(r.ring))]
-	}
+	out := make([]Event, 0, n)
+	r.each(from, n, func(ev Event) bool {
+		out = append(out, ev)
+		return true
+	})
 	return out, from
 }
 
 // Reset discards all retained events (the ring keeps its capacity).
 func (r *Recorder) Reset() {
-	r.clearUsed()
-	r.head = 0
-}
-
-// clearUsed zeroes the slots written so far. Slots past the head of a
-// ring that never wrapped are zero already: rings start zeroed and
-// every release or reset clears what was used.
-func (r *Recorder) clearUsed() {
-	clear(r.ring[:min(r.head, uint64(len(r.ring)))])
-}
-
-// ringPools recycles event rings across recorders, one sync.Pool per
-// capacity (*sync.Pool values keyed by int). A debug server builds a
-// world per session, and without reuse each session's ring (65536
-// events, ~6.8 MB) is a fresh allocation large enough to trigger a GC
-// cycle during session creation.
-var ringPools sync.Map
-
-func ringPool(capacity int) *sync.Pool {
-	if p, ok := ringPools.Load(capacity); ok {
-		return p.(*sync.Pool)
+	if r.st != nil {
+		r.st.reset()
 	}
-	p, _ := ringPools.LoadOrStore(capacity, new(sync.Pool))
-	return p.(*sync.Pool)
+	r.head, r.next = 0, 0
 }
 
-// takeRing returns a zeroed ring of the given capacity, reusing a
-// released one when the pool has it.
-func takeRing(capacity int) []Event {
-	if ring, ok := ringPool(capacity).Get().(*[]Event); ok {
-		return *ring
-	}
-	return make([]Event, capacity)
-}
-
-// Release ends the recorder's life and hands its ring to the next
+// Release ends the recorder's life and hands its storage to the next
 // recorder of the same capacity. Call it only once nothing records into
 // or reads from the recorder any more: its kernel is shut down and every
 // view of it (CLI, web tap, checkpoint capture) is gone. A released
 // recorder is empty with capacity 0, and recording into it panics
-// rather than writing into a ring another recorder now owns. Release is
+// rather than writing into storage another recorder now owns. Release is
 // idempotent and nil-safe.
 func (r *Recorder) Release() {
-	if r == nil || r.ring == nil {
+	if r == nil || r.st == nil {
 		return
 	}
-	r.clearUsed()
-	ring := r.ring
-	r.ring, r.head = nil, 0
-	ringPool(len(ring)).Put(&ring)
+	st := r.st
+	r.st, r.ring, r.head, r.next = nil, nil, 0, 0
+	putStorage(st)
 }

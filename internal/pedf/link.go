@@ -342,10 +342,7 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(seq),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
-		if rec.Payloads() {
-			ev.Val = l.rt.payload(v)
-		}
-		rec.Record(ev)
+		l.rt.recordToken(rec, ev, v)
 	}
 	if act.Dup {
 		dseq := l.pushes
@@ -450,10 +447,7 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(seq),
 			Actor: l.Dst.ActorName, Other: l.Src.ActorName, Port: l.Dst.Name,
 		}
-		if rec.Payloads() {
-			ev.Val = l.rt.payload(tok.Val)
-		}
-		rec.Record(ev)
+		l.rt.recordToken(rec, ev, tok.Val)
 	}
 	if exit != nil {
 		exit(tok.Val)
@@ -477,10 +471,7 @@ func (l *Link) InjectToken(v filterc.Value) {
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(seq),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
-		if rec.Payloads() {
-			ev.Val = l.rt.payload(v)
-		}
-		rec.Record(ev)
+		l.rt.recordToken(rec, ev, v)
 	}
 }
 
@@ -526,10 +517,7 @@ func (l *Link) ReplaceToken(i int, v filterc.Value) bool {
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(i),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
 		}
-		if rec.Payloads() {
-			ev.Val = l.rt.payload(v)
-		}
-		rec.Record(ev)
+		l.rt.recordToken(rec, ev, v)
 	}
 	return true
 }

@@ -170,16 +170,21 @@ type Runtime struct {
 	batchHold   string // non-empty demotes every region (e.g. debug client attached)
 	batchWired  bool   // arm/fault watchers installed
 
-	payloadBuf []byte         // reused rendering buffer (see payload)
+	payloadBuf []byte         // reused rendering buffer (see recordToken)
 	stmtBuf    []dbginfo.Stmt // reused line-table batch (see newActor)
 }
 
-// payload renders a token value for an obs event's Val. The rendering
-// goes through a buffer the runtime keeps, so the event's string is the
-// only allocation.
-func (rt *Runtime) payload(v filterc.Value) string {
+// recordToken records a token event, with v rendered as its payload
+// when the recorder asks for payloads. The rendering goes through a
+// buffer the runtime keeps and the recorder copies it, so recording
+// allocates nothing.
+func (rt *Runtime) recordToken(rec *obs.Recorder, ev obs.Event, v filterc.Value) {
+	if !rec.Payloads() {
+		rec.Record(ev)
+		return
+	}
 	rt.payloadBuf = v.AppendString(rt.payloadBuf[:0])
-	return string(rt.payloadBuf)
+	rec.RecordPayload(ev, rt.payloadBuf)
 }
 
 // NewRuntime creates a runtime. dbg may be nil (undebugged run).

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dfdbg/internal/obs"
 )
 
 // tinyParams keeps per-session simulation cost low in tests.
@@ -428,39 +426,5 @@ func TestFinalReplyWinsOverClose(t *testing.T) {
 	}
 	if lost != 0 {
 		t.Errorf("%d of 200 final replies lost", lost)
-	}
-}
-
-// A session hands its event ring back at teardown only. A restore swap
-// retires the old world without releasing its ring (a live session never
-// pins a spare one); closing the session releases the live world's.
-func TestRingReleasedAtTeardownOnly(t *testing.T) {
-	mgr := NewManager(4, 0)
-	s, err := mgr.Create(*tinyParams)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	// The session goroutine publishes its world after Create returns and
-	// swaps in a restored one after replying, so each read of recPtr
-	// follows a query: commands run in order, after both.
-	var boot *obs.Recorder
-	for _, line := range []string{"info filters", "continue", "reverse-step", "info filters"} {
-		if res, err := s.Exec(line); err != nil || res.Err != nil {
-			t.Fatalf("%s: %v %v", line, err, res.Err)
-		}
-		if boot == nil {
-			boot = s.recPtr.Load()
-		}
-	}
-	live := s.recPtr.Load()
-	if live == boot {
-		t.Fatal("reverse-step did not swap in a rebuilt world")
-	}
-	if boot.Cap() != 1<<16 {
-		t.Errorf("the retired world's ring was released at the swap (cap %d)", boot.Cap())
-	}
-	s.Close("test")
-	if live.Cap() != 0 {
-		t.Errorf("the live world's ring survived teardown (cap %d)", live.Cap())
 	}
 }

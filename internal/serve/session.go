@@ -484,8 +484,9 @@ func (s *Session) loop(ready chan<- error) {
 
 // swapStack retires old and installs ns as the session's live stack:
 // live web streams are closed (clients reattach against the new world),
-// the lock-free pointers flip, and the old kernel is unwound. Runs on
-// the session goroutine.
+// the lock-free pointers flip, and the old stack is shut down, which
+// hands its obs storage to the next world. Runs on the session
+// goroutine.
 func (s *Session) swapStack(old, ns *stack.Stack, sup *supervisor) *stack.Stack {
 	// Detach before flipping recPtr: the broadcaster's attach closure
 	// resolves the recorder through recPtr, so this clears the tap on
@@ -499,7 +500,7 @@ func (s *Session) swapStack(old, ns *stack.Stack, sup *supervisor) *stack.Stack 
 	s.kPtr.Store(ns.K)
 	s.recPtr.Store(ns.Rec)
 	if old != nil && old != ns {
-		_ = old.K.Shutdown()
+		old.Shutdown()
 	}
 	sup.wire(ns)
 	return ns
@@ -517,11 +518,7 @@ func (s *Session) teardown(st *stack.Stack, reason string) {
 	s.webMu.Unlock()
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
-	_ = st.K.Shutdown()
-	// The world is gone: hand its event ring to the next session's
-	// recorder. Stacks retired by a restore swap keep theirs (it becomes
-	// garbage), so a live session never pins a spare ring.
-	st.Rec.Release()
+	st.Shutdown()
 	s.mgr.remove(s)
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()

@@ -120,7 +120,7 @@ func (r Recipe) Build() (*Stack, error) {
 	}
 	st := &Stack{K: k, Rec: rec, M: m, RT: rt, Low: low, D: d}
 	fail := func(err error) (*Stack, error) {
-		_ = k.Shutdown()
+		st.Shutdown()
 		return nil, err
 	}
 	bits, err := h264.EncodeSequence(h264.GenerateSequence(r.Params), r.Params)
@@ -190,7 +190,14 @@ func (st *Stack) CaptureState() ([]byte, error) {
 	return ckpt.CaptureStack(st.K, st.M, st.RT, st.Rec)
 }
 
-func (st *Stack) Shutdown() { _ = st.K.Shutdown() }
+// Shutdown unwinds the kernel's processes and then releases the obs
+// recorder, whose storage the next world's recorder reuses (DESIGN §6).
+// It is the one place a retired world gives its storage back: nothing
+// may read the stack's recorder afterwards.
+func (st *Stack) Shutdown() {
+	_ = st.K.Shutdown()
+	st.Rec.Release()
+}
 
 // Full runs the whole-program static analysis over the world.
 func (st *Stack) Full() (*analysis.Report, error) {
