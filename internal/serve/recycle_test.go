@@ -26,9 +26,9 @@ func TestRetiredWorldReleasesItsRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	// The session goroutine publishes its world after Create returns and
-	// swaps in a restored one after replying, so each read of recPtr
-	// follows a query: commands run in order, after both.
+	// The session goroutine swaps in a restored world after replying,
+	// so each read of recPtr follows a query: commands run in order,
+	// after the swap.
 	var boot *obs.Recorder
 	for _, line := range []string{"info filters", "continue", "reverse-step", "info filters"} {
 		execOK(t, s, line)

@@ -394,12 +394,16 @@ func (s *Session) loop(ready chan<- error) {
 	default:
 		st, err = r.Build()
 	}
+	if err == nil {
+		// Publish the world before Create returns, so a web stream
+		// attached right after it finds the recorder to tap.
+		s.kPtr.Store(st.K)
+		s.recPtr.Store(st.Rec)
+	}
 	ready <- err
 	if err != nil {
 		return
 	}
-	s.kPtr.Store(st.K)
-	s.recPtr.Store(st.Rec)
 	if cp := s.bootCP; cp != nil {
 		s.bootCP = nil
 		sup.wire(st)
