@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,4 +128,21 @@ func TestRecordAfterReleasePanics(t *testing.T) {
 		}
 	}()
 	r.Record(Event{Kind: KPush, Actor: "a"})
+}
+
+// A ring slot stays 48 bytes with no pointers in it: the ring's
+// footprint (with one recycled spare) and the collector never scanning
+// it both rest on that.
+func TestSlotIsCompactAndPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(slot{})
+	if typ.Size() > 48 {
+		t.Errorf("slot is %d bytes, want at most 48", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("slot field %s has kind %s, which may hold a pointer", f.Name, f.Type.Kind())
+		}
+	}
 }
