@@ -18,42 +18,30 @@ import (
 // Must be called from the driver goroutine while the kernel is stopped
 // — the same discipline as every kernel method.
 func CaptureStack(k *sim.Kernel, m *mach.Machine, rt *pedf.Runtime, rec *obs.Recorder) ([]byte, error) {
+	// Each chunk is its name, then its state as a length-prefixed blob
+	// encoded in place (wire.Writer.BeginBytes).
 	w := wire.NewWriter()
-
-	chunk := wire.NewWriter()
-	k.EncodeState(chunk)
-	w.Str("sim")
-	w.Bytes(chunk.Data())
-
+	chunk := func(name string, encode func(*wire.Writer) error) error {
+		w.Str(name)
+		at := w.BeginBytes()
+		err := encode(w)
+		w.EndBytes(at)
+		return err
+	}
+	chunk("sim", func(w *wire.Writer) error { k.EncodeState(w); return nil })
 	if m != nil {
-		chunk = wire.NewWriter()
-		m.EncodeState(chunk)
-		w.Str("mach")
-		w.Bytes(chunk.Data())
+		chunk("mach", func(w *wire.Writer) error { m.EncodeState(w); return nil })
 	}
-
 	if inj := k.Faults(); inj != nil {
-		chunk = wire.NewWriter()
-		inj.EncodeState(chunk)
-		w.Str("fault")
-		w.Bytes(chunk.Data())
+		chunk("fault", func(w *wire.Writer) error { inj.EncodeState(w); return nil })
 	}
-
 	if rt != nil {
-		chunk = wire.NewWriter()
-		if err := rt.EncodeState(chunk); err != nil {
+		if err := chunk("pedf", rt.EncodeState); err != nil {
 			return nil, err
 		}
-		w.Str("pedf")
-		w.Bytes(chunk.Data())
 	}
-
 	if rec != nil {
-		chunk = wire.NewWriter()
-		rec.EncodeState(chunk)
-		w.Str("obs")
-		w.Bytes(chunk.Data())
+		chunk("obs", func(w *wire.Writer) error { rec.EncodeState(w); return nil })
 	}
-
 	return w.Data(), nil
 }

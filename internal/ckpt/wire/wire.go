@@ -15,6 +15,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Writer accumulates an encoded byte stream.
@@ -31,6 +32,11 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Data returns the encoded bytes. The slice aliases the writer's
 // internal buffer; the caller must not write to the Writer afterwards.
 func (w *Writer) Data() []byte { return w.buf }
+
+// Grow makes room for at least n more bytes, so an encoder that knows
+// (a bound on) its size grows the buffer once instead of by repeated
+// appends.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -67,6 +73,20 @@ func (w *Writer) Str(s string) {
 func (w *Writer) Bytes(b []byte) {
 	w.U32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
+}
+
+// BeginBytes starts a length-prefixed blob encoded in place: it
+// appends a u32 placeholder and returns the blob's start, which
+// EndBytes back-patches with the length written since. The bytes equal
+// Bytes over the same content, with no second writer and no copy.
+func (w *Writer) BeginBytes() int {
+	w.U32(0)
+	return len(w.buf)
+}
+
+// EndBytes closes the blob BeginBytes started at start.
+func (w *Writer) EndBytes(start int) {
+	binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(len(w.buf)-start))
 }
 
 // Raw appends bytes verbatim, with no length prefix (container magic).

@@ -375,7 +375,7 @@ func (d *Debugger) onWorkExit(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	}
 	if a.Kind == KindController {
 		// A controller's WORK returning 0 ends the module.
-		if v, ok := ctx.Ret.(filterc.Value); ok && v.IsScalar() && v.I == 0 {
+		if v := ctx.Ret.V; ctx.Ret.Kind == lowdbg.ValueDatum && v.IsScalar() && v.I == 0 {
 			if mi, ok := d.modules[a.Module]; ok {
 				mi.Done = true
 			}
@@ -386,34 +386,56 @@ func (d *Debugger) onWorkExit(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 
 // ---- data-exchange actions (contribution #3) ----
 
+// onPushEnter marks the producer's push in flight. The link id resolves
+// the endpoint; a link never announced by pedf_bind falls back to the
+// endpoint's names.
 func (d *Debugger) onPushEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
-	src := lowdbg.ArgString(ctx.Args, "src")
-	if a := d.actors[src]; a != nil {
+	if l := d.links[lowdbg.ArgInt(ctx.Args, "link")]; l != nil {
+		d.beginExchange(ctx, l.Src.Actor, l.Src.inFlight)
+		return lowdbg.DispContinue
+	}
+	if a := d.actors[lowdbg.ArgString(ctx.Args, "src")]; a != nil {
 		port := lowdbg.ArgString(ctx.Args, "src_port")
 		if c := a.Out(port); c != nil {
-			a.inFlightOp = c.inFlight
+			d.beginExchange(ctx, a, c.inFlight)
 		} else {
-			a.inFlightOp = "push:" + port
-		}
-		if a.Proc == nil && a.Kind != KindEnv {
-			a.Proc = ctx.Proc
-			d.actorByProc[ctx.Proc] = a
+			d.beginExchange(ctx, a, "push:"+port)
 		}
 	}
 	return lowdbg.DispContinue
+}
+
+// beginExchange records actor a's in-flight push or pop (op) and binds
+// a non-environment actor to the calling process on its first exchange.
+func (d *Debugger) beginExchange(ctx *lowdbg.StopCtx, a *Actor, op string) {
+	a.inFlightOp = op
+	if a.Proc == nil && a.Kind != KindEnv {
+		a.Proc = ctx.Proc
+		d.actorByProc[ctx.Proc] = a
+	}
+}
+
+// endUnboundExchange ends the in-flight exchange onPushEnter or
+// onPopEnter marked by name for a link pedf_bind never announced; the
+// endpoint argument names the actor ("src" or "dst"). Such a link is
+// not modelled, so no token is recorded.
+func (d *Debugger) endUnboundExchange(ctx *lowdbg.StopCtx, endpoint string) {
+	if a := d.actors[lowdbg.ArgString(ctx.Args, endpoint)]; a != nil {
+		a.inFlightOp = ""
+	}
 }
 
 func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	id := lowdbg.ArgInt(ctx.Args, "link")
 	l := d.links[id]
 	if l == nil {
+		d.endUnboundExchange(ctx, "src")
 		return lowdbg.DispContinue
 	}
 	srcActor := l.Src.Actor
 	srcActor.inFlightOp = ""
-	val, _ := lowdbg.ArgVal(ctx.Args, "value")
-	fv, _ := val.(filterc.Value)
+	fv, _ := lowdbg.ArgValue(ctx.Args, "value")
 	d.tokenSeq++
 	tok := &Token{
 		ID: d.tokenSeq,
@@ -434,19 +456,20 @@ func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	return d.evalSendCatch(ctx, l.Src, tok)
 }
 
+// onPopEnter marks the consumer's pop in flight, resolving the endpoint
+// as onPushEnter does.
 func (d *Debugger) onPopEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
-	dst := lowdbg.ArgString(ctx.Args, "dst")
-	if a := d.actors[dst]; a != nil {
+	if l := d.links[lowdbg.ArgInt(ctx.Args, "link")]; l != nil {
+		d.beginExchange(ctx, l.Dst.Actor, l.Dst.inFlight)
+		return lowdbg.DispContinue
+	}
+	if a := d.actors[lowdbg.ArgString(ctx.Args, "dst")]; a != nil {
 		port := lowdbg.ArgString(ctx.Args, "dst_port")
 		if c := a.In(port); c != nil {
-			a.inFlightOp = c.inFlight
+			d.beginExchange(ctx, a, c.inFlight)
 		} else {
-			a.inFlightOp = "pop:" + port
-		}
-		if a.Proc == nil && a.Kind != KindEnv {
-			a.Proc = ctx.Proc
-			d.actorByProc[ctx.Proc] = a
+			d.beginExchange(ctx, a, "pop:"+port)
 		}
 	}
 	return lowdbg.DispContinue
@@ -456,6 +479,7 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	id := lowdbg.ArgInt(ctx.Args, "link")
 	l := d.links[id]
 	if l == nil {
+		d.endUnboundExchange(ctx, "dst")
 		return lowdbg.DispContinue
 	}
 	dstActor := l.Dst.Actor
@@ -472,7 +496,7 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		// A token the model never saw pushed (injected by the debugger
 		// while data breakpoints were disabled, or pushed while they
 		// were off): synthesize it from the observed return value.
-		fv, _ := ctx.Ret.(filterc.Value)
+		fv := ctx.Ret.V
 		d.tokenSeq++
 		tok = &Token{ID: d.tokenSeq, Hop: Hop{
 			From: l.Src.Actor.Name, To: dstActor.Name,

@@ -25,13 +25,13 @@ type synthTarget struct {
 
 func (s *synthTarget) call(fn string, args ...lowdbg.Arg) {
 	if exit := s.low.EnterFunc(s.p, fn, args); exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 }
 
-func (s *synthTarget) callRet(fn string, ret any, args ...lowdbg.Arg) {
+func (s *synthTarget) callRet(fn string, ret filterc.Value, args ...lowdbg.Arg) {
 	if exit := s.low.EnterFunc(s.p, fn, args); exit != nil {
-		exit(ret)
+		exit(lowdbg.Val(ret))
 	}
 }
 
@@ -49,29 +49,29 @@ func TestSyntheticTargetReconstruction(t *testing.T) {
 		st := &synthTarget{low: low, p: p}
 		// Registration phase: one module, two actors, one link.
 		st.call("pedf_register_module",
-			lowdbg.Arg{Name: "module", Val: "kpn"}, lowdbg.Arg{Name: "parent", Val: ""})
+			lowdbg.StrArg("module", "kpn"), lowdbg.StrArg("parent", ""))
 		st.call("pedf_register_filter",
-			lowdbg.Arg{Name: "filter", Val: "prod"}, lowdbg.Arg{Name: "module", Val: "kpn"})
+			lowdbg.StrArg("filter", "prod"), lowdbg.StrArg("module", "kpn"))
 		st.call("pedf_register_filter",
-			lowdbg.Arg{Name: "filter", Val: "cons"}, lowdbg.Arg{Name: "module", Val: "kpn"})
+			lowdbg.StrArg("filter", "cons"), lowdbg.StrArg("module", "kpn"))
 		st.call("pedf_register_port",
-			lowdbg.Arg{Name: "actor", Val: "prod"}, lowdbg.Arg{Name: "port", Val: "o"},
-			lowdbg.Arg{Name: "dir", Val: "output"}, lowdbg.Arg{Name: "type", Val: "U32"})
+			lowdbg.StrArg("actor", "prod"), lowdbg.StrArg("port", "o"),
+			lowdbg.StrArg("dir", "output"), lowdbg.StrArg("type", "U32"))
 		st.call("pedf_register_port",
-			lowdbg.Arg{Name: "actor", Val: "cons"}, lowdbg.Arg{Name: "port", Val: "i"},
-			lowdbg.Arg{Name: "dir", Val: "input"}, lowdbg.Arg{Name: "type", Val: "U32"})
+			lowdbg.StrArg("actor", "cons"), lowdbg.StrArg("port", "i"),
+			lowdbg.StrArg("dir", "input"), lowdbg.StrArg("type", "U32"))
 		st.call("pedf_bind",
-			lowdbg.Arg{Name: "link", Val: int64(1)},
-			lowdbg.Arg{Name: "src", Val: "prod"}, lowdbg.Arg{Name: "src_port", Val: "o"},
-			lowdbg.Arg{Name: "dst", Val: "cons"}, lowdbg.Arg{Name: "dst_port", Val: "i"},
-			lowdbg.Arg{Name: "kind", Val: "data"})
+			lowdbg.IntArg("link", 1),
+			lowdbg.StrArg("src", "prod"), lowdbg.StrArg("src_port", "o"),
+			lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "i"),
+			lowdbg.StrArg("kind", "data"))
 		// Execution phase: three tokens flow.
 		linkArgs := func(idx int64, v filterc.Value) []lowdbg.Arg {
 			return []lowdbg.Arg{
-				{Name: "link", Val: int64(1)},
-				{Name: "src", Val: "prod"}, {Name: "src_port", Val: "o"},
-				{Name: "dst", Val: "cons"}, {Name: "dst_port", Val: "i"},
-				{Name: "index", Val: idx}, {Name: "value", Val: v},
+				lowdbg.IntArg("link", 1),
+				lowdbg.StrArg("src", "prod"), lowdbg.StrArg("src_port", "o"),
+				lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "i"),
+				lowdbg.IntArg("index", idx), lowdbg.ValArg("value", v),
 			}
 		}
 		for i := int64(0); i < 3; i++ {
@@ -123,22 +123,22 @@ func TestSyntheticTargetCatchpoints(t *testing.T) {
 	k.Spawn("foreign-runtime", func(p *sim.Proc) {
 		st := &synthTarget{low: low, p: p}
 		st.call("pedf_register_module",
-			lowdbg.Arg{Name: "module", Val: "kpn"}, lowdbg.Arg{Name: "parent", Val: ""})
+			lowdbg.StrArg("module", "kpn"), lowdbg.StrArg("parent", ""))
 		st.call("pedf_register_filter",
-			lowdbg.Arg{Name: "filter", Val: "cons"}, lowdbg.Arg{Name: "module", Val: "kpn"})
+			lowdbg.StrArg("filter", "cons"), lowdbg.StrArg("module", "kpn"))
 		st.call("pedf_bind",
-			lowdbg.Arg{Name: "link", Val: int64(1)},
-			lowdbg.Arg{Name: "src", Val: "env"}, lowdbg.Arg{Name: "src_port", Val: "o"},
-			lowdbg.Arg{Name: "dst", Val: "cons"}, lowdbg.Arg{Name: "dst_port", Val: "i"},
-			lowdbg.Arg{Name: "kind", Val: "dma"})
+			lowdbg.IntArg("link", 1),
+			lowdbg.StrArg("src", "env"), lowdbg.StrArg("src_port", "o"),
+			lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "i"),
+			lowdbg.StrArg("kind", "dma"))
 		p.Wait(gate) // let the test plant catchpoints mid-run
 		for i := int64(0); i < 4; i++ {
 			v := u32val(i)
 			args := []lowdbg.Arg{
-				{Name: "link", Val: int64(1)},
-				{Name: "src", Val: "env"}, {Name: "src_port", Val: "o"},
-				{Name: "dst", Val: "cons"}, {Name: "dst_port", Val: "i"},
-				{Name: "index", Val: i}, {Name: "value", Val: v},
+				lowdbg.IntArg("link", 1),
+				lowdbg.StrArg("src", "env"), lowdbg.StrArg("src_port", "o"),
+				lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "i"),
+				lowdbg.IntArg("index", i), lowdbg.ValArg("value", v),
 			}
 			st.call("pedf_link_push", args...)
 			st.callRet("pedf_link_pop", v, args[:6]...)
@@ -166,5 +166,82 @@ func TestSyntheticTargetCatchpoints(t *testing.T) {
 	}
 	if ev = low.Continue(); ev.Kind != lowdbg.StopDone {
 		t.Fatalf("final = %v", ev)
+	}
+}
+
+// The push and pop handlers find a bound link's endpoints through the
+// link id alone; a link pedf_bind never announced falls back to the
+// endpoint names the call carries, registered port or not, and its
+// exchanges end when the calls return.
+func TestSyntheticTargetUnboundLinkFallback(t *testing.T) {
+	k := sim.NewKernel()
+	low := lowdbg.New(k, dbginfo.NewTable())
+	d := Attach(low)
+	blocked := func() map[string]string {
+		out := map[string]string{}
+		for _, fi := range d.InfoFilters() {
+			out[fi.Name] = fi.BlockedOn
+		}
+		return out
+	}
+	// Planted after the dataflow layer's own breakpoints, these run after
+	// its entry actions, while the exchange is in flight.
+	var inFlight []map[string]string
+	seen := func(*lowdbg.StopCtx) lowdbg.Disposition {
+		inFlight = append(inFlight, blocked())
+		return lowdbg.DispContinue
+	}
+	low.BreakFuncInternal("pedf_link_push", seen, nil)
+	low.BreakFuncInternal("pedf_link_pop", seen, nil)
+	boundProcs := false
+	k.Spawn("foreign-runtime", func(p *sim.Proc) {
+		st := &synthTarget{low: low, p: p}
+		st.call("pedf_register_module", lowdbg.StrArg("module", "kpn"), lowdbg.StrArg("parent", ""))
+		for _, f := range []string{"prod", "cons"} {
+			st.call("pedf_register_filter", lowdbg.StrArg("filter", f), lowdbg.StrArg("module", "kpn"))
+		}
+		st.call("pedf_register_port", lowdbg.StrArg("actor", "prod"), lowdbg.StrArg("port", "o"),
+			lowdbg.StrArg("dir", "output"), lowdbg.StrArg("type", "U32"))
+		st.call("pedf_bind", lowdbg.IntArg("link", 1),
+			lowdbg.StrArg("src", "prod"), lowdbg.StrArg("src_port", "o"),
+			lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "i"), lowdbg.StrArg("kind", "data"))
+		// Bound: the link id alone names the endpoints.
+		st.call("pedf_link_push", lowdbg.IntArg("link", 1), lowdbg.IntArg("index", 0),
+			lowdbg.ValArg("value", u32val(5)))
+		st.callRet("pedf_link_pop", u32val(5), lowdbg.IntArg("link", 1), lowdbg.IntArg("index", 0))
+		boundProcs = d.Actor("prod").Proc == p && d.Actor("cons").Proc == p
+		// Unbound: the names do.
+		unbound := []lowdbg.Arg{lowdbg.IntArg("link", 9),
+			lowdbg.StrArg("src", "prod"), lowdbg.StrArg("src_port", "o"),
+			lowdbg.StrArg("dst", "cons"), lowdbg.StrArg("dst_port", "zz"), lowdbg.IntArg("index", 0)}
+		st.call("pedf_link_push", unbound...)
+		st.callRet("pedf_link_pop", u32val(6), unbound...)
+	})
+	if ev := low.Continue(); ev.Kind != lowdbg.StopDone {
+		t.Fatalf("run = %v", ev)
+	}
+	conn, err := d.Connection("cons::i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conn.Received != 1 || conn.LastToken == nil || conn.LastToken.Hop.Val.I != 5 || !boundProcs {
+		t.Errorf("bound link: received %d, last token %v, endpoints bound to the process %v",
+			conn.Received, conn.LastToken, boundProcs)
+	}
+	want := []string{"push:o", "pop:i", "push:o", "pop:zz"}
+	for i, w := range want {
+		actor := "prod"
+		if i%2 == 1 {
+			actor = "cons"
+		}
+		if i >= len(inFlight) || inFlight[i][actor] != w {
+			t.Fatalf("in-flight exchanges %v, want %s on %s at call %d", inFlight, w, actor, i)
+		}
+	}
+	if after := blocked(); after["prod"] != "" || after["cons"] != "" {
+		t.Errorf("exchanges still in flight after the calls returned: %v", after)
+	}
+	if d.DataEvents != 4 {
+		t.Errorf("data events = %d, want 4", d.DataEvents)
 	}
 }

@@ -3,6 +3,7 @@ package lowdbg
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/sim"
@@ -46,7 +47,7 @@ type StopCtx struct {
 	Proc     *sim.Proc
 	Fn       string // symbol (function breakpoints) or function name (line)
 	Args     []Arg
-	Ret      any // return value for finish actions
+	Ret      Datum // return value for finish actions (NoDatum if none)
 	IsReturn bool
 	Pos      filterc.Pos
 	Frame    *filterc.Frame // current frame for line breakpoints
@@ -160,6 +161,38 @@ func (d *Debugger) BreakLineTemporary(file string, line int) (*Breakpoint, error
 	return bp, nil
 }
 
+// funcCacheSize is the number of entries in a debugger's symbol lookup
+// cache (a power of two).
+const funcCacheSize = 64
+
+// cachedFunc is one entry of the symbol lookup cache: a symbol and the
+// breakpoints planted on it (nil for none). The entry holds the string,
+// so no other string can take its address while the entry lives.
+type cachedFunc struct {
+	fn  string
+	bps []*Breakpoint
+}
+
+// funcBreakpoints returns the function breakpoints planted on fn. The
+// target passes the same symbol strings on every call (the API's
+// constants, each filter's mangled WORK symbol), so the common lookup
+// is a cache hit decided by the string's address and length, without
+// hashing its bytes. Every change to funcBPs empties the cache.
+func (d *Debugger) funcBreakpoints(fn string) []*Breakpoint {
+	if len(fn) == 0 {
+		return d.funcBPs[fn]
+	}
+	p := unsafe.StringData(fn)
+	h := uintptr(unsafe.Pointer(p))
+	c := &d.funcCache[(h>>3^h>>11)&(funcCacheSize-1)]
+	if unsafe.StringData(c.fn) == p && len(c.fn) == len(fn) {
+		return c.bps
+	}
+	bps := d.funcBPs[fn]
+	*c = cachedFunc{fn: fn, bps: bps}
+	return bps
+}
+
 func (d *Debugger) insertBp(bp *Breakpoint) {
 	d.nextBpID++
 	bp.ID = d.nextBpID
@@ -167,9 +200,10 @@ func (d *Debugger) insertBp(bp *Breakpoint) {
 	switch bp.Kind {
 	case BpFunc:
 		d.funcBPs[bp.Sym] = append(d.funcBPs[bp.Sym], bp)
+		d.funcCache = [funcCacheSize]cachedFunc{}
 		d.armedFunc++
 	case BpLine:
-		key := lineKey(bp.File, bp.Line)
+		key := lineLoc{bp.File, bp.Line}
 		d.lineBPs[key] = append(d.lineBPs[key], bp)
 		d.armedStmt++
 	}
@@ -177,6 +211,13 @@ func (d *Debugger) insertBp(bp *Breakpoint) {
 }
 
 func lineKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
+
+// lineLoc keys the line breakpoints: a struct, so the per-statement
+// lookup hashes in place instead of rendering a string.
+type lineLoc struct {
+	file string
+	line int
+}
 
 // SetBreakEnabled enables or disables a breakpoint. Toggle through here
 // rather than the field, so the arm watchers learn whether it can stop.
@@ -213,9 +254,10 @@ func (d *Debugger) removeBp(bp *Breakpoint) {
 		if len(d.funcBPs[bp.Sym]) == 0 {
 			delete(d.funcBPs, bp.Sym)
 		}
+		d.funcCache = [funcCacheSize]cachedFunc{}
 		d.armedFunc--
 	case BpLine:
-		key := lineKey(bp.File, bp.Line)
+		key := lineLoc{bp.File, bp.Line}
 		d.lineBPs[key] = removeFrom(d.lineBPs[key], bp)
 		if len(d.lineBPs[key]) == 0 {
 			delete(d.lineBPs, key)

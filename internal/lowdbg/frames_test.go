@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dfdbg/internal/dbginfo"
+	"dfdbg/internal/filterc"
 	"dfdbg/internal/obs"
 	"dfdbg/internal/sim"
 )
@@ -29,10 +30,10 @@ func TestEnterFuncHitDoesNotAllocate(t *testing.T) {
 			onReturn = func(*StopCtx) Disposition { returns++; return DispContinue }
 		}
 		d.BreakFuncInternal("sym", func(*StopCtx) Disposition { hits++; return DispContinue }, onReturn)
-		args := []Arg{{Name: "self", Val: "target"}}
+		args := []Arg{StrArg("self", "target")}
 		allocs := testing.AllocsPerRun(1000, func() {
 			if exit := d.EnterFunc(nil, "sym", args); exit != nil {
-				exit(nil)
+				exit(Datum{})
 			}
 		})
 		if allocs != 0 {
@@ -62,14 +63,14 @@ func TestFinishStopKeepsFinisherOrder(t *testing.T) {
 	d.BreakFuncInternal("fn", nil, finisher("second", DispContinue))
 	k.Spawn("target", func(p *sim.Proc) {
 		for call := int64(1); call <= 2; call++ {
-			if exit := d.EnterFunc(p, "fn", []Arg{{Name: "call", Val: call}}); exit != nil {
-				exit(call * 10)
+			if exit := d.EnterFunc(p, "fn", []Arg{IntArg("call", call)}); exit != nil {
+				exit(Datum{Kind: IntDatum, I: call * 10})
 			}
 		}
 	})
 	for call := 1; call <= 2; call++ {
 		ev := d.Continue()
-		if ev.Kind != StopAction || !ev.IsReturn || ev.Bp != first || ev.Ret != int64(call*10) ||
+		if ev.Kind != StopAction || !ev.IsReturn || ev.Bp != first || ev.Ret.Kind != IntDatum || ev.Ret.I != int64(call*10) ||
 			ArgInt(ev.Args, "call") != int64(call) {
 			t.Fatalf("call %d: stop = %v (bp %v, ret %v, args %v)", call, ev, ev.Bp, ev.Ret, ev.Args)
 		}
@@ -84,5 +85,65 @@ func TestFinishStopKeepsFinisherOrder(t *testing.T) {
 	want := "first(call=1 ret=10) second(call=1 ret=10) first(call=2 ret=20) second(call=2 ret=20)"
 	if got := strings.Join(log, " "); got != want {
 		t.Errorf("finish actions ran as\n%s\nwant\n%s", got, want)
+	}
+}
+
+// A line breakpoint whose condition is false runs in a recycled call
+// frame too: once the free list is warm, the statement hook looks the
+// line up and evaluates the condition without allocating.
+func TestConditionalLineHitDoesNotAllocate(t *testing.T) {
+	syms := dbginfo.NewTable()
+	syms.LineTableFor("t.c").AddStmt(3, "work")
+	d := New(sim.NewKernel(), syms)
+	bp, err := d.BreakLine("t.c", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := 0
+	bp.Condition = func(ctx *StopCtx) bool {
+		evals++
+		return ctx.Pos.Line != 3
+	}
+	h := &interpHooks{d: d}
+	fr := &filterc.Frame{Fn: &filterc.FuncDecl{Name: "work"}}
+	pos := filterc.Pos{File: "t.c", Line: 3}
+	allocs := testing.AllocsPerRun(1000, func() { h.OnStmt(fr, pos) })
+	if allocs != 0 {
+		t.Errorf("a non-stopping conditional line breakpoint allocates %.0f objects per statement, want 0", allocs)
+	}
+	if evals == 0 || bp.HitCount != 0 || d.Stopped() {
+		t.Errorf("condition ran %d times, hit count %d, stopped %v", evals, bp.HitCount, d.Stopped())
+	}
+}
+
+// The symbol lookup cache never answers with a stale breakpoint list:
+// planting and deleting breakpoints on a symbol takes effect on the
+// very next call, whichever string value names the symbol.
+func TestFuncLookupCacheFollowsChanges(t *testing.T) {
+	d := New(sim.NewKernel(), dbginfo.NewTable())
+	hits := map[string]int{}
+	action := func(name string) func(*StopCtx) Disposition {
+		return func(*StopCtx) Disposition { hits[name]++; return DispContinue }
+	}
+	call := func(fn string) {
+		if exit := d.EnterFunc(nil, fn, nil); exit != nil {
+			exit(Datum{})
+		}
+	}
+	other := d.BreakFuncInternal("other", action("other"), nil) // arms EnterFunc
+	call("sym")
+	first := d.BreakFuncInternal("sym", action("first"), nil)
+	call("sym")
+	call(string([]byte("sym"))) // same symbol, another string header
+	second := d.BreakFuncInternal("sym", action("second"), nil)
+	call("sym")
+	d.DeleteInternalBp(first)
+	call("sym")
+	d.DeleteInternalBp(second)
+	call("sym")
+	call("other")
+	d.DeleteInternalBp(other)
+	if hits["first"] != 3 || hits["second"] != 2 || hits["other"] != 1 {
+		t.Errorf("hits = %v, want first 3, second 2, other 1", hits)
 	}
 }

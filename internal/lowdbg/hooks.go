@@ -13,8 +13,8 @@ import (
 // the entry of every framework API function and of every WORK method,
 // passing the mangled symbol and the parsed arguments. The returned
 // closure (nil when nobody listens) must be invoked exactly once, at the
-// function's return, with the return value — that is how finish
-// breakpoints fire.
+// function's return, with the return value (Datum{} when the function
+// returns nothing) — that is how finish breakpoints fire.
 //
 // This models GDB planting breakpoints at function addresses: with no
 // breakpoint on fn, the cost is one map lookup (the measurable
@@ -22,17 +22,20 @@ import (
 // stop the world.
 //
 // args is borrowed for the call's duration (entry to return): the
-// target may reuse its storage afterwards, so a stop event keeps its
-// own copy. A hit runs in a recycled call frame and allocates nothing
-// beyond what its actions do.
-func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
+// target may rewrite its payloads afterwards, so a stop event keeps its
+// own copy. Arguments and the return value are typed (Datum), so
+// neither the target nor the debugger boxes them, and a hit runs in a
+// recycled call frame: a hit allocates nothing beyond what its actions
+// do. While an observer is installed, the handlers' host cost is timed
+// with two monotonic clock reads per hit.
+func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret Datum) {
 	d.HookCalls++
 	// Armed-count fast path: with no function breakpoint planted anywhere
 	// the cost is one integer compare — no map lookup, no hashing of fn.
 	if d.armedFunc == 0 {
 		return nil
 	}
-	bps := d.funcBPs[fn]
+	bps := d.funcBreakpoints(fn)
 	if len(bps) == 0 {
 		return nil
 	}
@@ -48,16 +51,16 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 	if active == 0 {
 		return nil
 	}
-	// Live intrusiveness accounting (only while observed: the time.Now
-	// pair costs more than the handlers it measures on the fast path).
+	// Live intrusiveness accounting (only while observed: the clock
+	// reads cost more than the handlers they measure on the fast path).
 	rec := d.K.Observer()
-	var t0 time.Time
+	var t0 time.Duration
 	if rec != nil {
-		t0 = time.Now()
+		t0 = monotonic()
 	}
 	fr := d.frame()
-	fr.ctx = StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args}
-	ctx := &fr.ctx
+	ctx := &fr.ctx // zero: fresh or released
+	ctx.Dbg, ctx.Proc, ctx.Fn, ctx.Args = d, p, fn, args
 	var stopBp *Breakpoint
 	// Iterate over a snapshot: actions may remove breakpoints.
 	fr.snapshot = append(fr.snapshot, bps...)
@@ -89,7 +92,7 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 		}
 	}
 	if rec != nil {
-		host := uint64(time.Since(t0))
+		host := uint64(monotonic() - t0)
 		d.bpHits++
 		d.bpHostNS += host
 		if d.bpHist != nil {
@@ -125,18 +128,28 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 	return fr.exit
 }
 
-// callFrame is the recycled state of one intercepted call that ran
-// breakpoint handlers: the context its actions see, the breakpoint
-// snapshot, the finish breakpoints collected at entry and the return
-// hook handed back to the target. A frame is owned by its call from
-// entry until the return hook ran (or, without finishers, until
-// EnterFunc returns); a world stop inside either keeps it owned.
+// epoch anchors monotonic: a Time read once with a monotonic reading,
+// so time.Since(epoch) reads only the monotonic clock.
+var epoch = time.Now()
+
+// monotonic returns the monotonic clock relative to the process epoch:
+// one clock read where time.Now reads both the wall and the monotonic
+// clock. Differences of two readings are exact durations.
+func monotonic() time.Duration { return time.Since(epoch) }
+
+// callFrame is the recycled state of one intercepted call or line
+// breakpoint hit that ran breakpoint handlers: the context its actions
+// see, the breakpoint snapshot, the finish breakpoints collected at
+// entry and the return hook handed back to the target. A frame is owned
+// by its call from entry until the return hook ran (or, without
+// finishers, until the hit's handlers are done); a world stop inside
+// either keeps it owned.
 type callFrame struct {
 	d         *Debugger
 	ctx       StopCtx
 	snapshot  []*Breakpoint
 	finishers []*Breakpoint
-	exit      func(ret any) // fr.finish, bound once per frame
+	exit      func(ret Datum) // fr.finish, bound once per frame
 }
 
 // frame takes a call frame off the debugger's free list.
@@ -163,11 +176,12 @@ func (d *Debugger) release(fr *callFrame) {
 // finish is a frame's return hook: it runs the finish breakpoints
 // collected at entry, in entry order, each able to stop the world before
 // the next runs, then recycles the frame.
-func (fr *callFrame) finish(ret any) {
+func (fr *callFrame) finish(ret Datum) {
 	d := fr.d
-	p, fn, args := fr.ctx.Proc, fr.ctx.Fn, fr.ctx.Args
-	fr.ctx = StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args, Ret: ret, IsReturn: true}
+	// The context keeps the call's Dbg, Proc, Fn and Args from entry.
 	ctx := &fr.ctx
+	ctx.Ret, ctx.IsReturn, ctx.StopNote = ret, true, ""
+	p, fn, args := ctx.Proc, ctx.Fn, ctx.Args
 	for _, bp := range fr.finishers {
 		if !bp.Enabled {
 			continue
@@ -201,15 +215,16 @@ func cloneArgs(args []Arg) []Arg {
 	return append([]Arg(nil), args...)
 }
 
+// formatArgs renders an argument list as "name=value, name=value".
 func formatArgs(args []Arg) string {
-	s := ""
+	var b []byte
 	for i, a := range args {
 		if i > 0 {
-			s += ", "
+			b = append(b, ", "...)
 		}
-		s += a.String()
+		b = a.appendTo(b)
 	}
-	return s
+	return string(b)
 }
 
 // interpHooks routes filterc statement/call events into the debugger:
@@ -230,42 +245,12 @@ func (h *interpHooks) OnStmt(fr *filterc.Frame, pos filterc.Pos) {
 
 	// Armed-count fast path: with no line breakpoint, watchpoint or step
 	// request anywhere, a statement costs a counter bump and one integer
-	// compare. The lineKey string is only materialized further down.
+	// compare.
 	if d.armedStmt == 0 {
 		return
 	}
-	if bps := d.lineBPs[lineKey(pos.File, pos.Line)]; len(bps) > 0 {
-		ctx := &StopCtx{Dbg: d, Proc: h.p, Fn: fr.FuncName(), Pos: pos, Frame: fr}
-		snapshot := make([]*Breakpoint, len(bps))
-		copy(snapshot, bps)
-		for _, bp := range snapshot {
-			if !bp.Enabled {
-				continue
-			}
-			if bp.Condition != nil && !bp.Condition(ctx) {
-				continue
-			}
-			bp.HitCount++
-			disp := DispStop
-			if bp.Action != nil {
-				disp = bp.Action(ctx)
-			} else if bp.Internal {
-				disp = DispContinue
-			}
-			if bp.Temporary {
-				d.removeBp(bp)
-			}
-			if disp == DispStop {
-				d.clearStep()
-				d.stopWorld(h.p, &StopEvent{
-					Kind: StopBreakpoint,
-					Reason: fmt.Sprintf("Breakpoint %d, %s () at %s:%d",
-						bp.ID, fr.FuncName(), pos.File, pos.Line),
-					Proc: h.p, Fn: fr.FuncName(), Pos: pos, Bp: bp,
-				})
-				return
-			}
-		}
+	if bps := d.lineBPs[lineLoc{pos.File, pos.Line}]; len(bps) > 0 && d.lineHit(h.p, fr, pos, bps) {
+		return
 	}
 
 	// Watchpoints (software: compare on every statement).
@@ -315,6 +300,50 @@ func (h *interpHooks) OnStmt(fr *filterc.Frame, pos filterc.Pos) {
 			Proc:   h.p, Fn: fr.FuncName(), Pos: pos,
 		})
 	}
+}
+
+// lineHit runs the line breakpoints planted at pos in a recycled call
+// frame, as EnterFunc runs function breakpoints, and reports whether
+// one stopped the world. A hit that does not stop allocates nothing
+// beyond what its condition and action do.
+func (d *Debugger) lineHit(p *sim.Proc, sf *filterc.Frame, pos filterc.Pos, bps []*Breakpoint) bool {
+	fr := d.frame()
+	ctx := &fr.ctx // zero: fresh or released
+	ctx.Dbg, ctx.Proc, ctx.Fn, ctx.Pos, ctx.Frame = d, p, sf.FuncName(), pos, sf
+	// Iterate over a snapshot: actions may remove breakpoints.
+	fr.snapshot = append(fr.snapshot, bps...)
+	stopped := false
+	for _, bp := range fr.snapshot {
+		if !bp.Enabled {
+			continue
+		}
+		if bp.Condition != nil && !bp.Condition(ctx) {
+			continue
+		}
+		bp.HitCount++
+		disp := DispStop
+		if bp.Action != nil {
+			disp = bp.Action(ctx)
+		} else if bp.Internal {
+			disp = DispContinue
+		}
+		if bp.Temporary {
+			d.removeBp(bp)
+		}
+		if disp == DispStop {
+			d.clearStep()
+			d.stopWorld(p, &StopEvent{
+				Kind: StopBreakpoint,
+				Reason: fmt.Sprintf("Breakpoint %d, %s () at %s:%d",
+					bp.ID, sf.FuncName(), pos.File, pos.Line),
+				Proc: p, Fn: sf.FuncName(), Pos: pos, Bp: bp,
+			})
+			stopped = true
+			break
+		}
+	}
+	d.release(fr)
+	return stopped
 }
 
 func (h *interpHooks) OnEnter(fr *filterc.Frame) {

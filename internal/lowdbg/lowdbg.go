@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dfdbg/internal/dbginfo"
@@ -32,42 +33,129 @@ import (
 	"dfdbg/internal/sim"
 )
 
-// Arg is one named argument of an intercepted function call.
-type Arg struct {
-	Name string
-	Val  any // string, int64, filterc.Value
+// DatumKind says which field of a Datum holds its payload.
+type DatumKind uint8
+
+const (
+	// NoDatum: no payload — an argument never written, or a return
+	// hook called for a function that returns nothing.
+	NoDatum DatumKind = iota
+	// IntDatum: the payload is I.
+	IntDatum
+	// StringDatum: the payload is S.
+	StringDatum
+	// ValueDatum: the payload is V, a filterc value (a token or a
+	// WORK method's return).
+	ValueDatum
+)
+
+// Datum is one typed value crossing the function-breakpoint surface:
+// an argument's payload or a function's return value. It is plain data
+// with no interface, so the target writes it in place and the debugger
+// reads it without boxing (DESIGN §12).
+type Datum struct {
+	Kind DatumKind
+	I    int64
+	S    string
+	V    filterc.Value
 }
 
-func (a Arg) String() string { return fmt.Sprintf("%s=%v", a.Name, a.Val) }
+// Val is the datum of a filterc value (a pop's or a WORK method's
+// return).
+func Val(v filterc.Value) Datum { return Datum{Kind: ValueDatum, V: v} }
 
-// ArgVal extracts a named argument from a call's argument list.
-func ArgVal(args []Arg, name string) (any, bool) {
-	for _, a := range args {
-		if a.Name == name {
-			return a.Val, true
+// appendTo appends the payload rendered as fmt's %v renders the
+// interface value ArgVal returns for it.
+func (d Datum) appendTo(b []byte) []byte {
+	switch d.Kind {
+	case IntDatum:
+		return strconv.AppendInt(b, d.I, 10)
+	case StringDatum:
+		return append(b, d.S...)
+	case ValueDatum:
+		return d.V.AppendString(b)
+	default:
+		return append(b, "<nil>"...)
+	}
+}
+
+func (d Datum) String() string { return string(d.appendTo(nil)) }
+
+// Arg is one named argument of an intercepted function call. The
+// target builds its argument lists once with IntArg, StrArg and ValArg
+// and then writes only the per-call payload fields (I, V) in place; the
+// debugger borrows the list for the call (see EnterFunc).
+type Arg struct {
+	Name string
+	Datum
+}
+
+// IntArg, StrArg and ValArg build a named argument of each kind.
+func IntArg(name string, i int64) Arg         { return Arg{name, Datum{Kind: IntDatum, I: i}} }
+func StrArg(name, s string) Arg               { return Arg{name, Datum{Kind: StringDatum, S: s}} }
+func ValArg(name string, v filterc.Value) Arg { return Arg{name, Val(v)} }
+
+// appendTo appends "name=value".
+func (a Arg) appendTo(b []byte) []byte {
+	b = append(b, a.Name...)
+	return a.Datum.appendTo(append(b, '='))
+}
+
+func (a Arg) String() string { return string(a.appendTo(nil)) }
+
+// argNamed returns the named argument of a call's argument list (nil
+// if absent).
+func argNamed(args []Arg, name string) *Arg {
+	for i := range args {
+		if args[i].Name == name {
+			return &args[i]
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// ArgVal extracts a named argument from a call's argument list as an
+// interface value: nil, an int64, a string or a filterc.Value.
+func ArgVal(args []Arg, name string) (any, bool) {
+	a := argNamed(args, name)
+	if a == nil {
+		return nil, false
+	}
+	switch a.Kind {
+	case IntDatum:
+		return a.I, true
+	case StringDatum:
+		return a.S, true
+	case ValueDatum:
+		return a.V, true
+	default:
+		return nil, true
+	}
+}
+
+// ArgValue returns a filterc-value-typed argument (false if absent or
+// of another kind).
+func ArgValue(args []Arg, name string) (filterc.Value, bool) {
+	if a := argNamed(args, name); a != nil && a.Kind == ValueDatum {
+		return a.V, true
+	}
+	return filterc.Value{}, false
 }
 
 // ArgString returns a string-typed argument ("" if absent).
 func ArgString(args []Arg, name string) string {
-	v, _ := ArgVal(args, name)
-	s, _ := v.(string)
-	return s
+	if a := argNamed(args, name); a != nil && a.Kind == StringDatum {
+		return a.S
+	}
+	return ""
 }
 
 // ArgInt returns an int64-typed argument (0 if absent).
 func ArgInt(args []Arg, name string) int64 {
-	v, _ := ArgVal(args, name)
-	switch n := v.(type) {
-	case int64:
-		return n
-	case int:
-		return int64(n)
-	default:
-		return 0
+	if a := argNamed(args, name); a != nil && a.Kind == IntDatum {
+		return a.I
 	}
+	return 0
 }
 
 // StopKind classifies why execution stopped.
@@ -121,7 +209,7 @@ type StopEvent struct {
 	Pos      filterc.Pos // source position (zero if n/a)
 	Bp       *Breakpoint // the breakpoint hit, if any
 	Args     []Arg       // call arguments, for function stops
-	Ret      any         // return value, for finish stops
+	Ret      Datum       // return value, for finish stops
 	IsReturn bool        // true when stopped at a function's return
 	Err      error       // for StopError
 	Deadlock *sim.DeadlockInfo
@@ -153,7 +241,9 @@ type Debugger struct {
 	nextBpID int
 	bps      map[int]*Breakpoint
 	funcBPs  map[string][]*Breakpoint
-	lineBPs  map[string][]*Breakpoint // key: file:line
+	// funcCache answers EnterFunc's funcBPs lookups (funcBreakpoints).
+	funcCache [funcCacheSize]cachedFunc
+	lineBPs   map[lineLoc][]*Breakpoint
 
 	watchpoints []*Watchpoint
 
@@ -213,7 +303,7 @@ func New(k *sim.Kernel, syms *dbginfo.Table) *Debugger {
 		Syms:                   syms,
 		bps:                    make(map[int]*Breakpoint),
 		funcBPs:                make(map[string][]*Breakpoint),
-		lineBPs:                make(map[string][]*Breakpoint),
+		lineBPs:                make(map[lineLoc][]*Breakpoint),
 		objects:                make(map[string]*filterc.Value),
 		interps:                make(map[*sim.Proc]*filterc.Interp),
 		sources:                make(map[string][]string),

@@ -58,10 +58,10 @@ func newHarness(t *testing.T, src string) *harness {
 	in := filterc.New(prog, env)
 	h := &harness{k: k, d: d, in: in, env: env}
 	h.p = k.Spawn("target", func(p *sim.Proc) {
-		exit := d.EnterFunc(p, "work_symbol", []Arg{{Name: "self", Val: "target"}})
+		exit := d.EnterFunc(p, "work_symbol", []Arg{StrArg("self", "target")})
 		_, err := in.CallFunc("work", nil)
 		if exit != nil {
-			exit(nil)
+			exit(Datum{})
 		}
 		if err != nil {
 			panic(err)
@@ -137,7 +137,7 @@ func TestInternalBreakpointActionRunsWithoutStopping(t *testing.T) {
 
 func TestFinishBreakpointSeesReturnValue(t *testing.T) {
 	h := newHarness(t, countSrc)
-	var got any
+	var got Datum
 	h.d.BreakFuncInternal("work_symbol",
 		func(ctx *StopCtx) Disposition { return DispContinue },
 		func(ctx *StopCtx) Disposition {
@@ -150,8 +150,8 @@ func TestFinishBreakpointSeesReturnValue(t *testing.T) {
 	if ev := h.d.Continue(); ev.Kind != StopDone {
 		t.Fatalf("stop = %v", ev)
 	}
-	if got != nil {
-		t.Errorf("ret = %v, want nil", got)
+	if got.Kind != NoDatum {
+		t.Errorf("ret = %v, want none", got)
 	}
 }
 

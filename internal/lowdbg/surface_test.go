@@ -10,19 +10,34 @@ import (
 )
 
 func TestArgHelpers(t *testing.T) {
-	args := []Arg{
-		{Name: "n64", Val: int64(7)},
-		{Name: "n", Val: 9},
-		{Name: "s", Val: "hello"},
-	}
+	v := filterc.Int(filterc.U32, 5)
+	args := []Arg{IntArg("n64", 7), IntArg("n", 9), StrArg("s", "hello"), ValArg("v", v)}
 	if ArgInt(args, "n64") != 7 || ArgInt(args, "n") != 9 || ArgInt(args, "missing") != 0 {
 		t.Error("ArgInt wrong")
 	}
-	if ArgInt(args, "s") != 0 {
-		t.Error("ArgInt on string should be 0")
+	if ArgInt(args, "s") != 0 || ArgInt(args, "v") != 0 {
+		t.Error("ArgInt on a string or value should be 0")
 	}
 	if ArgString(args, "s") != "hello" || ArgString(args, "n") != "" {
 		t.Error("ArgString wrong")
+	}
+	if got, ok := ArgValue(args, "v"); !ok || !got.Equal(v) {
+		t.Errorf("ArgValue = %v, %v", got, ok)
+	}
+	if _, ok := ArgValue(args, "n"); ok {
+		t.Error("ArgValue on an int should report false")
+	}
+	if got, ok := ArgVal(args, "n64"); !ok || got != int64(7) {
+		t.Errorf("ArgVal(n64) = %v, %v", got, ok)
+	}
+	if got, ok := ArgVal(args, "s"); !ok || got != "hello" {
+		t.Errorf("ArgVal(s) = %v, %v", got, ok)
+	}
+	if got, ok := ArgVal(args, "v"); !ok || !got.(filterc.Value).Equal(v) {
+		t.Errorf("ArgVal(v) = %v, %v", got, ok)
+	}
+	if got, ok := ArgVal(args, "missing"); ok || got != nil {
+		t.Errorf("ArgVal(missing) = %v, %v", got, ok)
 	}
 	if args[0].String() != "n64=7" {
 		t.Errorf("Arg.String = %q", args[0].String())

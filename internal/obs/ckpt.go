@@ -30,14 +30,21 @@ func stateSkip(k Kind) bool { return k == KCheckpoint || k == KRestore }
 //     events too).
 //
 // Each record's length prefix and fields go straight into w: no
-// per-event writer and no copy of the ring.
+// per-event writer and no copy of the ring. w grows once, to a bound on
+// the chunk's size: the kept events' fixed fields and names, plus the
+// whole payload arena.
 func (r *Recorder) EncodeState(w *wire.Writer) {
-	kept := 0
-	for seq := r.head - uint64(r.Len()); seq < r.head; seq++ {
-		if !stateSkip(r.slot(seq).kind) {
-			kept++
+	kept, size := 0, 4
+	if st := r.st; st != nil {
+		for seq := r.head - uint64(r.Len()); seq < r.head; seq++ {
+			if s := r.slot(seq); !stateSkip(s.kind) {
+				kept++
+				size += 4 + eventFixedLen + len(st.names[s.actor]) + len(st.names[s.other]) + len(st.names[s.port])
+			}
 		}
+		size += int(st.valEnd - st.valOff)
 	}
+	w.Grow(size)
 	skip := 0
 	if r.head > uint64(len(r.ring)) { // wrapped: normalize the window
 		limit := max(len(r.ring)-ckptSlack, 0)
@@ -58,10 +65,14 @@ func (r *Recorder) EncodeState(w *wire.Writer) {
 	})
 }
 
+// eventFixedLen is the length of a record's fixed-width scalars and
+// its four strings' length prefixes.
+const eventFixedLen = 8 + 1 + 4*8 + 4*4
+
 // eventLen is the length of ev's record as encodeEvent writes it: six
 // fixed-width scalars and four length-prefixed strings.
 func eventLen(ev Event) int {
-	return 8 + 1 + 4*8 + 4*4 + len(ev.Actor) + len(ev.Other) + len(ev.Port) + len(ev.Val)
+	return eventFixedLen + len(ev.Actor) + len(ev.Other) + len(ev.Port) + len(ev.Val)
 }
 
 func encodeEvent(w *wire.Writer, ev Event) {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,9 +68,13 @@ type Histogram struct {
 	count  atomic.Uint64
 }
 
-// Observe records one sample.
+// Observe records one sample in the first bucket whose bound is >= v.
+// The bucket lists are short, so a linear scan beats a binary search.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {

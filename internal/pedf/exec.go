@@ -269,9 +269,9 @@ func (rt *Runtime) checkConnectivity() error {
 // framework API — the initialization-phase calls the dataflow debugger's
 // graph reconstruction intercepts.
 func (rt *Runtime) replayRegistrations(p *sim.Proc) {
-	finish := func(exit func(any)) {
+	finish := func(exit func(lowdbg.Datum)) {
 		if exit != nil {
-			exit(nil)
+			exit(lowdbg.Datum{})
 		}
 	}
 	for _, m := range rt.moduleList {
@@ -280,48 +280,53 @@ func (rt *Runtime) replayRegistrations(p *sim.Proc) {
 			parent = m.Parent.Name
 		}
 		finish(rt.hook(p, SymRegisterModule, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "parent", Val: parent},
+			lowdbg.StrArg("module", m.Name), lowdbg.StrArg("parent", parent),
 		}))
 		for _, pn := range m.portNames {
 			port := m.ports[pn]
 			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: m.Name}, {Name: "port", Val: pn},
-				{Name: "dir", Val: port.Dir.String()}, {Name: "type", Val: port.Type.String()},
+				lowdbg.StrArg("actor", m.Name), lowdbg.StrArg("port", pn),
+				lowdbg.StrArg("dir", port.Dir.String()), lowdbg.StrArg("type", port.Type.String()),
 			}))
 		}
 	}
 	for _, f := range rt.actorList {
 		if f.Role == RoleController {
 			finish(rt.hook(p, SymRegisterController, []lowdbg.Arg{
-				{Name: "module", Val: f.Module.Name}, {Name: "controller", Val: f.Name},
+				lowdbg.StrArg("module", f.Module.Name), lowdbg.StrArg("controller", f.Name),
 			}))
 		} else {
 			finish(rt.hook(p, SymRegisterFilter, []lowdbg.Arg{
-				{Name: "filter", Val: f.Name}, {Name: "module", Val: f.Module.Name},
+				lowdbg.StrArg("filter", f.Name), lowdbg.StrArg("module", f.Module.Name),
 			}))
 		}
 		for _, n := range f.inNames {
 			port := f.ins[n]
 			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
-				{Name: "dir", Val: "input"}, {Name: "type", Val: port.Type.String()},
+				lowdbg.StrArg("actor", f.Name), lowdbg.StrArg("port", n),
+				lowdbg.StrArg("dir", "input"), lowdbg.StrArg("type", port.Type.String()),
 			}))
 		}
 		for _, n := range f.outNames {
 			port := f.outs[n]
 			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
-				{Name: "dir", Val: "output"}, {Name: "type", Val: port.Type.String()},
+				lowdbg.StrArg("actor", f.Name), lowdbg.StrArg("port", n),
+				lowdbg.StrArg("dir", "output"), lowdbg.StrArg("type", port.Type.String()),
 			}))
 		}
 	}
 	for _, l := range rt.links {
-		finish(rt.hook(p, SymBind, []lowdbg.Arg{
-			{Name: "link", Val: int64(l.ID)},
-			{Name: "src", Val: l.Src.ActorName}, {Name: "src_port", Val: l.Src.Name},
-			{Name: "dst", Val: l.Dst.ActorName}, {Name: "dst_port", Val: l.Dst.Name},
-			{Name: "kind", Val: l.Kind.String()},
-		}))
+		finish(rt.hook(p, SymBind, bindArgs(l)))
+	}
+}
+
+// bindArgs is the pedf_bind hook argument list announcing l.
+func bindArgs(l *Link) []lowdbg.Arg {
+	return []lowdbg.Arg{
+		lowdbg.IntArg("link", int64(l.ID)),
+		lowdbg.StrArg("src", l.Src.ActorName), lowdbg.StrArg("src_port", l.Src.Name),
+		lowdbg.StrArg("dst", l.Dst.ActorName), lowdbg.StrArg("dst_port", l.Dst.Name),
+		lowdbg.StrArg("kind", l.Kind.String()),
 	}
 }
 
@@ -402,7 +407,7 @@ func (rt *Runtime) filterLoop(p *sim.Proc, f *Filter) {
 // invokeWork runs one WORK firing under the work-symbol hook.
 func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 	f.resetWindows()
-	var exit func(any)
+	var exit func(lowdbg.Datum)
 	if rt.Dbg != nil {
 		exit = rt.Dbg.EnterFunc(p, f.workSym, f.workArgs(f.firings))
 	}
@@ -452,13 +457,18 @@ func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 		rt.fireHist.Observe(float64(dur))
 	}
 	if exit != nil {
-		if f.Prog != nil {
-			exit(v)
-		} else {
-			exit(nil)
-		}
+		exit(workRet(f, v))
 	}
 	return err
+}
+
+// workRet is a WORK method's return as its finish hook reports it: the
+// filterc return value, or none for a native WORK.
+func workRet(f *Filter, v filterc.Value) lowdbg.Datum {
+	if f.Prog == nil {
+		return lowdbg.Datum{}
+	}
+	return lowdbg.Val(v)
 }
 
 // controllerLoop runs the module's step protocol.
@@ -506,18 +516,18 @@ func (rt *Runtime) hookStep(p *sim.Proc, m *Module, sym string) {
 		return
 	}
 	if m.stepArgs == nil {
-		m.stepArgs = []lowdbg.Arg{{Name: "module", Val: m.Name}, {Name: "step"}}
+		m.stepArgs = []lowdbg.Arg{lowdbg.StrArg("module", m.Name), lowdbg.IntArg("step", 0)}
 	}
-	m.stepArgs[1].Val = int64(m.step)
+	m.stepArgs[1].I = int64(m.step)
 	if exit := rt.Dbg.EnterFunc(p, sym, m.stepArgs); exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 }
 
 // invokeController runs one controller WORK step; the return value (or
 // the native bool) decides whether the module continues.
 func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
-	var exit func(any)
+	var exit func(lowdbg.Datum)
 	if rt.Dbg != nil {
 		exit = rt.Dbg.EnterFunc(p, c.workSym, c.workArgs(c.Module.step))
 	}
@@ -544,11 +554,7 @@ func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
 		})
 	}
 	if exit != nil {
-		if c.Prog != nil {
-			exit(v)
-		} else {
-			exit(nil)
-		}
+		exit(workRet(c, v))
 	}
 	c.firings++
 	return cont, err
@@ -577,7 +583,7 @@ func (rt *Runtime) actorStart(p *sim.Proc, m *Module, name string) error {
 	}
 	f.startEv.Notify()
 	if exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 	return nil
 }
@@ -600,7 +606,7 @@ func (rt *Runtime) actorSync(p *sim.Proc, m *Module, name string) error {
 		f.pendingSync = true
 	}
 	if exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 	return nil
 }
@@ -617,7 +623,7 @@ func (rt *Runtime) waitActorInit(p *sim.Proc, m *Module) {
 		return false
 	})
 	if exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 }
 
@@ -633,7 +639,7 @@ func (rt *Runtime) waitActorSync(p *sim.Proc, m *Module) {
 		return false
 	})
 	if exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 }
 

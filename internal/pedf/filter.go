@@ -212,10 +212,10 @@ func (f *Filter) workArgs(n uint64) []lowdbg.Arg {
 		}
 		f.workSym = WorkSymbol(f)
 		f.workList = []lowdbg.Arg{
-			{Name: "self", Val: f.Name}, {Name: "module", Val: f.Module.Name}, {Name: counter},
+			lowdbg.StrArg("self", f.Name), lowdbg.StrArg("module", f.Module.Name), lowdbg.IntArg(counter, 0),
 		}
 	}
-	f.workList[2].Val = int64(n)
+	f.workList[2].I = int64(n)
 	return f.workList
 }
 
@@ -223,7 +223,7 @@ func (f *Filter) workArgs(n uint64) []lowdbg.Arg {
 // this filter. The list has no per-call entries, so every call shares it.
 func (f *Filter) schedArgs() []lowdbg.Arg {
 	if f.schedList == nil {
-		f.schedList = []lowdbg.Arg{{Name: "module", Val: f.Module.Name}, {Name: "filter", Val: f.Name}}
+		f.schedList = []lowdbg.Arg{lowdbg.StrArg("module", f.Module.Name), lowdbg.StrArg("filter", f.Name)}
 	}
 	return f.schedList
 }

@@ -130,3 +130,49 @@ func TestStopEventArgsOutliveLaterHooks(t *testing.T) {
 		}
 	}
 }
+
+// Pop stops keep their own arguments and return value too: the entry
+// and finish stops of every pop still read that pop's index and token
+// after later pops rewrote the link's recycled list.
+func TestPopStopEventsOutliveLaterHooks(t *testing.T) {
+	k, low, m, a, _ := hookedRuntime(8)
+	stop := func(*lowdbg.StopCtx) lowdbg.Disposition { return lowdbg.DispStop }
+	low.BreakFuncInternal(SymLinkPop, stop, stop)
+	k.Spawn("producer", func(p *sim.Proc) {
+		for _, v := range []int64{10, 11, 12} {
+			if err := a.push(p, nil, m.Host, u32v(v)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	k.Spawn("consumer", func(p *sim.Proc) {
+		var dst filterc.Value
+		for i := 0; i < 3; i++ {
+			if _, err := a.pop(p, nil, &dst); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var stops []*lowdbg.StopEvent
+	for st := low.Continue(); st.Kind == lowdbg.StopAction; st = low.Continue() {
+		stops = append(stops, st)
+	}
+	if len(stops) != 6 {
+		t.Fatalf("got %d pop stops, want 6", len(stops))
+	}
+	for i, st := range stops {
+		pop := int64(i / 2)
+		if idx := lowdbg.ArgInt(st.Args, "index"); idx != pop || st.IsReturn != (i%2 == 1) {
+			t.Errorf("stop %d now reads index=%d return=%v, want index=%d", i, idx, st.IsReturn, pop)
+		}
+		if !st.IsReturn {
+			if st.Ret.Kind != lowdbg.NoDatum {
+				t.Errorf("entry stop %d carries a return value %v", i, st.Ret)
+			}
+			continue
+		}
+		if st.Ret.Kind != lowdbg.ValueDatum || st.Ret.V.I != 10+pop {
+			t.Errorf("finish stop %d now reads ret=%v, want %d", i, st.Ret, 10+pop)
+		}
+	}
+}

@@ -236,22 +236,27 @@ const (
 )
 
 // hookList builds a push (withValue) or pop hook argument list: the
-// link's boxed identity, then the per-call entries. The lists are
-// recycled: a push or pop writes only its per-call entries, and the
-// debugger borrows the list until the hook returns. One process drives
-// each list (the link's producer for push, its consumer for pop), and a
-// process makes one hooked call at a time, so no two calls share one.
+// link's identity, then the typed per-call entries. The lists are
+// recycled: a push or pop writes only its per-call payloads in place
+// (the index's I, the value's V), so a hooked call boxes and allocates
+// nothing, and the debugger borrows the list until the hook returns.
+// One process drives each list (the link's producer for push, its
+// consumer for pop), and a process makes one hooked call at a time, so
+// no two calls share one.
 func (l *Link) hookList(withValue bool) []lowdbg.Arg {
-	list := []lowdbg.Arg{
-		{Name: "link", Val: int64(l.ID)},
-		{Name: "src", Val: l.Src.ActorName},
-		{Name: "src_port", Val: l.Src.Name},
-		{Name: "dst", Val: l.Dst.ActorName},
-		{Name: "dst_port", Val: l.Dst.Name},
-		{Name: "index"},
-	}
+	n := argIndex + 1
 	if withValue {
-		list = append(list, lowdbg.Arg{Name: "value"})
+		n = argValue + 1
+	}
+	list := make([]lowdbg.Arg, n)
+	list[0] = lowdbg.IntArg("link", int64(l.ID))
+	list[1] = lowdbg.StrArg("src", l.Src.ActorName)
+	list[2] = lowdbg.StrArg("src_port", l.Src.Name)
+	list[3] = lowdbg.StrArg("dst", l.Dst.ActorName)
+	list[4] = lowdbg.StrArg("dst_port", l.Dst.Name)
+	list[argIndex] = lowdbg.IntArg("index", 0)
+	if withValue {
+		list[argValue] = lowdbg.ValArg("value", filterc.Value{})
 	}
 	return list
 }
@@ -268,15 +273,15 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			v.Type, l.Src.Type, l.Src.Qualified())
 	}
 	seq := l.pushes
-	var exit func(any)
+	var exit func(lowdbg.Datum)
 	if l.rt.Dbg != nil {
 		// Hook argument lists only exist when a debugger could observe
 		// them; the undebugged hot path never touches them.
 		if l.pushArgs == nil {
 			l.pushArgs = l.hookList(true)
 		}
-		l.pushArgs[argIndex].Val = int64(seq)
-		l.pushArgs[argValue].Val = v
+		l.pushArgs[argIndex].I = int64(seq)
+		l.pushArgs[argValue].V = v
 		exit = l.rt.hookData(p, l.Src.ActorName, l.pushSym(), l.pushArgs)
 	}
 	rec := l.rt.K.Observer()
@@ -329,7 +334,7 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 		l.drops++
 		l.rt.K.NoteProgress()
 		if exit != nil {
-			exit(nil)
+			exit(lowdbg.Datum{})
 		}
 		return nil
 	}
@@ -357,7 +362,7 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 		}
 	}
 	if exit != nil {
-		exit(nil)
+		exit(lowdbg.Datum{})
 	}
 	return nil
 }
@@ -398,12 +403,12 @@ func (l *Link) blockEnd(rec *obs.Recorder, p *sim.Proc, f *Filter, pe int32, rea
 // The returned Token's Val is *dst.
 func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, error) {
 	seq := l.pops
-	var exit func(any)
+	var exit func(lowdbg.Datum)
 	if l.rt.Dbg != nil {
 		if l.popArgs == nil {
 			l.popArgs = l.hookList(false)
 		}
-		l.popArgs[argIndex].Val = int64(seq)
+		l.popArgs[argIndex].I = int64(seq)
 		exit = l.rt.hookData(p, l.Dst.ActorName, l.popSym(), l.popArgs)
 	}
 	rec := l.rt.K.Observer()
@@ -450,7 +455,7 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 		l.rt.recordToken(rec, ev, tok.Val)
 	}
 	if exit != nil {
-		exit(tok.Val)
+		exit(lowdbg.Val(tok.Val))
 	}
 	return tok, nil
 }

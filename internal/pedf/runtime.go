@@ -38,7 +38,7 @@ type Module struct {
 // waitArgs returns the WAIT_FOR_ACTOR_INIT/SYNC hook arguments.
 func (m *Module) waitArgs() []lowdbg.Arg {
 	if m.waitList == nil {
-		m.waitList = []lowdbg.Arg{{Name: "module", Val: m.Name}}
+		m.waitList = []lowdbg.Arg{lowdbg.StrArg("module", m.Name)}
 	}
 	return m.waitList
 }
@@ -231,7 +231,7 @@ func (rt *Runtime) SetCooperation(actors []string) {
 }
 
 // hook reports a framework API call to the attached debugger.
-func (rt *Runtime) hook(p *sim.Proc, fn string, args []lowdbg.Arg) func(any) {
+func (rt *Runtime) hook(p *sim.Proc, fn string, args []lowdbg.Arg) func(lowdbg.Datum) {
 	if rt.Dbg == nil {
 		return nil
 	}
@@ -239,7 +239,7 @@ func (rt *Runtime) hook(p *sim.Proc, fn string, args []lowdbg.Arg) func(any) {
 }
 
 // hookData reports a data-exchange call, honouring framework cooperation.
-func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args []lowdbg.Arg) func(any) {
+func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args []lowdbg.Arg) func(lowdbg.Datum) {
 	if rt.Dbg == nil {
 		return nil
 	}
