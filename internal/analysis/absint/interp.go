@@ -210,11 +210,12 @@ func backTargets(fb *filterc.FuncBytecode) map[int]bool {
 	for pc, in := range fb.Code {
 		t := -1
 		switch in.Op {
-		case filterc.OpJump, filterc.OpJumpFalse, filterc.OpAndSC, filterc.OpOrSC:
+		case filterc.OpJump, filterc.OpJumpFalse, filterc.OpAndSC, filterc.OpOrSC,
+			filterc.OpIJumpFalse, filterc.OpIAndSC, filterc.OpIOrSC:
 			t = int(in.A)
 		case filterc.OpCaseEq:
 			t = int(in.B)
-		case filterc.OpJFCmpSS, filterc.OpJFCmpSC:
+		case filterc.OpIJFCmpSS, filterc.OpIJFCmpSC:
 			t = int(in.C >> 5)
 		}
 		if t >= 0 && t <= pc {
@@ -371,12 +372,77 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			*work = append(*work, n)
 		}
 
-		switch in.Op {
+		switch op := untyped(in); op {
 		case filterc.OpStmt, filterc.OpCheckArr:
 			// opCheckArr's failure cases are caught at OpRefIndex.
 
 		case filterc.OpConst:
 			cf.push(fromValue(fb.Consts[in.A]))
+
+		case filterc.OpIDecl:
+			v, ok := convertScalar(filterc.BaseType(in.B), cf.pop())
+			if !ok {
+				return rets
+			}
+			cf.slots[in.A] = v
+			cf.live[in.A] = true
+
+		case filterc.OpIStore:
+			nv, ok := storeConvert(cf.slots[in.A], cf.pop())
+			if !ok {
+				return rets
+			}
+			cf.slots[in.A] = nv
+			if in.C == 0 {
+				cf.push(nv)
+			}
+
+		case filterc.OpIComp, filterc.OpICompV:
+			rv := cf.pop()
+			res, _, must := binOp(int(in.B&0xff), cf.slots[in.A], rv, pos)
+			if must {
+				return rets
+			}
+			nv, ok := storeConvert(cf.slots[in.A], res)
+			if !ok {
+				return rets
+			}
+			cf.slots[in.A] = nv
+			if in.C == 0 {
+				cf.push(nv)
+			}
+
+		case filterc.OpIInc:
+			if !cf.live[in.A] {
+				return rets
+			}
+			mode := in.B & 0xff
+			old := cf.slots[in.A]
+			nv, ok := addDelta(old, incDelta(mode))
+			if !ok {
+				return rets
+			}
+			cf.slots[in.A] = nv
+			if in.C&1 == 0 {
+				if mode == filterc.IncPost || mode == filterc.DecPost {
+					cf.push(old)
+				} else {
+					cf.push(nv)
+				}
+			}
+
+		case filterc.OpIConv:
+			v, ok := convertScalar(filterc.BaseType(in.A), cf.pop())
+			if !ok {
+				return rets
+			}
+			cf.push(v)
+
+		case filterc.OpIBox:
+			// The same scalar, moved to the value stack.
+
+		case filterc.OpIPop:
+			cf.pop()
 
 		case filterc.OpZero:
 			cf.push(fromValue(filterc.Zero(fb.Types[in.A])))
@@ -405,39 +471,6 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			cf.slots[in.A] = nv
 			if in.C == 0 {
 				cf.push(nv)
-			}
-
-		case filterc.OpCompSlot:
-			rv := cf.pop()
-			res, _, must := binOp(int(in.B), cf.slots[in.A], rv, pos)
-			if must {
-				return rets
-			}
-			nv, ok := storeConvert(cf.slots[in.A], res)
-			if !ok {
-				return rets
-			}
-			cf.slots[in.A] = nv
-			if in.C == 0 {
-				cf.push(nv)
-			}
-
-		case filterc.OpIncSlot:
-			if !cf.live[in.A] {
-				return rets
-			}
-			old := cf.slots[in.A]
-			nv, ok := addDelta(old, incDelta(in.B))
-			if !ok {
-				return rets
-			}
-			cf.slots[in.A] = nv
-			if in.C&1 == 0 {
-				if in.B == filterc.IncPost || in.B == filterc.DecPost {
-					cf.push(old)
-				} else {
-					cf.push(nv)
-				}
 			}
 
 		case filterc.OpConv:
@@ -531,14 +564,18 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 		case filterc.OpCaseEq:
 			v := cf.pop()
 			s := cf.slots[in.A]
-			if v.kind == kScalar && s.kind == kScalar && v.singleton() && s.singleton() {
-				if v.lo == s.lo {
+			if v.kind == kScalar && s.kind == kScalar && v.singleton() && s.singleton() &&
+				s.base != baseMixed {
+				if filterc.CaseMatches(s.base, s.lo, v.lo) {
 					cf.pc = int(in.B)
 					continue
 				}
 				break
 			}
-			if v.kind == kScalar && s.kind == kScalar && (v.hi < s.lo || s.hi < v.lo) {
+			// Disjoint intervals are unequal unless the label converts
+			// to the switch's unsigned type by wrapping a negative value.
+			if v.kind == kScalar && s.kind == kScalar && v.lo >= 0 && s.lo >= 0 &&
+				(v.hi < s.lo || s.hi < v.lo) {
 				break // definitely unequal
 			}
 			fc := mkCause(pos, "switch on a non-constant value", pickCause(s.c, v.c))
@@ -571,7 +608,7 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			if v.base == baseMixed {
 				nb = baseMixed
 			}
-			if in.Op == filterc.OpNeg {
+			if op == filterc.OpNeg {
 				cf.push(mkScalar(nb, -v.hi, -v.lo, v.par, v.c))
 			} else {
 				cf.push(mkScalar(nb, ^v.hi, ^v.lo, parMap(v.par, parEven, func(x, _ int64) int64 { return ^x }), v.c))
@@ -601,37 +638,6 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			}
 			cf.push(res)
 
-		case filterc.OpBinSS:
-			if !cf.live[in.A] || !cf.live[in.B] {
-				return rets
-			}
-			res, _, must := binOp(int(in.C), cf.slots[in.A], cf.slots[in.B], pos)
-			if must {
-				return rets
-			}
-			cf.push(res)
-
-		case filterc.OpBinSC:
-			if !cf.live[in.A] {
-				return rets
-			}
-			res, _, must := binOp(int(in.C), cf.slots[in.A], fromValue(fb.Consts[in.B]), pos)
-			if must {
-				return rets
-			}
-			cf.push(res)
-
-		case filterc.OpBinTS:
-			if !cf.live[in.A] {
-				return rets
-			}
-			l := cf.pop()
-			res, _, must := binOp(int(in.C), l, cf.slots[in.A], pos)
-			if must {
-				return rets
-			}
-			cf.push(res)
-
 		case filterc.OpBinTC:
 			l := cf.pop()
 			res, _, must := binOp(int(in.C), l, fromValue(fb.Consts[in.A]), pos)
@@ -640,12 +646,46 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			}
 			cf.push(res)
 
-		case filterc.OpJFCmpSS, filterc.OpJFCmpSC:
+		case filterc.OpIBin, filterc.OpIBinSS, filterc.OpIBinSC, filterc.OpIBinTS, filterc.OpIBinTC:
+			// Typed operands are abstract scalars of their static base,
+			// so the value-stack transfer applies unchanged.
+			var l, r aval
+			id := int(in.C & 0xff)
+			switch in.Op {
+			case filterc.OpIBin:
+				r = cf.pop()
+				l = cf.pop()
+				id = int(in.A)
+			case filterc.OpIBinSS:
+				if !cf.live[in.A] || !cf.live[in.B] {
+					return rets
+				}
+				l, r = cf.slots[in.A], cf.slots[in.B]
+			case filterc.OpIBinSC:
+				if !cf.live[in.A] {
+					return rets
+				}
+				l, r = cf.slots[in.A], fromValue(fb.Consts[in.B])
+			case filterc.OpIBinTS:
+				if !cf.live[in.A] {
+					return rets
+				}
+				l, r = cf.pop(), cf.slots[in.A]
+			default: // OpIBinTC
+				l, r = cf.pop(), fromValue(fb.Consts[in.A])
+			}
+			res, _, must := binOp(id, l, r, pos)
+			if must {
+				return rets
+			}
+			cf.push(res)
+
+		case filterc.OpIJFCmpSS, filterc.OpIJFCmpSC:
 			if !cf.live[in.A] {
 				return rets
 			}
 			var r aval
-			if in.Op == filterc.OpJFCmpSS {
+			if in.Op == filterc.OpIJFCmpSS {
 				if !cf.live[in.B] {
 					return rets
 				}
@@ -653,7 +693,7 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			} else {
 				r = fromValue(fb.Consts[in.B])
 			}
-			res, _, must := binOp(int(in.C&31), cf.slots[in.A], r, pos)
+			res, _, must := binOp(int(in.C&15), cf.slots[in.A], r, pos)
 			if must {
 				return rets
 			}
@@ -661,7 +701,7 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 			switch {
 			case mt && mf:
 				fc := mkCause(pos, fmt.Sprintf("branch on a non-constant comparison (%s)",
-					filterc.BinOpString(int(in.C&31))), res.c)
+					filterc.BinOpString(int(in.C&15))), res.c)
 				fork(int(in.C>>5), fc)
 			case mf:
 				cf.pc = int(in.C >> 5)
@@ -888,6 +928,34 @@ func (e *engine) runConf(fb *filterc.FuncBytecode, cf *conf, heads map[int]bool,
 		cf.pc++
 	}
 	return rets
+}
+
+// untyped maps a typed instruction to the value-stack instruction with
+// the same abstract semantics: a typed scalar is an abstract scalar of
+// its static base on the one abstract stack. Typed instructions that
+// also convert or store keep their own cases.
+func untyped(in filterc.Instr) filterc.Op {
+	switch in.Op {
+	case filterc.OpIConst:
+		return filterc.OpConst
+	case filterc.OpILoad, filterc.OpILoadV:
+		return filterc.OpLoadSlot
+	case filterc.OpIPop:
+		return filterc.OpPop
+	case filterc.OpIUnary:
+		return [...]filterc.Op{filterc.OpNeg, filterc.OpBitNot, filterc.OpNot}[in.A]
+	case filterc.OpIJumpFalse:
+		return filterc.OpJumpFalse
+	case filterc.OpIAndSC:
+		return filterc.OpAndSC
+	case filterc.OpIOrSC:
+		return filterc.OpOrSC
+	case filterc.OpITruth:
+		return filterc.OpTruthBool
+	case filterc.OpIBuiltin:
+		return filterc.OpBuiltin
+	}
+	return in.Op
 }
 
 func incDelta(mode int32) int64 {

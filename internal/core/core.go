@@ -437,14 +437,11 @@ func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	srcActor.inFlightOp = ""
 	fv, _ := lowdbg.ArgValue(ctx.Args, "value")
 	d.tokenSeq++
-	tok := &Token{
-		ID: d.tokenSeq,
-		Hop: Hop{
-			From: srcActor.Name, To: l.Dst.Actor.Name,
-			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv,
-			Seq: uint64(lowdbg.ArgInt(ctx.Args, "index")), At: ctx.Proc.Now(),
-		},
-	}
+	tok := newToken(fv)
+	tok.ID = d.tokenSeq
+	tok.Hop.From, tok.Hop.To = srcActor.Name, l.Dst.Actor.Name
+	tok.Hop.Iface, tok.Hop.Type = l.Dst.Qualified(), typeName(fv)
+	tok.Hop.Seq, tok.Hop.At = uint64(lowdbg.ArgInt(ctx.Args, "index")), ctx.Proc.Now()
 	if srcActor.Behavior != BehaviorUnknown && len(srcActor.firingInputs) > 0 {
 		tok.Origins = append([]*Token(nil), srcActor.firingInputs...)
 	}
@@ -498,10 +495,10 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		// were off): synthesize it from the observed return value.
 		fv := ctx.Ret.V
 		d.tokenSeq++
-		tok = &Token{ID: d.tokenSeq, Hop: Hop{
-			From: l.Src.Actor.Name, To: dstActor.Name,
-			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv, At: ctx.Proc.Now(),
-		}}
+		tok = newToken(fv)
+		tok.ID = d.tokenSeq
+		tok.Hop.From, tok.Hop.To = l.Src.Actor.Name, dstActor.Name
+		tok.Hop.Iface, tok.Hop.Type, tok.Hop.At = l.Dst.Qualified(), typeName(fv), ctx.Proc.Now()
 	}
 	tok.Popped = true
 	l.TotalPopped++

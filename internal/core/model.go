@@ -159,6 +159,36 @@ type Token struct {
 	Popped  bool     // consumed by the destination actor
 }
 
+// newToken returns a token whose Hop.Val is its own deep copy of v. The
+// value a push or pop lends is storage the runtime reuses (a filter's
+// local, its input window, a ring slot). An aggregate of up to 24
+// elements (h264's tokens hold 18 and 20) shares the token's allocation,
+// so recording such a token costs one allocation, as a scalar one does.
+func newToken(v filterc.Value) *Token {
+	var tok *Token
+	var buf []filterc.Value
+	switch n := v.ElemCount(); {
+	case v.Elems == nil:
+		tok = new(Token)
+	case n <= 8:
+		b := new(struct {
+			Token
+			elems [8]filterc.Value
+		})
+		tok, buf = &b.Token, b.elems[:]
+	case n <= 24:
+		b := new(struct {
+			Token
+			elems [24]filterc.Value
+		})
+		tok, buf = &b.Token, b.elems[:]
+	default:
+		tok, buf = new(Token), make([]filterc.Value, n)
+	}
+	tok.Hop.Val = v.CloneUsing(buf)
+	return tok
+}
+
 // Path walks the provenance chain: the token itself first, then the
 // token(s) it was derived from, transitively — the paper's
 // `filter pipe info last_token` output:

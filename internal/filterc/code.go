@@ -14,6 +14,14 @@ import (
 // same OnStmt/OnEnter/OnExit sequences, same MaxSteps accounting — only
 // faster. Identifiers are resolved to frame slots at compile time; the
 // per-instruction pos table is the VM's DWARF-style line table.
+//
+// The VM has two operand stacks. The value stack holds Values: the
+// aggregates, strings and the scalars whose type is only known at run
+// time (pedf accessors, io reads, user calls). The int stack holds the
+// int64 payloads of statically typed scalars; the compiler knows each
+// one's base and encodes it in the instructions, so the int stack and
+// the typed slots (Frame.ints) carry no pointers. Instructions on a
+// typed scalar start with opI.
 
 type opcode uint8
 
@@ -32,32 +40,30 @@ const (
 
 	// --- constants and slots ---
 	opConst     // a=const index: push consts[a]
-	opZero      // a=type index: push Zero(types[a])
-	opLoadSlot  // a=slot: push clone of slots[a]; error if slot not live
+	opZero      // a=type index: push Zero(types[a]) (zeroes in place before opDeclSlot)
+	opLoadSlot  // a=slot: push slots[a] (cloned unless c&loadBorrow); error if slot not live
 	opCheckSlot // a=slot: error "undefined variable" if slot not live
-	opDeclSlot  // a=slot: pop v (already converted) → slots[a], mark live
-	opStoreSlot // a=slot: pop v, convertForAssign to slot type, store, push stored
-	opCompSlot  // a=slot, b=binop id: pop rv, compound-assign into slot, push stored
-	opIncSlot   // a=slot, b=incMode: ++/-- on a live scalar slot
-	opConv      // a=type index: pop v, convertForAssign(types[a], v), push
+	opDeclSlot  // a=slot: pop v (already converted), copy into slots[a], mark live
+	opStoreSlot // a=slot: pop v, convert to the slot's type, copy in, push stored
+	opConv      // a=type index: pop v, convert to types[a] without copying, push
 
 	// --- lvalue references (ref stack) ---
 	opRefSlot   // a=slot: push &slots[a]; error if not live
 	opRefData   // a=name index: push Env.DataRef
 	opRefAttr   // a=name index: push Env.AttrRef
 	opCheckArr  // require ref top to be an array (before the index evals)
-	opRefIndex  // pop idx value; ref top=array elem ref (bounds checked)
+	opRefIndex  // pop idx (c=intIndex: int stack); ref top=array elem ref (bounds checked)
 	opRefMember // a=name index: ref top=struct field ref
-	opLoadRef   // pop ref, push clone of *ref
-	opStoreRef  // pop v, pop ref, convertForAssign to (*ref).Type, store, push
+	opLoadRef   // pop ref, push *ref (cloned unless c&loadBorrow)
+	opStoreRef  // pop v, pop ref, convert to (*ref).Type, copy in, push
 	opCompRef   // b=binop id: pop rv, pop ref, compound-assign, push stored
 	opIncRef    // a=incMode: pop ref, ++/-- (pre or post)
 
 	// --- pedf accessors ---
-	opData    // a=name index: push clone of *Env.DataRef(name)
-	opAttr    // a=name index: push clone of *Env.AttrRef(name)
-	opIORead  // a=name index: pop idx, push Env.IORead(name, idx)
-	opIOWrite // a=name index: pop v, pop idx, Env.IOWrite, push v
+	opData    // a=name index: push *Env.DataRef(name) (cloned unless c&loadBorrow)
+	opAttr    // a=name index: push *Env.AttrRef(name) (cloned unless c&loadBorrow)
+	opIORead  // a=name index: pop idx (c=intIndex: int stack), push Env.IORead(name, idx)
+	opIOWrite // a=name index: pop v, pop idx (c=intIndex: int stack), Env.IOWrite, push v
 
 	// --- operators ---
 	opScalarize // verify top of stack is a numeric scalar ("expected scalar")
@@ -81,19 +87,56 @@ const (
 	// --- fused superinstructions (emitted by the peephole pass; only
 	// when every constituent instruction shared one source position, so
 	// error and hook positions are unchanged) ---
-	opBinSS // a=slotL, b=slotR, c=binop: push slots[a] op slots[b]
-	opBinSC // a=slotL, b=constR, c=binop: push slots[a] op consts[b]
-	opBinTS // a=slotR, c=binop: pop l, push l op slots[a]
 	opBinTC // a=constR, c=binop: pop l, push l op consts[a]
 
-	// Fused comparison + conditional branch (loop/if conditions). The
-	// comparison id lives in c&31, the branch target in c>>5; no operand
-	// ever touches the value stack.
-	opJFCmpSS // a=slotL, b=slotR: if !(slots[a] cmp slots[b]) jump c>>5
-	opJFCmpSC // a=slotL, b=constR: if !(slots[a] cmp consts[b]) jump c>>5
+	// --- typed scalars (int stack; bases are BaseType operands) ---
+	opIConst     // a=const index: push consts[a].I
+	opILoad      // a=slot: push ints[a]; error if slot not live
+	opILoadV     // a=slot, b=base: push ints[a] as a Value; error if not live
+	opIDecl      // a=slot, b=base: pop x, ints[a]=trunc(b, x), mark live
+	opIStore     // a=slot, b=base: pop x, ints[a]=trunc(b, x), push it (c=1: no push)
+	opIComp      // a=slot, b=binop|rbase<<8|base<<16: pop r, compound-assign, push (c=1: no push)
+	opICompV     // a=slot, b=binop|base<<16: same with a run-time typed Value operand
+	opIInc       // a=slot, b=incMode|base<<8; c bit 1: no push, bit 2: check liveness
+	opIConv      // a=base: pop Value, require a numeric scalar, push trunc(a, v.I)
+	opIBox       // a=base: pop x, push it as a Value
+	opIPop       // discard top of int stack
+	opIUnary     // a=0 neg, 1 bitnot, 2 not; b=operand base
+	opIBin       // a=binop, b=lbase, c=rbase: pop r, pop l, push l op r
+	opIJumpFalse // pop x; if x==0 jump a
+	opIAndSC     // pop x; if x==0 push 0 and jump a
+	opIOrSC      // pop x; if x!=0 push 1 and jump a
+	opITruth     // pop x, push x!=0
+	opIBuiltin   // a=builtin id, b=nargs, c=arg0 base|arg1 base<<8
+
+	// Fused typed forms (c = binop|lbase<<8|rbase<<16).
+	opIBinSS // a=slotL, b=slotR: push ints[a] op ints[b]
+	opIBinSC // a=slotL, b=constR: push ints[a] op consts[b]
+	opIBinTS // a=slotR: pop l, push l op ints[a]
+	opIBinTC // a=constR: pop l, push l op consts[a]
+
+	// Fused typed comparison + conditional branch (loop and if
+	// conditions): the comparison id lives in c&15, c&16 marks an
+	// unsigned comparison, the branch target is c>>5.
+	opIJFCmpSS // a=slotL, b=slotR: if !(ints[a] cmp ints[b]) jump
+	opIJFCmpSC // a=slotL, b=constR: if !(ints[a] cmp consts[b]) jump
 )
 
-// incMode values for opIncSlot/opIncRef (a or b operand).
+// dynBase marks a slot that holds a Value (slotBase) rather than a
+// typed scalar payload in Frame.ints.
+const dynBase BaseType = -1
+
+// intIndex, in the c operand of opRefIndex, opIORead and opIOWrite,
+// means the index is a typed scalar on the int stack.
+const intIndex = 1
+
+// loadBorrow, in the c operand of opLoadSlot, opLoadRef, opData and
+// opAttr, lets the load push an aggregate without cloning it: the
+// compiler sets it where the consumer copies the value (or only reads
+// it) before any other instruction can change the storage.
+const loadBorrow = 1
+
+// incMode values for opIInc/opIncRef (a or b operand).
 const (
 	incPre  = 0 // ++x → push new value
 	incPost = 1 // x++ → push old value
@@ -101,7 +144,7 @@ const (
 	decPost = 3
 )
 
-// binop ids for opBinary/opCompSlot/opCompRef. applyBinary in eval.go
+// binop ids for opBinary/opCompRef. applyBinary in eval.go
 // delegates to the same applyBinaryID implementation, so the walker and
 // the VM share one arithmetic kernel by construction.
 const (
@@ -170,7 +213,7 @@ func binOpID(op string) int {
 	}
 }
 
-// builtin ids for opBuiltin.
+// builtin ids for opBuiltin and opIBuiltin.
 const (
 	builtinMin = iota
 	builtinMax
@@ -178,11 +221,17 @@ const (
 	builtinClamp
 )
 
+// builtinIDs maps the builtin functions shared by all programs to their
+// ids; a builtin's name takes precedence over a user function's.
+var builtinIDs = map[string]int32{
+	"min": builtinMin, "max": builtinMax, "abs": builtinAbs, "clamp": builtinClamp,
+}
+
 // ins is one VM instruction. Operands are indices (slots, constants,
 // names, jump targets) — never pointers — so code objects are immutable
 // and safely shared across interpreter instances. c carries the binop id
 // of fused instructions and the "value discarded" flag (c=1) that the
-// peephole pass sets on opStoreSlot/opIncSlot followed by opPop.
+// peephole pass sets on opStoreSlot/opIInc followed by opPop.
 type ins struct {
 	op      opcode
 	a, b, c int32
@@ -197,8 +246,9 @@ type funcCode struct {
 	pos  []Pos // parallel to code: source position of each instruction
 
 	nslots     int
-	slotNames  []string  // slot→name map ("" for compiler temporaries)
-	scopeSlots [][]int32 // per lexical scope (by open order), the slots it owns
+	slotNames  []string   // slot→name map ("" for compiler temporaries)
+	slotBase   []BaseType // per slot: the typed scalar base, or dynBase
+	scopeSlots [][]int32  // per lexical scope (by open order), the slots it owns
 
 	consts []Value
 	types  []*Type
@@ -229,11 +279,14 @@ func (c *Code) Disasm(fn string) string {
 		if name == "" {
 			name = "(tmp)"
 		}
+		if base := fc.slotBase[i]; base != dynBase {
+			name += " " + base.String()
+		}
 		fmt.Fprintf(&b, "  slot %d = %s\n", i, name)
 	}
 	for pc, i := range fc.code {
-		fmt.Fprintf(&b, "  %4d  %-12s a=%-5d b=%-5d ; line %d\n",
-			pc, opName(i.op), i.a, i.b, fc.pos[pc].Line)
+		fmt.Fprintf(&b, "  %4d  %-12s a=%-5d b=%-8d c=%-8d ; line %d\n",
+			pc, opName(i.op), i.a, i.b, i.c, fc.pos[pc].Line)
 	}
 	return b.String()
 }
@@ -244,8 +297,7 @@ func opName(op opcode) string {
 		opRet: "ret", opRetVoid: "retvoid", opKill: "kill", opErr: "err",
 		opConst: "const", opZero: "zero", opLoadSlot: "loadslot",
 		opCheckSlot: "checkslot", opDeclSlot: "declslot", opStoreSlot: "storeslot",
-		opCompSlot: "compslot", opIncSlot: "incslot", opConv: "conv",
-		opRefSlot: "refslot", opRefData: "refdata", opRefAttr: "refattr",
+		opConv: "conv", opRefSlot: "refslot", opRefData: "refdata", opRefAttr: "refattr",
 		opCheckArr: "checkarr", opRefIndex: "refindex", opRefMember: "refmember",
 		opLoadRef:  "loadref",
 		opStoreRef: "storeref", opCompRef: "compref", opIncRef: "incref",
@@ -254,8 +306,14 @@ func opName(op opcode) string {
 		opBinary: "binary", opAndSC: "andsc", opOrSC: "orsc", opTruthBool: "truthbool",
 		opCallUser: "calluser", opBuiltin: "builtin", opIntrinsic: "intrinsic",
 		opSwitchCond: "switchcond", opCaseEq: "caseeq",
-		opBinSS: "bin.ss", opBinSC: "bin.sc", opBinTS: "bin.ts", opBinTC: "bin.tc",
-		opJFCmpSS: "jfcmp.ss", opJFCmpSC: "jfcmp.sc",
+		opBinTC:  "bin.tc",
+		opIConst: "i.const", opILoad: "i.load", opILoadV: "i.loadv", opIDecl: "i.decl",
+		opIStore: "i.store", opIComp: "i.comp", opICompV: "i.compv", opIInc: "i.inc",
+		opIConv: "i.conv", opIBox: "i.box", opIPop: "i.pop", opIUnary: "i.unary",
+		opIBin: "i.bin", opIJumpFalse: "i.jumpfalse", opIAndSC: "i.andsc",
+		opIOrSC: "i.orsc", opITruth: "i.truth", opIBuiltin: "i.builtin",
+		opIBinSS: "i.bin.ss", opIBinSC: "i.bin.sc", opIBinTS: "i.bin.ts", opIBinTC: "i.bin.tc",
+		opIJFCmpSS: "i.jfcmp.ss", opIJFCmpSC: "i.jfcmp.sc",
 	}
 	if s, ok := names[op]; ok {
 		return s

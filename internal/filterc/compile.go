@@ -9,6 +9,12 @@ import "fmt"
 // detectable errors (undefined variables, redeclarations, io misuse) are
 // compiled to opErr instructions so they are raised only if and when the
 // faulty statement actually executes — exactly like the tree-walker.
+//
+// Every expression whose scalar type is known at compile time (see
+// ibase) compiles to typed instructions on the int stack. Scalar locals
+// and parameters are typed slots; the values whose type only the run
+// time knows (pedf accessors, io reads, user calls, aggregate elements)
+// stay on the value stack and enter a typed slot through opIConv.
 
 // Compile translates a parsed program to bytecode. Use it directly only
 // for benchmarks and tests; execution compiles each program once, on
@@ -71,14 +77,29 @@ type compiler struct {
 func (c *compiler) pc() int { return len(c.fc.code) }
 
 func (c *compiler) emit(op opcode, a, b int32, pos Pos) int {
+	return c.emitC(op, a, b, 0, pos)
+}
+
+func (c *compiler) emitC(op opcode, a, b, cc int32, pos Pos) int {
 	pc := len(c.fc.code)
-	c.fc.code = append(c.fc.code, ins{op: op, a: a, b: b})
+	c.fc.code = append(c.fc.code, ins{op: op, a: a, b: b, c: cc})
 	c.fc.pos = append(c.fc.pos, pos)
 	return pc
 }
 
 // patchA points the a-operand of the jump at pc to the current position.
 func (c *compiler) patchA(pc int) { c.fc.code[pc].a = int32(len(c.fc.code)) }
+
+// borrow marks the load that produced the value just compiled, if the
+// last instruction is one, as borrowing (loadBorrow). Callers use it
+// where the consumer copies or only reads the value next.
+func (c *compiler) borrow() {
+	last := &c.fc.code[len(c.fc.code)-1]
+	switch last.op {
+	case opLoadSlot, opLoadRef, opData, opAttr:
+		last.c |= loadBorrow
+	}
+}
 
 func (c *compiler) emitErr(pos Pos, msg string) {
 	c.emit(opErr, c.name(msg), 0, pos)
@@ -146,11 +167,13 @@ func (c *compiler) emitKills(from int, pos Pos) {
 	}
 }
 
-// newSlot allocates a slot owned by the innermost scope.
-func (c *compiler) newSlot(name string) int32 {
+// newSlot allocates a slot owned by the innermost scope; base is its
+// typed scalar base, or dynBase for a slot that holds a Value.
+func (c *compiler) newSlot(name string, base BaseType) int32 {
 	slot := int32(c.fc.nslots)
 	c.fc.nslots++
 	c.fc.slotNames = append(c.fc.slotNames, name)
+	c.fc.slotBase = append(c.fc.slotBase, base)
 	sc := &c.scopes[len(c.scopes)-1]
 	sc.names[name] = slot
 	scID := sc.id
@@ -164,7 +187,34 @@ func (c *compiler) tempSlot() int32 {
 	slot := int32(c.fc.nslots)
 	c.fc.nslots++
 	c.fc.slotNames = append(c.fc.slotNames, "")
+	c.fc.slotBase = append(c.fc.slotBase, dynBase)
 	return slot
+}
+
+// declBase returns the typed scalar base a variable of type t gets, or
+// dynBase when it holds a Value (aggregates, void).
+func declBase(t *Type) BaseType {
+	if t.Kind == KScalar && t.Base >= U8 && t.Base <= I32 {
+		return t.Base
+	}
+	return dynBase
+}
+
+// typedSlot returns the base of a typed slot.
+func (c *compiler) typedSlot(slot int32) (BaseType, bool) {
+	b := c.fc.slotBase[slot]
+	return b, b != dynBase
+}
+
+// typedTarget returns the base of an assignment or ++/-- target that is
+// a typed slot.
+func (c *compiler) typedTarget(e Expr) (BaseType, bool) {
+	if id, ok := e.(*Ident); ok {
+		if slot, ok := c.resolve(id.Name); ok {
+			return c.typedSlot(slot)
+		}
+	}
+	return 0, false
 }
 
 // resolve finds the slot a name is lexically bound to, innermost first.
@@ -186,6 +236,7 @@ func (c *compiler) compileFunc() {
 		slot := int32(c.fc.nslots)
 		c.fc.nslots++
 		c.fc.slotNames = append(c.fc.slotNames, p.Name)
+		c.fc.slotBase = append(c.fc.slotBase, declBase(p.Type))
 		c.fc.scopeSlots[0] = append(c.fc.scopeSlots[0], slot)
 		c.scopes[0].names[p.Name] = slot
 	}
@@ -207,11 +258,8 @@ func (c *compiler) peephole() {
 	n := len(code)
 	target := make([]bool, n+1)
 	for _, in := range code {
-		switch in.op {
-		case opJump, opJumpFalse, opAndSC, opOrSC:
-			target[in.a] = true
-		case opCaseEq:
-			target[in.b] = true
+		if t, ok := jumpTarget(in); ok {
+			target[t] = true
 		}
 	}
 	out := make([]ins, 0, n)
@@ -224,18 +272,36 @@ func (c *compiler) peephole() {
 		out = append(out, f)
 		outPos = append(outPos, pos[i])
 	}
+	// plain reports whether code[i:i+width] can fuse: control enters
+	// only at its first instruction and every instruction shares one
+	// source position.
+	plain := func(i, width int) bool {
+		if i+width > n {
+			return false
+		}
+		for k := 1; k < width; k++ {
+			if target[i+k] || pos[i+k] != pos[i] {
+				return false
+			}
+		}
+		return true
+	}
+	isOperand := func(in ins) bool { return in.op == opILoad || in.op == opIConst }
+	// binC packs a typed binary's operator and operand bases.
+	binC := func(bin ins) int32 { return bin.a | bin.b<<8 | bin.c<<16 }
 	i := 0
 	for i < n {
 		remap[i] = int32(len(out))
-		// (checkslot, incslot[, pop]) on the same slot → one incslot that
-		// performs the liveness check itself (c bit 2) and, with the pop,
-		// discards the result (c bit 1).
-		if i+1 < n && !target[i+1] &&
-			code[i].op == opCheckSlot && code[i+1].op == opIncSlot &&
-			code[i].a == code[i+1].a && pos[i] == pos[i+1] {
+		cur := code[i]
+		switch {
+		// (checkslot, i.inc[, pop/i.pop]) on the same slot → one
+		// increment that checks liveness itself (c bit 2) and, with the
+		// pop, discards the result (c bit 1).
+		case cur.op == opCheckSlot && plain(i, 2) &&
+			code[i+1].op == opIInc && code[i+1].a == cur.a:
 			f := code[i+1]
 			f.c = 2
-			if i+2 < n && !target[i+2] && code[i+2].op == opPop {
+			if plain(i, 3) && (code[i+2].op == opPop || code[i+2].op == opIPop) {
 				f.c = 3
 				fuse(i, 3, f)
 				i += 3
@@ -244,124 +310,122 @@ func (c *compiler) peephole() {
 			fuse(i, 2, f)
 			i += 2
 			continue
-		}
-		// (checkslot, loadslot) on the same slot: the load re-checks
+		// (checkslot, load) on the same slot: the load re-checks
 		// liveness at an equal position, so the check is redundant.
-		if i+1 < n && !target[i+1] &&
-			code[i].op == opCheckSlot && code[i+1].op == opLoadSlot &&
-			code[i].a == code[i+1].a && pos[i] == pos[i+1] {
-			fuse(i, 2, code[i+1])
+		case cur.op == opCheckSlot && plain(i, 2) &&
+			(code[i+1].op == opLoadSlot || code[i+1].op == opILoad) && code[i+1].a == cur.a:
+			i++
+			continue
+		// (i.load, i.load/i.const, compare, i.jumpfalse) → one fused
+		// compare-and-branch: the shape of every loop condition.
+		// The branch raises no error, so its position may differ.
+		case cur.op == opILoad && plain(i, 3) && i+3 < n && !target[i+3] && isOperand(code[i+1]) &&
+			code[i+2].op == opIBin && code[i+2].a >= bEq && code[i+2].a <= bGe &&
+			code[i+3].op == opIJumpFalse:
+			// The branch target stays an original pc here; the remap
+			// sweep below rewrites it along with the plain jumps.
+			cmp := code[i+2]
+			c3 := cmp.a | code[i+3].a<<5
+			if promoteBase(BaseType(cmp.b), BaseType(cmp.c)) == U32 {
+				c3 |= 16
+			}
+			op := opIJFCmpSS
+			if code[i+1].op == opIConst {
+				op = opIJFCmpSC
+			}
+			fuse(i, 4, ins{op: op, a: cur.a, b: code[i+1].a, c: c3})
+			i += 4
+			continue
+		// (i.load, i.load/i.const, i.bin) → one fused binary. The two
+		// pushes directly preceding a binary are exactly its operands.
+		case cur.op == opILoad && plain(i, 3) && isOperand(code[i+1]) && code[i+2].op == opIBin:
+			op := opIBinSS
+			if code[i+1].op == opIConst {
+				op = opIBinSC
+			}
+			fuse(i, 3, ins{op: op, a: cur.a, b: code[i+1].a, c: binC(code[i+2])})
+			i += 3
+			continue
+		// (i.load/i.const, i.bin) with the left operand already on the
+		// int stack → fused right-operand binary.
+		case isOperand(cur) && plain(i, 2) && code[i+1].op == opIBin:
+			op := opIBinTS
+			if cur.op == opIConst {
+				op = opIBinTC
+			}
+			fuse(i, 2, ins{op: op, a: cur.a, c: binC(code[i+1])})
 			i += 2
 			continue
-		}
-		// (load, load/const, compare, jumpfalse) → one fused
-		// compare-and-branch: the shape of every loop condition.
-		if i+3 < n && !target[i+1] && !target[i+2] && !target[i+3] &&
-			code[i+2].op == opBinary && code[i+2].a >= bEq && code[i+2].a <= bGe &&
-			code[i+3].op == opJumpFalse &&
-			pos[i] == pos[i+1] && pos[i] == pos[i+2] &&
-			code[i].op == opLoadSlot {
-			// Branch target stays an original pc here; the remap sweep
-			// below rewrites it along with the plain jumps.
-			c3 := code[i+2].a | code[i+3].a<<5
-			if code[i+1].op == opLoadSlot {
-				fuse(i, 4, ins{op: opJFCmpSS, a: code[i].a, b: code[i+1].a, c: c3})
-				i += 4
-				continue
-			}
-			if code[i+1].op == opConst {
-				fuse(i, 4, ins{op: opJFCmpSC, a: code[i].a, b: code[i+1].a, c: c3})
-				i += 4
+		// (const, binary): a dynamic left operand against a constant.
+		case cur.op == opConst && plain(i, 2) && code[i+1].op == opBinary && code[i+1].a != bBad:
+			fuse(i, 2, ins{op: opBinTC, a: cur.a, c: code[i+1].a})
+			i += 2
+			continue
+		// Store/inc whose pushed value is immediately discarded
+		// (expression statements): flag the op to skip the push.
+		case i+1 < n && !target[i+1] && (code[i+1].op == opPop || code[i+1].op == opIPop):
+			switch cur.op {
+			case opStoreSlot, opIStore, opIComp, opICompV, opIInc:
+				cur.c = 1
+				fuse(i, 2, cur)
+				i += 2
 				continue
 			}
 		}
-		// (load, load/const, binary) → one fused binary. The two pushes
-		// directly preceding an opBinary are exactly its operands, so the
-		// rewrite is sound whenever control cannot enter mid-pattern.
-		if i+2 < n && !target[i+1] && !target[i+2] &&
-			code[i+2].op == opBinary && code[i+2].a != bBad &&
-			pos[i] == pos[i+1] && pos[i] == pos[i+2] {
-			id := code[i+2].a
-			if code[i].op == opLoadSlot && code[i+1].op == opLoadSlot {
-				fuse(i, 3, ins{op: opBinSS, a: code[i].a, b: code[i+1].a, c: id})
-				i += 3
-				continue
-			}
-			if code[i].op == opLoadSlot && code[i+1].op == opConst {
-				fuse(i, 3, ins{op: opBinSC, a: code[i].a, b: code[i+1].a, c: id})
-				i += 3
-				continue
-			}
-		}
-		if i+1 < n && !target[i+1] {
-			next := code[i+1]
-			// (load/const, binary) with the left operand already on the
-			// stack → fused right-operand binary.
-			if next.op == opBinary && next.a != bBad && pos[i] == pos[i+1] {
-				if code[i].op == opLoadSlot {
-					fuse(i, 2, ins{op: opBinTS, a: code[i].a, c: next.a})
-					i += 2
-					continue
-				}
-				if code[i].op == opConst {
-					fuse(i, 2, ins{op: opBinTC, a: code[i].a, c: next.a})
-					i += 2
-					continue
-				}
-			}
-			// Store/inc whose pushed value is immediately discarded
-			// (expression statements): flag the op to skip the push.
-			if next.op == opPop {
-				switch code[i].op {
-				case opStoreSlot, opCompSlot, opIncSlot:
-					f := code[i]
-					f.c = 1
-					fuse(i, 2, f)
-					i += 2
-					continue
-				}
-			}
-		}
-		out = append(out, code[i])
+		out = append(out, cur)
 		outPos = append(outPos, pos[i])
 		i++
 	}
 	remap[n] = int32(len(out))
 	for idx := range out {
-		switch out[idx].op {
-		case opJump, opJumpFalse, opAndSC, opOrSC:
-			out[idx].a = remap[out[idx].a]
-		case opCaseEq:
-			out[idx].b = remap[out[idx].b]
-		case opJFCmpSS, opJFCmpSC:
-			out[idx].c = out[idx].c&31 | remap[out[idx].c>>5]<<5
+		if t, ok := jumpTarget(out[idx]); ok {
+			setJumpTarget(&out[idx], remap[t])
 		}
 	}
 	c.fc.code, c.fc.pos = out, outPos
+}
+
+// jumpTarget returns the branch target of a jump instruction.
+func jumpTarget(in ins) (int32, bool) {
+	switch in.op {
+	case opJump, opJumpFalse, opAndSC, opOrSC, opIJumpFalse, opIAndSC, opIOrSC:
+		return in.a, true
+	case opCaseEq:
+		return in.b, true
+	case opIJFCmpSS, opIJFCmpSC:
+		return in.c >> 5, true
+	}
+	return 0, false
+}
+
+// setJumpTarget points a jump instruction at t.
+func setJumpTarget(in *ins, t int32) {
+	switch in.op {
+	case opCaseEq:
+		in.b = t
+	case opIJFCmpSS, opIJFCmpSC:
+		in.c = in.c&31 | t<<5
+	default:
+		in.a = t
+	}
 }
 
 // thread rewrites jumps whose target is another unconditional jump
 // (classic jump threading; bounded to guard against degenerate chains).
 func (c *compiler) thread() {
 	code := c.fc.code
-	follow := func(t int32) int32 {
+	for pc := range code {
+		t, ok := jumpTarget(code[pc])
+		if !ok {
+			continue
+		}
 		for hops := 0; hops < len(code); hops++ {
 			if int(t) >= len(code) || code[t].op != opJump {
 				break
 			}
 			t = code[t].a
 		}
-		return t
-	}
-	for pc := range code {
-		switch code[pc].op {
-		case opJump, opJumpFalse, opAndSC, opOrSC:
-			code[pc].a = follow(code[pc].a)
-		case opCaseEq:
-			code[pc].b = follow(code[pc].b)
-		case opJFCmpSS, opJFCmpSC:
-			code[pc].c = code[pc].c&31 | follow(code[pc].c>>5)<<5
-		}
+		setJumpTarget(&code[pc], t)
 	}
 }
 
@@ -389,29 +453,46 @@ func (c *compiler) stmt(s Stmt) {
 			// the declare fails; preserve that error order.
 			if s.Init != nil {
 				c.expr(s.Init)
+				c.borrow()
 				c.emit(opConv, c.typeRef(s.Type), 0, s.P)
 			}
 			c.emitErr(s.P, fmt.Sprintf("variable %q redeclared in the same scope", s.Name))
 			return
 		}
+		if b := declBase(s.Type); b != dynBase {
+			if s.Init != nil {
+				c.ivalue(s.Init, b, s.P)
+			} else {
+				c.emit(opIConst, c.constant(Int(b, 0)), 0, s.P)
+			}
+			slot := c.newSlot(s.Name, b)
+			c.emit(opIDecl, slot, int32(b), s.P)
+			return
+		}
 		if s.Init != nil {
 			c.expr(s.Init)
+			c.borrow()
 			c.emit(opConv, c.typeRef(s.Type), 0, s.P)
 		} else {
 			c.emit(opZero, c.typeRef(s.Type), 0, s.P)
 		}
-		slot := c.newSlot(s.Name) // after the initializer: `int x = x;` sees the outer x
+		slot := c.newSlot(s.Name, dynBase) // after the initializer: `int x = x;` sees the outer x
 		c.emit(opDeclSlot, slot, 0, s.P)
 
 	case *ExprStmt:
 		c.emit(opStmt, int32(s.P.Line), 0, s.P)
+		if _, ok := c.ibase(s.X); ok {
+			c.iexpr(s.X)
+			c.emit(opIPop, 0, 0, s.P)
+			return
+		}
 		c.expr(s.X)
+		c.borrow()
 		c.emit(opPop, 0, 0, s.P)
 
 	case *IfStmt:
 		c.emit(opStmt, int32(s.P.Line), 0, s.P)
-		c.expr(s.Cond)
-		jf := c.emit(opJumpFalse, -1, 0, s.P)
+		jf := c.jumpFalse(s.Cond, s.P)
 		c.stmt(s.Then)
 		if s.Else != nil {
 			j := c.emit(opJump, -1, 0, s.P)
@@ -425,8 +506,7 @@ func (c *compiler) stmt(s Stmt) {
 	case *WhileStmt:
 		top := c.pc()
 		c.emit(opStmt, int32(s.P.Line), 0, s.P)
-		c.expr(s.Cond)
-		jf := c.emit(opJumpFalse, -1, 0, s.P)
+		jf := c.jumpFalse(s.Cond, s.P)
 		c.loops = append(c.loops, loopCtx{isLoop: true,
 			breakKillTo: len(c.scopes), contKillTo: len(c.scopes)})
 		c.stmt(s.Body)
@@ -451,8 +531,7 @@ func (c *compiler) stmt(s Stmt) {
 		c.emit(opStmt, int32(s.P.Line), 0, s.P)
 		jf := -1
 		if s.Cond != nil {
-			c.expr(s.Cond)
-			jf = c.emit(opJumpFalse, -1, 0, s.P)
+			jf = c.jumpFalse(s.Cond, s.P)
 		}
 		c.loops = append(c.loops, loopCtx{isLoop: true,
 			breakKillTo: len(c.scopes), contKillTo: len(c.scopes)})
@@ -530,6 +609,7 @@ func (c *compiler) stmt(s Stmt) {
 		c.emit(opStmt, int32(s.P.Line), 0, s.P)
 		if s.X != nil {
 			c.expr(s.X)
+			c.borrow()
 			c.emit(opRet, 0, 0, s.P)
 		} else {
 			c.emit(opRetVoid, 0, 0, s.P)
@@ -571,9 +651,22 @@ func (c *compiler) stmt(s Stmt) {
 
 // ---- expressions ----
 
+// expr compiles e onto the value stack. A typed expression compiles to
+// typed code and is boxed at the end; a typed local loads as a Value in
+// one instruction.
 func (c *compiler) expr(e Expr) {
 	if v, ok := foldExpr(e); ok {
 		c.emit(opConst, c.constant(v), 0, e.exprPos())
+		return
+	}
+	if b, ok := c.ibase(e); ok {
+		if id, isIdent := e.(*Ident); isIdent {
+			slot, _ := c.resolve(id.Name)
+			c.emit(opILoadV, slot, int32(b), id.P)
+			return
+		}
+		c.iexpr(e)
+		c.emit(opIBox, int32(b), 0, e.exprPos())
 		return
 	}
 	switch e := e.(type) {
@@ -601,9 +694,8 @@ func (c *compiler) expr(e Expr) {
 
 	case *Index:
 		if ref, ok := e.X.(*PedfRef); ok && ref.Space == PedfIO {
-			c.expr(e.I)
-			c.emit(opScalarize, 0, 0, e.I.exprPos())
-			c.emit(opIORead, c.name(ref.Name), 0, e.P)
+			flag := c.index(e.I)
+			c.emitC(opIORead, c.name(ref.Name), 0, flag, e.P)
 			return
 		}
 		c.lvalue(e)
@@ -648,8 +740,7 @@ func (c *compiler) expr(e Expr) {
 		c.assign(e)
 
 	case *Cond:
-		c.expr(e.C)
-		jf := c.emit(opJumpFalse, -1, 0, e.P)
+		jf := c.jumpFalse(e.C, e.P)
 		c.expr(e.T)
 		j := c.emit(opJump, -1, 0, e.P)
 		c.patchA(jf)
@@ -661,21 +752,15 @@ func (c *compiler) expr(e Expr) {
 			c.expr(a)
 		}
 		n := int32(len(e.Args))
-		switch e.Name {
-		case "min":
-			c.emit(opBuiltin, builtinMin, n, e.P)
-		case "max":
-			c.emit(opBuiltin, builtinMax, n, e.P)
-		case "abs":
-			c.emit(opBuiltin, builtinAbs, n, e.P)
-		case "clamp":
-			c.emit(opBuiltin, builtinClamp, n, e.P)
-		default:
-			if fi, ok := c.funcIdx[e.Name]; ok {
-				c.emit(opCallUser, fi, n, e.P)
-			} else {
-				c.emit(opIntrinsic, c.name(e.Name), n, e.P)
+		if id, ok := builtinIDs[e.Name]; ok {
+			c.emit(opBuiltin, id, n, e.P)
+		} else if fi, ok := c.funcIdx[e.Name]; ok {
+			if n > 0 {
+				c.borrow() // vmCall copies arguments into the callee's slots
 			}
+			c.emit(opCallUser, fi, n, e.P)
+		} else {
+			c.emit(opIntrinsic, c.name(e.Name), n, e.P)
 		}
 
 	default:
@@ -687,8 +772,10 @@ func (c *compiler) expr(e Expr) {
 func (c *compiler) incDec(target Expr, mode int32, at Pos) {
 	if id, ok := target.(*Ident); ok {
 		if slot, ok := c.resolve(id.Name); ok {
+			// Typed slots take iincDec; a Value slot holds an
+			// aggregate or a void variable, never a number.
 			c.emit(opCheckSlot, slot, 0, id.P)
-			c.emit(opIncSlot, slot, mode, at)
+			c.emitErr(at, "operand of ++/-- must be scalar")
 			return
 		}
 		c.emitErr(id.P, fmt.Sprintf("undefined variable %q", id.Name))
@@ -727,6 +814,7 @@ func (c *compiler) binary(e *Binary) {
 	}
 	c.expr(e.L)
 	c.expr(e.R)
+	c.borrow()
 	c.emit(opBinary, int32(binOpID(e.Op)), c.name(e.Op), e.P)
 }
 
@@ -738,10 +826,10 @@ func (c *compiler) assign(e *Assign) {
 				c.emitErr(e.P, "compound assignment is not allowed on io interfaces")
 				return
 			}
-			c.expr(idx.I)
-			c.emit(opScalarize, 0, 0, idx.I.exprPos())
+			flag := c.index(idx.I)
 			c.expr(e.R)
-			c.emit(opIOWrite, c.name(ref.Name), 0, e.P)
+			c.borrow()
+			c.emitC(opIOWrite, c.name(ref.Name), 0, flag, e.P)
 			return
 		}
 	}
@@ -756,14 +844,18 @@ func (c *compiler) assign(e *Assign) {
 		c.emit(opCheckSlot, slot, 0, id.P)
 		c.expr(e.R)
 		if e.Op == "=" {
+			c.borrow()
 			c.emit(opStoreSlot, slot, 0, e.P)
 		} else {
-			c.emit(opCompSlot, slot, int32(binOpID(e.Op[:len(e.Op)-1])), e.P)
+			// Typed slots take iassign; compound assignment to a
+			// Value slot fails once the operand is evaluated.
+			c.emitErr(e.P, "compound assignment needs scalar operands")
 		}
 		return
 	}
 	c.lvalue(e.L)
 	c.expr(e.R)
+	c.borrow()
 	if e.Op == "=" {
 		c.emit(opStoreRef, 0, 0, e.P)
 	} else {
@@ -796,9 +888,8 @@ func (c *compiler) lvalue(e Expr) {
 		c.lvalue(e.X)
 		// The walker rejects non-array bases before evaluating the index.
 		c.emit(opCheckArr, 0, 0, e.P)
-		c.expr(e.I)
-		c.emit(opScalarize, 0, 0, e.I.exprPos())
-		c.emit(opRefIndex, 0, 0, e.P)
+		flag := c.index(e.I)
+		c.emitC(opRefIndex, 0, 0, flag, e.P)
 
 	case *Member:
 		c.lvalue(e.X)
@@ -807,6 +898,231 @@ func (c *compiler) lvalue(e Expr) {
 	default:
 		c.emitErr(e.exprPos(), "expression is not assignable")
 	}
+}
+
+// ---- typed scalars ----
+
+// ibase reports whether e compiles to typed code, and its base: a
+// numeric constant, a typed local or parameter, an assignment or ++/--
+// of one, and any operator, conditional or builtin over typed operands.
+// The base follows the VM's promotion rules, so it is exactly the base
+// the value-stack code would compute at run time.
+func (c *compiler) ibase(e Expr) (BaseType, bool) {
+	if v, ok := foldExpr(e); ok {
+		return v.Type.Base, v.IsScalar()
+	}
+	switch e := e.(type) {
+	case *Ident:
+		if slot, ok := c.resolve(e.Name); ok {
+			return c.typedSlot(slot)
+		}
+	case *Unary:
+		switch e.Op {
+		case "++", "--":
+			return c.typedTarget(e.X)
+		case "-", "~":
+			if b, ok := c.ibase(e.X); ok {
+				return promoteBase(b, I32), true
+			}
+		case "!":
+			if _, ok := c.ibase(e.X); ok {
+				return Bool, true
+			}
+		}
+	case *Postfix:
+		return c.typedTarget(e.X)
+	case *Binary:
+		if e.Op == "&&" || e.Op == "||" {
+			_, okR := c.ibase(e.R)
+			_, okL := c.ibase(e.L)
+			return Bool, okL && okR
+		}
+		id := binOpID(e.Op)
+		lb, okL := c.ibase(e.L)
+		rb, okR := c.ibase(e.R)
+		if id != bBad && okL && okR {
+			return binResult(id, lb, rb), true
+		}
+	case *Assign:
+		return c.typedTarget(e.L)
+	case *Cond:
+		tb, okT := c.ibase(e.T)
+		fb, okF := c.ibase(e.F)
+		return tb, okT && okF && tb == fb
+	case *Call:
+		var bases [3]BaseType
+		for k, a := range e.Args {
+			b, ok := c.ibase(a)
+			if !ok || k >= len(bases) {
+				return 0, false
+			}
+			bases[k] = b
+		}
+		switch n := len(e.Args); e.Name {
+		case "min", "max":
+			return promoteBase(bases[0], bases[1]), n == 2
+		case "abs":
+			return I32, n == 1
+		case "clamp":
+			return I32, n == 3
+		}
+	}
+	return 0, false
+}
+
+// iexpr compiles a typed expression (ibase ok) onto the int stack and
+// returns its base.
+func (c *compiler) iexpr(e Expr) BaseType {
+	if v, ok := foldExpr(e); ok {
+		c.emit(opIConst, c.constant(v), 0, e.exprPos())
+		return v.Type.Base
+	}
+	switch e := e.(type) {
+	case *Ident:
+		slot, _ := c.resolve(e.Name)
+		c.emit(opILoad, slot, 0, e.P)
+		return c.fc.slotBase[slot]
+	case *Unary:
+		switch e.Op {
+		case "++":
+			return c.iincDec(e.X, incPre, e.P)
+		case "--":
+			return c.iincDec(e.X, decPre, e.P)
+		}
+		b := c.iexpr(e.X)
+		switch e.Op {
+		case "-":
+			c.emit(opIUnary, 0, int32(b), e.P)
+		case "~":
+			c.emit(opIUnary, 1, int32(b), e.P)
+		default: // "!"
+			c.emit(opIUnary, 2, int32(b), e.P)
+			return Bool
+		}
+		return promoteBase(b, I32)
+	case *Postfix:
+		if e.Op == "--" {
+			return c.iincDec(e.X, decPost, e.P)
+		}
+		return c.iincDec(e.X, incPost, e.P)
+	case *Binary:
+		if e.Op == "&&" || e.Op == "||" {
+			c.ilogic(e)
+			return Bool
+		}
+		id := binOpID(e.Op)
+		lb := c.iexpr(e.L)
+		rb := c.iexpr(e.R)
+		c.emitC(opIBin, int32(id), int32(lb), int32(rb), e.P)
+		return binResult(id, lb, rb)
+	case *Assign:
+		return c.iassign(e)
+	case *Cond:
+		jf := c.jumpFalse(e.C, e.P)
+		b := c.iexpr(e.T)
+		j := c.emit(opJump, -1, 0, e.P)
+		c.patchA(jf)
+		c.iexpr(e.F)
+		c.patchA(j)
+		return b
+	case *Call:
+		var packed int32
+		for k, a := range e.Args {
+			packed |= int32(c.iexpr(a)) << (8 * k)
+		}
+		c.emitC(opIBuiltin, builtinIDs[e.Name], int32(len(e.Args)), packed&0xffff, e.P)
+		b, _ := c.ibase(e)
+		return b
+	}
+	panic(fmt.Sprintf("filterc: iexpr on untyped %T", e))
+}
+
+// ivalue compiles e onto the int stack for a store into base b: typed
+// expressions directly, the others through the checked conversion.
+func (c *compiler) ivalue(e Expr, b BaseType, pos Pos) {
+	if _, ok := c.ibase(e); ok {
+		c.iexpr(e)
+		return
+	}
+	c.expr(e)
+	c.emit(opIConv, int32(b), 0, pos)
+}
+
+// jumpFalse compiles a condition and the branch taken when it is false;
+// it returns the branch's pc for patching.
+func (c *compiler) jumpFalse(e Expr, pos Pos) int {
+	if _, ok := c.ibase(e); ok {
+		c.iexpr(e)
+		return c.emit(opIJumpFalse, -1, 0, pos)
+	}
+	c.expr(e)
+	return c.emit(opJumpFalse, -1, 0, pos)
+}
+
+// index compiles an index operand and returns the flag its consumer
+// carries: a typed index stays on the int stack (intIndex), any other
+// is checked to be a scalar first.
+func (c *compiler) index(e Expr) int32 {
+	if _, ok := c.ibase(e); ok {
+		c.iexpr(e)
+		return intIndex
+	}
+	c.expr(e)
+	c.emit(opScalarize, 0, 0, e.exprPos())
+	return 0
+}
+
+// ilogic compiles a typed && or ||.
+func (c *compiler) ilogic(e *Binary) {
+	if _, ok := foldExpr(e.L); ok {
+		// The left side did not decide the result (foldExpr would have
+		// folded the whole expression): only the right side counts.
+		c.iexpr(e.R)
+		c.emit(opITruth, 0, 0, e.P)
+		return
+	}
+	c.iexpr(e.L)
+	op := opIAndSC
+	if e.Op == "||" {
+		op = opIOrSC
+	}
+	sc := c.emit(op, -1, 0, e.P)
+	c.iexpr(e.R)
+	c.emit(opITruth, 0, 0, e.P)
+	c.patchA(sc)
+}
+
+// iassign compiles an assignment to a typed slot; the opCheckSlot keeps
+// the walker's lvalue-before-rhs error order.
+func (c *compiler) iassign(e *Assign) BaseType {
+	id := e.L.(*Ident)
+	slot, _ := c.resolve(id.Name)
+	b := c.fc.slotBase[slot]
+	c.emit(opCheckSlot, slot, 0, id.P)
+	if e.Op == "=" {
+		c.ivalue(e.R, b, e.P)
+		c.emit(opIStore, slot, int32(b), e.P)
+		return b
+	}
+	op := int32(binOpID(e.Op[:len(e.Op)-1]))
+	if rb, ok := c.ibase(e.R); ok {
+		c.iexpr(e.R)
+		c.emit(opIComp, slot, op|int32(rb)<<8|int32(b)<<16, e.P)
+		return b
+	}
+	c.expr(e.R)
+	c.emit(opICompV, slot, op|int32(b)<<16, e.P)
+	return b
+}
+
+// iincDec compiles ++/-- on a typed slot.
+func (c *compiler) iincDec(target Expr, mode int32, at Pos) BaseType {
+	id := target.(*Ident)
+	slot, _ := c.resolve(id.Name)
+	b := c.fc.slotBase[slot]
+	c.emit(opCheckSlot, slot, 0, id.P)
+	c.emit(opIInc, slot, mode|int32(b)<<8, at)
+	return b
 }
 
 // ---- constant folding ----

@@ -175,6 +175,11 @@ type diffGen struct {
 	depth int
 	// helpers available for calls in the main function's body.
 	callables []string
+	// agg enables arrays, structs and struct tokens (genAggProgram);
+	// arrs and structs are the aggregate locals in scope.
+	agg     bool
+	arrs    []string
+	structs []string
 }
 
 func (g *diffGen) pick(ss []string) string { return ss[g.r.Intn(len(ss))] }
@@ -184,6 +189,9 @@ func (g *diffGen) expr() string {
 	defer func() { g.depth-- }()
 	if g.depth > 4 || g.r.Intn(3) == 0 {
 		// Leaf.
+		if g.agg && len(g.arrs)+len(g.structs) > 0 && g.r.Intn(3) == 0 {
+			return g.elem()
+		}
 		switch g.r.Intn(4) {
 		case 0:
 			return g.pick([]string{"0", "1", "2", "3", "7", "13", "255", "1021", "65535"})
@@ -221,6 +229,10 @@ func (g *diffGen) newVar() string {
 }
 
 func (g *diffGen) stmt(indent string) {
+	if g.agg && g.r.Intn(3) == 0 {
+		g.aggStmt(indent)
+		return
+	}
 	switch g.r.Intn(12) {
 	case 0, 1:
 		ty := g.pick([]string{"u32", "i32", "u16", "u8"})
@@ -292,15 +304,16 @@ func (g *diffGen) stmt(indent string) {
 }
 
 func (g *diffGen) block(indent string, n int) {
-	mark := len(g.vars)
+	mark, arrs, structs := len(g.vars), len(g.arrs), len(g.structs)
 	for i := 0; i < 1+g.r.Intn(n); i++ {
 		g.stmt(indent)
 	}
-	g.vars = g.vars[:mark]
+	g.vars, g.arrs, g.structs = g.vars[:mark], g.arrs[:arrs], g.structs[:structs]
 }
 
 func (g *diffGen) fn(name, param string, callables []string) {
 	g.vars = []string{param}
+	g.arrs, g.structs = nil, nil
 	g.fresh = 0
 	g.callables = callables
 	fmt.Fprintf(&g.sb, "u32 %s(u32 %s) {\n", name, param)

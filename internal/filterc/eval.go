@@ -329,11 +329,35 @@ func applyBinaryErr(id int, op string, b int64, at Pos) error {
 	}
 }
 
-// applyBinaryFast is the arithmetic kernel proper. It works on base
-// types and raw 64-bit payloads (register arguments, no Value copies) and
+// applyBinaryFast is the arithmetic kernel on Values' parts: base types
+// and raw 64-bit payloads (register arguments, no Value copies). It
 // reports ok=false for the error cases, which the caller turns into the
 // walker's exact RuntimeError via applyBinaryErr.
 func applyBinaryFast(id int, lb, rb BaseType, a, b int64) (Value, bool) {
+	x, ok := binInt(int32(id), lb, rb, a, b)
+	if !ok {
+		return Value{}, false
+	}
+	return Value{Type: &scalarTypes[binResult(id, lb, rb)], I: x}, true
+}
+
+// binResult is the base of a binary operation's result: Bool for a
+// comparison, the promoted left base for a shift, the promoted common
+// base otherwise.
+func binResult(id int, lb, rb BaseType) BaseType {
+	switch {
+	case id >= bEq && id <= bGe:
+		return Bool
+	case id == bShl || id == bShr:
+		return promote32(lb)
+	}
+	return promoteBase(lb, rb)
+}
+
+// binInt is the arithmetic kernel proper, shared by both engines and by
+// the VM's typed instructions: it returns the result payload, already
+// truncated to binResult's base.
+func binInt(id int32, lb, rb BaseType, a, b int64) (int64, bool) {
 	res := promoteBase(lb, rb)
 	// For unsigned result types, reinterpret operands as their unsigned
 	// 32-bit patterns so comparisons and division behave unsigned.
@@ -341,73 +365,85 @@ func applyBinaryFast(id int, lb, rb BaseType, a, b int64) (Value, bool) {
 	unsigned := res == U32
 	switch id {
 	case bAdd:
-		return Int(res, a+b), true
+		return truncate(res, a+b), true
 	case bSub:
-		return Int(res, a-b), true
+		return truncate(res, a-b), true
 	case bMul:
-		return Int(res, a*b), true
+		return truncate(res, a*b), true
 	case bDiv:
 		if b == 0 {
-			return Value{}, false
+			return 0, false
 		}
 		if unsigned {
-			return Int(res, int64(ua/ub)), true
+			return truncate(res, int64(ua/ub)), true
 		}
-		return Int(res, a/b), true
+		return truncate(res, a/b), true
 	case bMod:
 		if b == 0 {
-			return Value{}, false
+			return 0, false
 		}
 		if unsigned {
-			return Int(res, int64(ua%ub)), true
+			return truncate(res, int64(ua%ub)), true
 		}
-		return Int(res, a%b), true
+		return truncate(res, a%b), true
 	case bAnd:
-		return Int(res, a&b), true
+		return truncate(res, a&b), true
 	case bOr:
-		return Int(res, a|b), true
+		return truncate(res, a|b), true
 	case bXor:
-		return Int(res, a^b), true
+		return truncate(res, a^b), true
 	case bShl:
 		if b < 0 || b >= 32 {
-			return Value{}, false
+			return 0, false
 		}
-		return Int(promote32(lb), a<<uint(b)), true
+		return truncate(promote32(lb), a<<uint(b)), true
 	case bShr:
 		if b < 0 || b >= 32 {
-			return Value{}, false
+			return 0, false
 		}
 		if lb == U32 || !lb.Signed() {
-			return Int(promote32(lb), int64(uint64(uint32(a))>>uint(b))), true
+			return truncate(promote32(lb), int64(uint64(uint32(a))>>uint(b))), true
 		}
-		return Int(promote32(lb), a>>uint(b)), true
-	case bEq:
-		return Int(Bool, b2i(a == b)), true
-	case bNe:
-		return Int(Bool, b2i(a != b)), true
-	case bLt:
-		if unsigned {
-			return Int(Bool, b2i(ua < ub)), true
-		}
-		return Int(Bool, b2i(a < b)), true
-	case bLe:
-		if unsigned {
-			return Int(Bool, b2i(ua <= ub)), true
-		}
-		return Int(Bool, b2i(a <= b)), true
-	case bGt:
-		if unsigned {
-			return Int(Bool, b2i(ua > ub)), true
-		}
-		return Int(Bool, b2i(a > b)), true
-	case bGe:
-		if unsigned {
-			return Int(Bool, b2i(ua >= ub)), true
-		}
-		return Int(Bool, b2i(a >= b)), true
+		return truncate(promote32(lb), a>>uint(b)), true
+	case bEq, bNe, bLt, bLe, bGt, bGe:
+		return b2i(compareFast(id, lb, rb, a, b)), true
 	default:
-		return Value{}, false
+		return 0, false
 	}
+}
+
+// compareFast evaluates comparison id (bEq..bGe) of two scalar payloads
+// under the usual arithmetic conversions: when either side promotes to
+// U32 both compare as unsigned 32-bit patterns, so a u32 0xFFFFFFFF
+// equals -1, as in C.
+func compareFast(id int32, lb, rb BaseType, a, b int64) bool {
+	if promoteBase(lb, rb) == U32 {
+		a, b = int64(uint32(a)), int64(uint32(b))
+	}
+	switch id {
+	case bEq:
+		return a == b
+	case bNe:
+		return a != b
+	case bLt:
+		return a < b
+	case bLe:
+		return a <= b
+	case bGt:
+		return a > b
+	default: // bGe
+		return a >= b
+	}
+}
+
+// caseMatches reports whether case label v selects a switch whose
+// controlling value is cond, of base cb. C converts each label to the
+// promoted type of the controlling expression.
+func caseMatches(cb BaseType, cond, v int64) bool {
+	if promote32(cb) == U32 {
+		return uint32(v) == uint32(cond)
+	}
+	return int64(int32(v)) == cond
 }
 
 func (in *Interp) evalAssign(fr *Frame, e *Assign) (Value, error) {
@@ -471,37 +507,8 @@ func (in *Interp) evalCall(fr *Frame, e *Call) (Value, error) {
 		args[i] = v
 	}
 	// Builtins shared by all programs.
-	switch e.Name {
-	case "min", "max":
-		if len(args) != 2 || !args[0].IsScalar() || !args[1].IsScalar() {
-			return Value{}, &RuntimeError{Pos: e.P, Msg: e.Name + " expects two scalars"}
-		}
-		a, b := args[0].I, args[1].I
-		if (e.Name == "min") == (a < b) {
-			return Int(promoteBase(args[0].Type.Base, args[1].Type.Base), a), nil
-		}
-		return Int(promoteBase(args[0].Type.Base, args[1].Type.Base), b), nil
-	case "abs":
-		if len(args) != 1 || !args[0].IsScalar() {
-			return Value{}, &RuntimeError{Pos: e.P, Msg: "abs expects one scalar"}
-		}
-		v := args[0].I
-		if v < 0 {
-			v = -v
-		}
-		return Int(I32, v), nil
-	case "clamp":
-		if len(args) != 3 || !args[0].IsScalar() || !args[1].IsScalar() || !args[2].IsScalar() {
-			return Value{}, &RuntimeError{Pos: e.P, Msg: "clamp expects three scalars"}
-		}
-		v, lo, hi := args[0].I, args[1].I, args[2].I
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		return Int(I32, v), nil
+	if id, ok := builtinIDs[e.Name]; ok {
+		return callBuiltin(int(id), args, len(args), e.P)
 	}
 	// User functions in the same program.
 	if fn := in.Prog.Func(e.Name); fn != nil {

@@ -27,8 +27,6 @@ const (
 	OpCheckSlot  = opCheckSlot
 	OpDeclSlot   = opDeclSlot
 	OpStoreSlot  = opStoreSlot
-	OpCompSlot   = opCompSlot
-	OpIncSlot    = opIncSlot
 	OpConv       = opConv
 	OpRefSlot    = opRefSlot
 	OpRefData    = opRefData
@@ -57,15 +55,35 @@ const (
 	OpIntrinsic  = opIntrinsic
 	OpSwitchCond = opSwitchCond
 	OpCaseEq     = opCaseEq
-	OpBinSS      = opBinSS
-	OpBinSC      = opBinSC
-	OpBinTS      = opBinTS
 	OpBinTC      = opBinTC
-	OpJFCmpSS    = opJFCmpSS
-	OpJFCmpSC    = opJFCmpSC
+	OpIConst     = opIConst
+	OpILoad      = opILoad
+	OpILoadV     = opILoadV
+	OpIDecl      = opIDecl
+	OpIStore     = opIStore
+	OpIComp      = opIComp
+	OpICompV     = opICompV
+	OpIInc       = opIInc
+	OpIConv      = opIConv
+	OpIBox       = opIBox
+	OpIPop       = opIPop
+	OpIUnary     = opIUnary
+	OpIBin       = opIBin
+	OpIJumpFalse = opIJumpFalse
+	OpIAndSC     = opIAndSC
+	OpIOrSC      = opIOrSC
+	OpITruth     = opITruth
+	OpIBuiltin   = opIBuiltin
+	OpIBinSS     = opIBinSS
+	OpIBinSC     = opIBinSC
+	OpIBinTS     = opIBinTS
+	OpIBinTC     = opIBinTC
+	OpIJFCmpSS   = opIJFCmpSS
+	OpIJFCmpSC   = opIJFCmpSC
 )
 
-// Exported increment modes (operand a of OpIncSlot / OpIncRef).
+// Exported increment modes (a of OpIncRef, the
+// low byte of b of OpIInc).
 const (
 	IncPre  = incPre
 	IncPost = incPost
@@ -73,8 +91,9 @@ const (
 	DecPost = decPost
 )
 
-// Exported binop ids (operand of OpBinary/OpCompSlot/OpCompRef and the
-// c operand of the fused OpBin*/OpJFCmp* forms).
+// Exported binop ids (operand of OpBinary/OpCompRef/OpIBin,
+// the low byte of OpIComp/OpICompV's b and of the fused OpIBin*'s c, the
+// c operand of OpBinTC and the low four bits of OpIJFCmp*'s c).
 const (
 	BinAdd = bAdd
 	BinSub = bSub
@@ -184,6 +203,10 @@ func EvalBuiltin(id int, args []Value) (Value, bool) {
 	v, err := callBuiltin(id, args, len(args), Pos{})
 	return v, err == nil
 }
+
+// CaseMatches exposes the VM's switch rule: whether case label v selects
+// a switch whose controlling value cond has base cb.
+func CaseMatches(cb BaseType, cond, v int64) bool { return caseMatches(cb, cond, v) }
 
 // PromoteBase exposes the VM's integer-promotion rule.
 func PromoteBase(a, b BaseType) BaseType { return promoteBase(a, b) }

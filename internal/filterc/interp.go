@@ -5,12 +5,18 @@ import "fmt"
 // Env is the external world a filterc program runs against. The PEDF
 // runtime implements it for filters (blocking IO on data links) and
 // controllers (scheduling intrinsics).
+//
+// Values cross the boundary without copies: the interpreter copies a
+// value before it keeps one, and the environment must do the same.
 type Env interface {
 	// IORead consumes the token at index idx of an input interface. It
-	// may block (the calling simulation process waits for data).
+	// may block (the calling simulation process waits for data). The
+	// result may share storage with the environment, which must leave
+	// that storage unchanged until the call returns.
 	IORead(iface string, idx int64) (Value, error)
 	// IOWrite produces a token at index idx of an output interface. It
-	// may block when the link is full.
+	// may block when the link is full. v may share storage with the
+	// interpreter's variables: an environment that keeps it copies it.
 	IOWrite(iface string, idx int64, v Value) error
 	// DataRef returns an lvalue for pedf.data.NAME.
 	DataRef(name string) (*Value, error)
@@ -18,6 +24,7 @@ type Env interface {
 	AttrRef(name string) (*Value, error)
 	// Intrinsic handles a call the interpreter does not know (ACTOR_START
 	// and friends). handled=false falls through to "unknown function".
+	// args is the interpreter's operand stack: read it, do not keep it.
 	Intrinsic(name string, args []Value) (v Value, handled bool, err error)
 }
 
@@ -50,14 +57,17 @@ type VarBinding struct {
 // inspection API: the tree-walker uses a stack of name→value scopes, the
 // bytecode VM uses compile-time-resolved slots plus a liveness bitmap
 // (fc != nil). Debugger code never needs to know which engine produced
-// a frame.
+// a frame. A VM frame is recycled by the next call at its depth, so it
+// is valid only while its call runs.
 type Frame struct {
 	Fn     *FuncDecl
 	Line   int
 	parent *Frame
+	depth  int       // call depth (0 for the outermost call)
 	scopes []scope   // tree-walker engine
 	fc     *funcCode // bytecode engine: compiled metadata (slot→name map)
 	slots  []Value   // bytecode engine: variable storage
+	ints   []int64   // bytecode engine: typed scalar slots' payloads
 	live   []bool    // bytecode engine: which slots are in scope
 }
 
@@ -92,7 +102,7 @@ func (fr *Frame) Locals() []VarBinding {
 					continue
 				}
 				seen[n] = true
-				out = append(out, VarBinding{Name: n, Val: &fr.slots[slot]})
+				out = append(out, VarBinding{Name: n, Val: fr.slotValue(slot)})
 			}
 		}
 		return out
@@ -119,7 +129,7 @@ func (fr *Frame) Lookup(name string) (*Value, bool) {
 		names := fr.fc.slotNames
 		for i := len(names) - 1; i >= 0; i-- {
 			if names[i] == name && fr.live[i] {
-				return &fr.slots[i], true
+				return fr.slotValue(int32(i)), true
 			}
 		}
 		return nil, false
@@ -130,6 +140,16 @@ func (fr *Frame) Lookup(name string) (*Value, bool) {
 		}
 	}
 	return nil, false
+}
+
+// slotValue returns a VM slot's storage for inspection. A typed scalar
+// lives in fr.ints; its Value form is written out first, so the result
+// is a snapshot that the program's later stores do not update.
+func (fr *Frame) slotValue(slot int32) *Value {
+	if b := fr.fc.slotBase[slot]; b != dynBase {
+		fr.slots[slot] = Value{Type: &scalarTypes[b], I: fr.ints[slot]}
+	}
+	return &fr.slots[slot]
 }
 
 func (fr *Frame) pushScope() {
@@ -179,7 +199,8 @@ type Interp struct {
 
 	steps int64
 	top   *Frame
-	code  *Code // cached compiled form (VM engine)
+	code  *Code         // cached compiled form (VM engine)
+	acts  []*activation // VM engine: recycled activations, by call depth
 }
 
 // New creates an interpreter.
@@ -233,14 +254,18 @@ func (in *Interp) call(fn *FuncDecl, args []Value, at Pos) (Value, error) {
 			Msg: fmt.Sprintf("%s expects %d argument(s), got %d", fn.Name, len(fn.Params), len(args))}
 	}
 	fr := &Frame{Fn: fn, Line: fn.Pos.Line, parent: in.top}
+	if in.top != nil {
+		fr.depth = in.top.depth + 1
+	}
 	fr.pushScope()
 	for i, p := range fn.Params {
 		a := args[i]
-		if p.Type.Kind == KScalar && a.IsScalar() {
-			a = Int(p.Type.Base, a.I)
-		} else if !typeCompatible(p.Type, a.Type) {
+		if !argFits(p.Type, a) {
 			return Value{}, &RuntimeError{Pos: at,
 				Msg: fmt.Sprintf("argument %d of %s: cannot pass %s as %s", i+1, fn.Name, a.Type, p.Type)}
+		}
+		if p.Type.Kind == KScalar && a.IsScalar() {
+			a = Int(p.Type.Base, a.I)
 		}
 		if err := fr.declare(p.Name, a.Clone()); err != nil {
 			return Value{}, &RuntimeError{Pos: at, Msg: err.Error()}
@@ -266,6 +291,16 @@ func (in *Interp) call(fn *FuncDecl, args []Value, at Pos) (Value, error) {
 	}
 	in.top = fr.parent
 	return ret, nil
+}
+
+// argFits reports whether a may be passed for a parameter of type t: a
+// numeric parameter takes only a number, any other a compatible value.
+// Both engines check arguments with it.
+func argFits(t *Type, a Value) bool {
+	if declBase(t) != dynBase {
+		return a.IsScalar()
+	}
+	return typeCompatible(t, a.Type)
 }
 
 func typeCompatible(want, got *Type) bool {
@@ -447,7 +482,7 @@ func (in *Interp) exec(fr *Frame, s Stmt) (ctrl, Value, error) {
 				if err != nil {
 					return ctrlNone, Value{}, err
 				}
-				if v.IsScalar() && v.I == cond.I {
+				if v.IsScalar() && caseMatches(cond.Type.Base, cond.I, v.I) {
 					start = i
 					break
 				}
@@ -510,8 +545,19 @@ func (in *Interp) exec(fr *Frame, s Stmt) (ctrl, Value, error) {
 	}
 }
 
-// convertForAssign coerces v into type t with C semantics.
+// convertForAssign coerces v into type t with C semantics; the result
+// shares no storage with v.
 func convertForAssign(t *Type, v Value, at Pos) (Value, error) {
+	nv, err := convertValue(t, v, at)
+	if err != nil || nv.Elems == nil {
+		return nv, err
+	}
+	return nv.Clone(), nil
+}
+
+// convertValue is convertForAssign without the copy: a compatible
+// aggregate comes back sharing v's storage.
+func convertValue(t *Type, v Value, at Pos) (Value, error) {
 	if t.Kind == KScalar {
 		if t.Base == Str {
 			if v.Type != nil && v.Type.Kind == KScalar && v.Type.Base == Str {
@@ -527,5 +573,5 @@ func convertForAssign(t *Type, v Value, at Pos) (Value, error) {
 	if !typeCompatible(t, v.Type) {
 		return Value{}, &RuntimeError{Pos: at, Msg: fmt.Sprintf("cannot assign %s to %s", v.Type, t)}
 	}
-	return v.Clone(), nil
+	return v, nil
 }

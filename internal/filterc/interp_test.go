@@ -35,7 +35,7 @@ func (e *testEnv) IORead(iface string, idx int64) (Value, error) {
 }
 
 func (e *testEnv) IOWrite(iface string, idx int64, v Value) error {
-	e.outputs[iface] = append(e.outputs[iface], v)
+	e.outputs[iface] = append(e.outputs[iface], v.Clone())
 	return nil
 }
 

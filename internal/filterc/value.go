@@ -5,10 +5,17 @@
 // pedf.data.NAME and pedf.attribute.NAME.
 //
 // filterc provides a lexer, a recursive-descent parser producing an AST
-// with full source positions, and a tree-walking interpreter with
-// debugger hooks at statement granularity — the analogue of compiled C
-// with DWARF line information, which is what gives the low-level debugger
-// genuine source-line breakpoints, stepping and variable inspection.
+// with full source positions, a compiler to statically typed bytecode
+// with a line table and a slot→name map, and a stack VM that runs it
+// with debugger hooks at statement granularity — the analogue of
+// compiled C with DWARF line information, which is what gives the
+// low-level debugger genuine source-line breakpoints, stepping and
+// variable inspection. A tree-walking interpreter over the AST is kept
+// as the VM's differential-testing oracle (Engine, -tags slowinterp).
+//
+// Value is the type every boundary sees: pedf links, Env, hooks, frame
+// inspection and checkpoints. Inside the VM, scalars whose type the
+// compiler knows live as bare int64 payloads.
 package filterc
 
 import (
@@ -217,21 +224,8 @@ func Zero(t *Type) Value {
 }
 
 // Int builds a scalar value of the given base type, truncating i to the
-// type's width and signedness. The common 32-bit bases are special-cased
-// to plain register conversions (equivalent to truncate, measurably
-// cheaper on the interpreter hot path).
+// type's width and signedness.
 func Int(b BaseType, i int64) Value {
-	switch b {
-	case I32:
-		return Value{Type: &scalarTypes[I32], I: int64(int32(i))}
-	case U32:
-		return Value{Type: &scalarTypes[U32], I: int64(uint32(i))}
-	case Bool:
-		if i != 0 {
-			i = 1
-		}
-		return Value{Type: &scalarTypes[Bool], I: i}
-	}
 	return Value{Type: Scalar(b), I: truncate(b, i)}
 }
 
@@ -243,24 +237,25 @@ func StringVal(s string) Value {
 // VoidVal is the unit value.
 func VoidVal() Value { return Value{Type: Scalar(Void)} }
 
-// truncate wraps i into the representable range of b.
+// truncate wraps i into the representable range of b (C conversion to
+// the type); string and void payloads wrap like U32.
 func truncate(b BaseType, i int64) int64 {
-	bits := uint(b.Bits())
-	if b == Bool {
-		if i != 0 {
-			return 1
-		}
-		return 0
+	switch b {
+	case I32:
+		return int64(int32(i))
+	case U8:
+		return int64(uint8(i))
+	case U16:
+		return int64(uint16(i))
+	case I8:
+		return int64(int8(i))
+	case I16:
+		return int64(int16(i))
+	case Bool:
+		return b2i(i != 0)
+	default:
+		return int64(uint32(i))
 	}
-	mask := int64(1)<<bits - 1
-	if bits >= 64 {
-		return i
-	}
-	u := i & mask
-	if b.Signed() && u&(1<<(bits-1)) != 0 {
-		u -= 1 << bits
-	}
-	return u
 }
 
 // IsScalar reports whether v holds a numeric scalar.
@@ -273,16 +268,48 @@ func (v Value) Truth() bool { return v.I != 0 }
 
 // Clone deep-copies a value (assignment semantics are by value, as in C
 // structs/arrays). Scalar clones are a plain struct copy and never touch
-// the heap; aggregates allocate a fresh element slice.
+// the heap; an aggregate's nested element storage is one allocation.
 func (v Value) Clone() Value {
-	out := v
-	if v.Elems != nil {
-		out.Elems = make([]Value, len(v.Elems))
-		for i, e := range v.Elems {
-			out.Elems[i] = e.Clone()
+	if v.Elems == nil {
+		return v
+	}
+	return v.CloneUsing(make([]Value, v.ElemCount()))
+}
+
+// ElemCount is the number of element values nested in v: the storage a
+// deep copy of v needs.
+func (v Value) ElemCount() int {
+	n := len(v.Elems)
+	for _, e := range v.Elems {
+		if e.Elems != nil {
+			n += e.ElemCount()
 		}
 	}
+	return n
+}
+
+// CloneUsing deep-copies v like Clone, carving the copy's element
+// storage from buf, which must hold v.ElemCount() values and serve
+// nothing else.
+func (v Value) CloneUsing(buf []Value) Value {
+	out, _ := v.carve(buf)
 	return out
+}
+
+// carve copies v with its elements at the front of buf and returns the
+// copy and the rest of buf. Each element slice is capped, so no two
+// share growth room.
+func (v Value) carve(buf []Value) (Value, []Value) {
+	if v.Elems == nil {
+		return v, buf
+	}
+	n := len(v.Elems)
+	elems, rest := buf[:n:n], buf[n:]
+	for i, e := range v.Elems {
+		elems[i], rest = e.carve(rest)
+	}
+	v.Elems = elems
+	return v, rest
 }
 
 // CloneInto deep-copies v into *dst, reusing dst's element storage when

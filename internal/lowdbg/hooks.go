@@ -199,7 +199,7 @@ func (fr *callFrame) finish(ret Datum) {
 			}
 			d.stopWorld(p, &StopEvent{
 				Kind: StopAction, Reason: reason, Proc: p, Fn: fn,
-				Bp: bp, Args: cloneArgs(args), Ret: ret, IsReturn: true,
+				Bp: bp, Args: cloneArgs(args), Ret: ret.owned(), IsReturn: true,
 			})
 		}
 	}
@@ -207,12 +207,17 @@ func (fr *callFrame) finish(ret Datum) {
 }
 
 // cloneArgs copies a borrowed argument list for a stop event, which
-// outlives the call.
+// outlives the call. An aggregate value is borrowed storage the caller
+// reuses, so it is deep-copied too.
 func cloneArgs(args []Arg) []Arg {
 	if len(args) == 0 {
 		return args
 	}
-	return append([]Arg(nil), args...)
+	out := append([]Arg(nil), args...)
+	for i := range out {
+		out[i].Datum = out[i].Datum.owned()
+	}
+	return out
 }
 
 // formatArgs renders an argument list as "name=value, name=value".

@@ -64,6 +64,15 @@ type Datum struct {
 // return).
 func Val(v filterc.Value) Datum { return Datum{Kind: ValueDatum, V: v} }
 
+// owned returns d with a value payload deep-copied, for a datum kept
+// past the call that lent it. Scalars and strings are copied as they are.
+func (d Datum) owned() Datum {
+	if d.Kind == ValueDatum {
+		d.V = d.V.Clone()
+	}
+	return d
+}
+
 // appendTo appends the payload rendered as fmt's %v renders the
 // interface value ArgVal returns for it.
 func (d Datum) appendTo(b []byte) []byte {

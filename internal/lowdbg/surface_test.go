@@ -44,6 +44,27 @@ func TestArgHelpers(t *testing.T) {
 	}
 }
 
+// TestStopEventArgsOwnAggregates: a stop event outlives the call whose
+// arguments it copies, and the caller reuses an aggregate argument's
+// storage (a filter's local, a link's ring slot), so the event's copy
+// must be deep.
+func TestStopEventArgsOwnAggregates(t *testing.T) {
+	arr := filterc.Zero(filterc.ArrayOf(filterc.Scalar(filterc.I32), 2))
+	arr.Elems[1].I = 7
+	args := []Arg{IntArg("index", 3), ValArg("value", arr)}
+	kept, ret := cloneArgs(args), Val(arr).owned()
+	arr.Elems[1].I = 99
+	if got, _ := ArgValue(kept, "value"); got.Elems[1].I != 7 {
+		t.Errorf("stop-event argument followed the caller's storage: %v", got)
+	}
+	if ret.V.Elems[1].I != 7 {
+		t.Errorf("stop-event return followed the caller's storage: %v", ret.V)
+	}
+	if ArgInt(kept, "index") != 3 {
+		t.Errorf("scalar argument lost: %v", kept)
+	}
+}
+
 func TestStopKindAndEventStrings(t *testing.T) {
 	for _, k := range []StopKind{StopBreakpoint, StopStep, StopWatchpoint,
 		StopAction, StopDone, StopError} {

@@ -86,18 +86,32 @@ func (c *WorkCtx) Filter() string { return c.f.Name }
 
 // Read consumes the next unread token of an input interface (blocking).
 func (c *WorkCtx) Read(iface string) (filterc.Value, error) {
-	return c.f.ioRead(iface, int64(len(c.f.readCache[iface])))
+	next := int64(0)
+	if port := c.f.ins[iface]; port != nil {
+		next = int64(len(port.window))
+	}
+	return c.cloned(c.f.ioRead(iface, next))
 }
 
 // ReadAt reads the token at the given intra-firing index.
 func (c *WorkCtx) ReadAt(iface string, idx int64) (filterc.Value, error) {
-	return c.f.ioRead(iface, idx)
+	return c.cloned(c.f.ioRead(iface, idx))
+}
+
+// cloned hands native work code a token it owns: ioRead returns the
+// read window's own copy, which later reads in the firing see again.
+func (c *WorkCtx) cloned(v filterc.Value, err error) (filterc.Value, error) {
+	return v.Clone(), err
 }
 
 // Write produces the next token on an output interface (blocking when
 // the link is full).
 func (c *WorkCtx) Write(iface string, v filterc.Value) error {
-	return c.f.ioWrite(iface, int64(c.f.writeCount[iface]), v)
+	next := int64(0)
+	if port := c.f.outs[iface]; port != nil {
+		next = int64(port.writes)
+	}
+	return c.f.ioWrite(iface, next, v)
 }
 
 // Data returns an lvalue for a private-data variable.
@@ -166,6 +180,7 @@ type Filter struct {
 	ins      map[string]*Port
 	outNames []string
 	outs     map[string]*Port
+	ports    []*Port // every own port, inputs and outputs, for resetWindows
 
 	state       FilterState
 	blockedOn   string // non-empty while waiting on a link operation
@@ -178,10 +193,6 @@ type Filter struct {
 	blockedNS   uint64 // simulated ns spent blocked (link waits + sync waits)
 
 	startEv *sim.Event
-
-	// intra-firing IO windows
-	readCache  map[string][]filterc.Value
-	writeCount map[string]int
 
 	// Batched execution (DESIGN §12). lazy is the live mode bit of a
 	// proven-SDF region's actor, flipped by Runtime.recomputeBatch. While
@@ -321,26 +332,21 @@ func (f *Filter) setState(s FilterState) {
 	f.Module.stateChange.Notify()
 }
 
-// resetWindows clears the intra-firing IO windows. Maps and slice
-// backings (including cached Value element storage, which CloneInto
-// recycles) are reused across firings, so a steady-state firing performs
-// no window bookkeeping allocations.
+// resetWindows clears the intra-firing IO windows kept on the ports.
+// Window backings (including cached Value element storage, which
+// CloneInto recycles) are reused across firings, so a steady-state
+// firing performs no window bookkeeping allocations.
 func (f *Filter) resetWindows() {
-	if f.readCache == nil {
-		f.readCache = make(map[string][]filterc.Value)
-		f.writeCount = make(map[string]int)
-		return
-	}
-	for k, s := range f.readCache {
-		f.readCache[k] = s[:0]
-	}
-	for k := range f.writeCount {
-		f.writeCount[k] = 0
+	for _, p := range f.ports {
+		p.window = p.window[:0]
+		p.writes = 0
 	}
 }
 
 // ioRead implements pedf.io.<iface>[idx] reads: tokens are popped from
-// the link into the firing's window until index idx is available.
+// the link into the port's read window until index idx is available.
+// The result shares storage with the window, which stays unchanged for
+// the rest of the firing; the interpreter copies it before keeping it.
 func (f *Filter) ioRead(iface string, idx int64) (filterc.Value, error) {
 	port, ok := f.ins[iface]
 	if !ok {
@@ -352,31 +358,32 @@ func (f *Filter) ioRead(iface string, idx int64) (filterc.Value, error) {
 	if idx < 0 {
 		return filterc.Value{}, fmt.Errorf("pedf: negative io index %d on %s", idx, port.Qualified())
 	}
-	if int64(len(f.readCache[iface])) <= idx {
+	if int64(len(port.window)) <= idx {
 		// About to touch the link: settle banked lazy time first so the
 		// pop timestamp (and any blocking) happens at the true instant.
 		f.flushLazy()
 	}
-	for int64(len(f.readCache[iface])) <= idx {
+	for int64(len(port.window)) <= idx {
 		// Pop directly into the next window slot; truncated slots from
 		// earlier firings keep their element storage, so steady-state
 		// reads do not allocate.
-		s := f.readCache[iface]
+		s := port.window
 		if len(s) < cap(s) {
 			s = s[:len(s)+1]
 		} else {
 			s = append(s, filterc.Value{})
 		}
-		f.readCache[iface] = s
+		port.window = s
 		if _, err := port.link.pop(f.proc, f, &s[len(s)-1]); err != nil {
 			return filterc.Value{}, err
 		}
 	}
-	return f.readCache[iface][idx].Clone(), nil
+	return port.window[idx], nil
 }
 
 // ioWrite implements pedf.io.<iface>[idx] writes; indices must be issued
 // sequentially within a firing, as the structure dataflow model requires.
+// v may borrow the interpreter's storage: the link copies it.
 func (f *Filter) ioWrite(iface string, idx int64, v filterc.Value) error {
 	port, ok := f.outs[iface]
 	if !ok {
@@ -385,15 +392,15 @@ func (f *Filter) ioWrite(iface string, idx int64, v filterc.Value) error {
 	if port.link == nil {
 		return fmt.Errorf("pedf: output %s is not bound", port.Qualified())
 	}
-	if idx != int64(f.writeCount[iface]) {
+	if idx != int64(port.writes) {
 		return fmt.Errorf("pedf: non-sequential write index %d on %s (expected %d)",
-			idx, port.Qualified(), f.writeCount[iface])
+			idx, port.Qualified(), port.writes)
 	}
 	f.flushLazy()
 	if err := port.link.push(f.proc, f, f.PE, v); err != nil {
 		return err
 	}
-	f.writeCount[iface]++
+	port.writes++
 	return nil
 }
 

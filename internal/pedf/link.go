@@ -64,6 +64,12 @@ type Port struct {
 	owner *Filter // nil for module and environment ports
 	alias *Port   // module ports forward to an inner port
 	link  *Link
+
+	// The owner's intra-firing IO window: the tokens read from this
+	// input so far in the current firing, or the count written to this
+	// output. Filter.resetWindows clears both at every firing.
+	window []filterc.Value
+	writes int
 }
 
 // Qualified returns the "actor::port" display name used by the paper's

@@ -478,6 +478,7 @@ func addPort(f *Filter, ps PortSpec, dir Direction) error {
 		f.outs[ps.Name] = p
 		f.outNames = append(f.outNames, ps.Name)
 	}
+	f.ports = append(f.ports, p)
 	return nil
 }
 
