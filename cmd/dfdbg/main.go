@@ -173,8 +173,9 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 
 	// The checkpoint manager journals state-mutating command lines and
 	// rebuilds the whole world from the same recipe (with replay
-	// verification) on restore and reverse execution (DESIGN §13).
-	r.PreRun = io.Discard
+	// verification) on restore and reverse execution (DESIGN §13). The
+	// pre-run warnings were printed once, at boot: rebuilds run no pass.
+	r.PreRun = nil
 	mgr := ckpt.NewManager(r.Target)
 	var swap *stack.Stack // staged by a restore-class hook, adopted post-dispatch
 

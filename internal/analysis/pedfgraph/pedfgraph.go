@@ -204,10 +204,14 @@ func ClassifyTotal() int64 { return classifyTotal.Load() }
 // memo, for the analysis_classify_memo_hits_total observability counter.
 func MemoHits() int64 { return memoHits.Load() }
 
-// RegisterMetrics publishes the classification counters into an
-// observability registry. Like the filterc counters pedf publishes next
-// to them, they are process-wide.
+// RegisterMetrics publishes the analysis and classification counters
+// into an observability registry. Like the filterc counters pedf
+// publishes next to them, they are process-wide.
 func RegisterMetrics(m *obs.Registry) {
+	m.CounterFunc("analysis_runs_total", "full static analyses run",
+		func() float64 { return float64(AnalysisRuns()) })
+	m.CounterFunc("analysis_memo_hits_total", "world-build analyses served from the memo",
+		func() float64 { return float64(AnalysisMemoHits()) })
 	m.CounterFunc("analysis_classify_total", "actor classifications run by the abstract interpreter",
 		func() float64 { return float64(ClassifyTotal()) })
 	m.CounterFunc("analysis_classify_memo_hits_total", "actor classifications served from the memo",
@@ -316,6 +320,7 @@ func ClassifyActors(rt *pedf.Runtime) map[string]*absint.Class {
 // (for region DOT rendering). name labels graph diagnostics (typically
 // the ADL file's base name).
 func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, error) {
+	analysisRuns.Add(1)
 	g, err := FromRuntime(rt, name)
 	if err != nil {
 		return nil, nil, err
@@ -360,28 +365,15 @@ func CheckRuntime(rt *pedf.Runtime, name string) (*analysis.Report, error) {
 // the static side (repetition vectors, schedules, buffer bounds) and
 // the batched execution engine (pedf.EnableBatch). Regions the analyzer
 // cannot prove — dynamic, inconsistent, or unscheduled — are simply
-// absent from the result and keep the per-token path.
+// absent from the result and keep the per-token path. Plans are
+// memoized process-wide per application shape (DESIGN §10); each call
+// returns copies the caller owns.
 func BatchPlans(rt *pedf.Runtime, name string) ([]pedf.BatchPlan, error) {
-	rep, _, err := Analyze(rt, name)
+	s, err := shapeOf(rt, name)
 	if err != nil {
 		return nil, err
 	}
-	var plans []pedf.BatchPlan
-	for _, p := range analysis.ExecutablePlans(rep.Regions) {
-		bp := pedf.BatchPlan{Region: p.Region, Actors: p.Actors}
-		for _, s := range p.Steps {
-			ent := s.Actor
-			if s.Count > 1 {
-				ent = fmt.Sprintf("%s*%d", s.Actor, s.Count)
-			}
-			bp.Schedule = append(bp.Schedule, ent)
-		}
-		for _, r := range p.Rings {
-			bp.Rings = append(bp.Rings, pedf.BatchRing{Link: int(r.Link), Slots: r.Slots})
-		}
-		plans = append(plans, bp)
-	}
-	return plans, nil
+	return clonePlans(s.plans), nil
 }
 
 // EnableBatch analyzes the application and installs batch plans for
@@ -401,19 +393,15 @@ func EnableBatch(rt *pedf.Runtime, name string) (int, error) {
 // InstallPreRun registers a one-shot static analysis pass on the kernel:
 // immediately before the first dispatch, warnings and errors are printed
 // to w (one line each, without DOT details). The run itself proceeds —
-// the pass warns, it does not gate.
+// the pass warns, it does not gate. The lines are memoized with the
+// batch plans, per application shape.
 func InstallPreRun(k *sim.Kernel, rt *pedf.Runtime, name string, w io.Writer) {
 	k.OnPreRun(func() {
-		rep, err := CheckRuntime(rt, name)
+		s, err := shapeOf(rt, name)
 		if err != nil {
 			fmt.Fprintf(w, "analysis: %v\n", err)
 			return
 		}
-		for _, d := range rep.Diags {
-			if d.Sev < analysis.Warning {
-				continue
-			}
-			fmt.Fprintf(w, "analysis: %s\n", d.String())
-		}
+		io.WriteString(w, s.warn)
 	})
 }

@@ -55,7 +55,8 @@ func runScript(s *Session) (string, error) {
 // through the wire-facing session layer, and every per-session trace
 // must be byte-identical to a solo run of the same script. Run with
 // -race in CI; sessions share nothing but the interned filter programs,
-// the classification memo and the manager's atomic counters.
+// the classification and analysis memos, the shared bitstreams and the
+// manager's atomic counters.
 func TestLoadConcurrentSessionsDeterministic(t *testing.T) {
 	const nSessions = 8
 	params := SessionParams{W: 16, H: 16, QP: 8, Seed: 7}

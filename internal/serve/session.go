@@ -373,8 +373,8 @@ func (p SessionParams) recipe() (stack.Recipe, error) {
 // born and dies on this goroutine) and serializes every command against
 // it. Kernels never share state across sessions; the only cross-session
 // paths are the process-wide interned filter programs (with their
-// compiled code), the classification memo, and the manager's atomic
-// counters.
+// compiled code), the classification and analysis memos, the shared
+// bitstreams, and the manager's atomic counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
 	r, err := s.Params.recipe()

@@ -12,6 +12,7 @@ package stack
 
 import (
 	"io"
+	"sync"
 
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/pedfgraph"
@@ -123,7 +124,7 @@ func (r Recipe) Build() (*Stack, error) {
 		st.Shutdown()
 		return nil, err
 	}
-	bits, err := h264.EncodeSequence(h264.GenerateSequence(r.Params), r.Params)
+	bits, err := encoded(r.Params)
 	if err != nil {
 		return fail(err)
 	}
@@ -173,6 +174,44 @@ func (r Recipe) Build() (*Stack, error) {
 	}
 	st.CLI = c
 	return st, nil
+}
+
+// bitsMemoCap bounds the process-wide bitstream memo; past the bound an
+// arbitrary entry is evicted.
+const bitsMemoCap = 64
+
+// bitsMemo holds each Params' encoded sequence. Nothing downstream
+// writes to a bitstream (pedf.Runtime.FeedBytes makes each token as it
+// pushes it, and h264.App.Bits is only decoded), so every world built
+// from one Params shares one slice.
+var bitsMemo = struct {
+	sync.Mutex
+	m map[h264.Params][]byte
+}{m: make(map[h264.Params][]byte)}
+
+// encoded returns the bitstream a world with params p decodes, encoding
+// it on the process's first build of p.
+func encoded(p h264.Params) ([]byte, error) {
+	bitsMemo.Lock()
+	bits, ok := bitsMemo.m[p]
+	bitsMemo.Unlock()
+	if ok {
+		return bits, nil
+	}
+	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
+	if err != nil {
+		return nil, err
+	}
+	bitsMemo.Lock()
+	if len(bitsMemo.m) >= bitsMemoCap {
+		for old := range bitsMemo.m {
+			delete(bitsMemo.m, old)
+			break
+		}
+	}
+	bitsMemo.m[p] = bits
+	bitsMemo.Unlock()
+	return bits, nil
 }
 
 // Target is Build in the shape of a ckpt.BuildFunc.
