@@ -208,14 +208,26 @@ func MemoHits() int64 { return memoHits.Load() }
 // into an observability registry. Like the filterc counters pedf
 // publishes next to them, they are process-wide.
 func RegisterMetrics(m *obs.Registry) {
-	m.CounterFunc("analysis_runs_total", "full static analyses run",
-		func() float64 { return float64(AnalysisRuns()) })
-	m.CounterFunc("analysis_memo_hits_total", "world-build analyses served from the memo",
-		func() float64 { return float64(AnalysisMemoHits()) })
-	m.CounterFunc("analysis_classify_total", "actor classifications run by the abstract interpreter",
-		func() float64 { return float64(ClassifyTotal()) })
-	m.CounterFunc("analysis_classify_memo_hits_total", "actor classifications served from the memo",
-		func() float64 { return float64(MemoHits()) })
+	m.RegisterFamily(obs.Family{Series: analysisSeries, Rows: 1, Read: readMetric})
+}
+
+var analysisSeries = []obs.Series{
+	{Name: "analysis_runs_total", Help: "full static analyses run", Type: obs.TypeCounter},
+	{Name: "analysis_memo_hits_total", Help: "world-build analyses served from the memo", Type: obs.TypeCounter},
+	{Name: "analysis_classify_total", Help: "actor classifications run by the abstract interpreter", Type: obs.TypeCounter},
+	{Name: "analysis_classify_memo_hits_total", Help: "actor classifications served from the memo", Type: obs.TypeCounter},
+}
+
+func readMetric(_, col int) float64 {
+	switch col {
+	case 0:
+		return float64(AnalysisRuns())
+	case 1:
+		return float64(AnalysisMemoHits())
+	case 2:
+		return float64(ClassifyTotal())
+	}
+	return float64(MemoHits())
 }
 
 // classSig renders everything of an actor's context that classification

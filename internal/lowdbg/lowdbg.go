@@ -322,17 +322,30 @@ func New(k *sim.Kernel, syms *dbginfo.Table) *Debugger {
 	}
 	if rec := k.Observer(); rec != nil {
 		m := rec.Metrics
-		m.CounterFunc("dbg_hook_calls_total", "framework hook crossings (always-attached overhead)",
-			func() float64 { return float64(d.HookCalls) })
-		m.CounterFunc("dbg_bp_hits_total", "hook crossings where breakpoint handlers ran",
-			func() float64 { return float64(d.bpHits) })
-		m.CounterFunc("dbg_bp_host_ns_total", "host wall-clock ns spent in breakpoint handlers",
-			func() float64 { return float64(d.bpHostNS) })
+		m.RegisterFamily(obs.Family{Series: debuggerSeries, Rows: 1, Read: d.readMetric})
 		d.bpHist = m.Histogram("dbg_bp_handler_ns",
 			"host wall-clock ns of one breakpoint-handler crossing",
 			[]float64{100, 1000, 10_000, 100_000, 1_000_000})
 	}
 	return d
+}
+
+// debuggerSeries are the hook-overhead metrics, read by
+// Debugger.readMetric.
+var debuggerSeries = []obs.Series{
+	{Name: "dbg_hook_calls_total", Help: "framework hook crossings (always-attached overhead)", Type: obs.TypeCounter},
+	{Name: "dbg_bp_hits_total", Help: "hook crossings where breakpoint handlers ran", Type: obs.TypeCounter},
+	{Name: "dbg_bp_host_ns_total", Help: "host wall-clock ns spent in breakpoint handlers", Type: obs.TypeCounter},
+}
+
+func (d *Debugger) readMetric(_, col int) float64 {
+	switch col {
+	case 0:
+		return float64(d.HookCalls)
+	case 1:
+		return float64(d.bpHits)
+	}
+	return float64(d.bpHostNS)
 }
 
 // OnArmChange registers fn to run after every change to what can stop

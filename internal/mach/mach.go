@@ -12,6 +12,7 @@ package mach
 
 import (
 	"fmt"
+	"strconv"
 
 	"dfdbg/internal/obs"
 	"dfdbg/internal/sim"
@@ -151,30 +152,40 @@ type Machine struct {
 	L3m      *Memory
 	DMA      DMAStats
 
-	nextPE int // round-robin mapping cursor
+	nextPE int      // round-robin mapping cursor
+	mems   []Memory // every cluster's L1, then L2 and L3 (MemStats order)
 }
 
-// New builds a machine on a simulation kernel.
+// New builds a machine on a simulation kernel. Its PEs, clusters and
+// memories each live in one slab.
 func New(k *sim.Kernel, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
+	nc, np := cfg.Clusters, cfg.PEsPerCluster
+	mems := make([]Memory, nc+2) // every cluster's L1, then L2 and L3
+	mems[nc] = Memory{Name: "L2", Level: L2, Latency: cfg.L2Latency}
+	mems[nc+1] = Memory{Name: "L3", Level: L3, Latency: cfg.L3Latency}
 	m := &Machine{
-		K:    k,
-		Cfg:  cfg,
-		Host: &PE{ID: -1},
-		L2m:  &Memory{Name: "L2", Level: L2, Latency: cfg.L2Latency},
-		L3m:  &Memory{Name: "L3", Level: L3, Latency: cfg.L3Latency},
+		K:        k,
+		Cfg:      cfg,
+		Host:     &PE{ID: -1},
+		Clusters: make([]*Cluster, nc),
+		L2m:      &mems[nc],
+		L3m:      &mems[nc+1],
+		mems:     mems,
 	}
-	id := 0
-	for c := 0; c < cfg.Clusters; c++ {
-		cl := &Cluster{
-			ID:  c,
-			L1m: &Memory{Name: fmt.Sprintf("cluster%d.L1", c), Level: L1, Latency: cfg.L1Latency},
+	clusters := make([]Cluster, nc)
+	pes := make([]PE, nc*np)
+	pePtrs := make([]*PE, nc*np)
+	for c := range clusters {
+		cl := &clusters[c]
+		mems[c] = Memory{Name: "cluster" + strconv.Itoa(c) + ".L1", Level: L1, Latency: cfg.L1Latency}
+		*cl = Cluster{ID: c, PEs: pePtrs[c*np : (c+1)*np : (c+1)*np], L1m: &mems[c]}
+		for p := range cl.PEs {
+			id := c*np + p
+			pes[id] = PE{ID: id, Cluster: cl}
+			cl.PEs[p] = &pes[id]
 		}
-		for p := 0; p < cfg.PEsPerCluster; p++ {
-			cl.PEs = append(cl.PEs, &PE{ID: id, Cluster: cl})
-			id++
-		}
-		m.Clusters = append(m.Clusters, cl)
+		m.Clusters[c] = cl
 	}
 	if rec := k.Observer(); rec != nil {
 		m.registerObsMetrics(rec)
@@ -182,22 +193,44 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	return m
 }
 
+// memSeries is the per-memory metric family; dmaSeries the DMA engine's
+// counters.
+var (
+	memSeries = []obs.Series{
+		{Name: "mach_mem_reads_words_total", Help: "words read per memory", Type: obs.TypeCounter},
+		{Name: "mach_mem_writes_words_total", Help: "words written per memory", Type: obs.TypeCounter},
+	}
+	dmaSeries = []obs.Series{
+		{Name: "mach_dma_transfers_total", Help: "host-fabric DMA transfers", Type: obs.TypeCounter},
+		{Name: "mach_dma_words_total", Help: "words moved by DMA", Type: obs.TypeCounter},
+	}
+)
+
 // registerObsMetrics publishes memory and DMA counters into the kernel's
 // observability registry (function-backed: the Transfer hot path keeps
 // its plain counters).
 func (m *Machine) registerObsMetrics(rec *obs.Recorder) {
 	reg := rec.Metrics
-	for _, mem := range m.MemStats() {
-		mem := mem
-		reg.CounterFunc("mach_mem_reads_words_total", "words read per memory",
-			func() float64 { return float64(mem.Reads) }, "mem", mem.Name)
-		reg.CounterFunc("mach_mem_writes_words_total", "words written per memory",
-			func() float64 { return float64(mem.Writes) }, "mem", mem.Name)
-	}
-	reg.CounterFunc("mach_dma_transfers_total", "host-fabric DMA transfers",
-		func() float64 { return float64(m.DMA.Transfers) })
-	reg.CounterFunc("mach_dma_words_total", "words moved by DMA",
-		func() float64 { return float64(m.DMA.Words) })
+	mems := m.mems
+	reg.RegisterFamily(obs.Family{
+		Series: memSeries, Label: "mem", Rows: len(mems),
+		Value: func(i int) string { return mems[i].Name },
+		Read: func(i, col int) float64 {
+			if col == 0 {
+				return float64(mems[i].Reads)
+			}
+			return float64(mems[i].Writes)
+		},
+	})
+	reg.RegisterFamily(obs.Family{
+		Series: dmaSeries, Rows: 1,
+		Read: func(_, col int) float64 {
+			if col == 0 {
+				return float64(m.DMA.Transfers)
+			}
+			return float64(m.DMA.Words)
+		},
+	})
 }
 
 // PEs returns every fabric PE in id order.
@@ -363,10 +396,9 @@ func (m *Machine) Describe() string {
 
 // MemStats returns every memory with its counters (L1s first, then L2, L3).
 func (m *Machine) MemStats() []*Memory {
-	var out []*Memory
-	for _, c := range m.Clusters {
-		out = append(out, c.L1m)
+	out := make([]*Memory, len(m.mems))
+	for i := range m.mems {
+		out[i] = &m.mems[i]
 	}
-	out = append(out, m.L2m, m.L3m)
 	return out
 }

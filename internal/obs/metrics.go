@@ -92,17 +92,40 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// metric is one registered entry.
+// Series names one function-backed series of a Family.
+type Series struct {
+	Name string
+	Help string
+	Type MetricType // TypeCounter or TypeGauge
+}
+
+// Family is a table of function-backed series registered as one entry:
+// Rows rows, each holding one series per element of Series. Row i's
+// series carry the label Label="Value(i)", or no label when Label is "",
+// and series j of row i reads Read(i, j). Labels and readings are both
+// taken at exposition time from the layer's own state, so registering
+// a family of any size renders nothing and costs one entry.
+type Family struct {
+	Series []Series
+	Label  string
+	Rows   int
+	Value  func(row int) string
+	Read   func(row, col int) float64
+}
+
+// metric is one registered entry: a single series, or a family.
 type metric struct {
 	name   string
 	help   string
 	typ    MetricType
-	labels string // rendered `{k="v",...}` or ""
+	labels []string // alternating key, value pairs, rendered at exposition
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // func-backed counter/gauge
+
+	fam Family // an entry with fam.Series set is a family
 }
 
 func (m *metric) value() float64 {
@@ -118,18 +141,40 @@ func (m *metric) value() float64 {
 	}
 }
 
+// entryKey identifies a registry entry for dedup without rendering or
+// concatenating anything: a series by its name and label pairs, a
+// family by its first series' name and its label key.
+type entryKey struct {
+	name     string
+	labelled bool
+	k0, v0   string // the first label pair
+	rest     string // the pairs after it, rendered; no registrant has any
+	family   bool
+}
+
+func seriesKey(name string, labels []string) entryKey {
+	k := entryKey{name: name, labelled: len(labels) > 0}
+	if len(labels) >= 2 {
+		k.k0, k.v0 = labels[0], labels[1]
+	}
+	if len(labels) >= 4 {
+		k.rest = renderLabels(labels[2:])
+	}
+	return k
+}
+
 // Registry holds metrics in registration order (deterministic
 // rendering). Registration is not hot-path: instrumented layers obtain
 // handles once and update them via atomics.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
-	byKey   map[string]*metric
+	byKey   map[entryKey]*metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[string]*metric)}
+	return &Registry{byKey: make(map[entryKey]*metric)}
 }
 
 // renderLabels formats alternating key, value pairs as `{k="v",...}`.
@@ -150,10 +195,9 @@ func renderLabels(labels []string) string {
 	return string(append(b, '}'))
 }
 
-func (r *Registry) register(m *metric) *metric {
+func (r *Registry) register(key entryKey, m *metric) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := m.name + m.labels
 	if old, ok := r.byKey[key]; ok {
 		return old
 	}
@@ -162,22 +206,24 @@ func (r *Registry) register(m *metric) *metric {
 	return m
 }
 
+// single registers one series, copying its label pairs.
+func (r *Registry) single(m *metric, labels []string) *metric {
+	if len(labels) > 0 {
+		m.labels = append([]string(nil), labels...)
+	}
+	return r.register(seriesKey(m.name, labels), m)
+}
+
 // Counter registers (or returns the existing) counter with the given
 // name and alternating label key, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	m := r.register(&metric{
-		name: name, help: help, typ: TypeCounter,
-		labels: renderLabels(labels), counter: &Counter{},
-	})
+	m := r.single(&metric{name: name, help: help, typ: TypeCounter, counter: &Counter{}}, labels)
 	return m.counter
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	m := r.register(&metric{
-		name: name, help: help, typ: TypeGauge,
-		labels: renderLabels(labels), gauge: &Gauge{},
-	})
+	m := r.single(&metric{name: name, help: help, typ: TypeGauge, gauge: &Gauge{}}, labels)
 	return m.gauge
 }
 
@@ -185,18 +231,24 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // exposition time — the instrumented layer keeps its own counters and
 // pays nothing on the hot path.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(&metric{
-		name: name, help: help, typ: TypeCounter,
-		labels: renderLabels(labels), fn: fn,
-	})
+	r.single(&metric{name: name, help: help, typ: TypeCounter, fn: fn}, labels)
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(&metric{
-		name: name, help: help, typ: TypeGauge,
-		labels: renderLabels(labels), fn: fn,
-	})
+	r.single(&metric{name: name, help: help, typ: TypeGauge, fn: fn}, labels)
+}
+
+// RegisterFamily registers f as one entry; registering a family whose
+// first series name and label key are already registered as a family
+// is a no-op. Exposition expands a family row by row, each row in
+// Series order: the order a loop registering every row's series one by
+// one would give.
+func (r *Registry) RegisterFamily(f Family) {
+	if len(f.Series) == 0 {
+		return
+	}
+	r.register(entryKey{name: f.Series[0].Name, k0: f.Label, family: true}, &metric{fam: f})
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.
@@ -204,10 +256,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
 	h := &Histogram{bounds: append([]float64(nil), bounds...)}
 	h.counts = make([]atomic.Uint64, len(bounds)+1)
-	m := r.register(&metric{
-		name: name, help: help, typ: TypeHistogram,
-		labels: renderLabels(labels), hist: h,
-	})
+	m := r.single(&metric{name: name, help: help, typ: TypeHistogram, hist: h}, labels)
 	return m.hist
 }
 
@@ -216,6 +265,48 @@ func formatVal(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
+}
+
+// series is one exposed series: a single registered metric or one cell
+// of a family, its labels rendered and its value read.
+type series struct {
+	name, help string
+	typ        MetricType
+	labels     string
+	value      float64    // counters and gauges
+	hist       *Histogram // histograms
+}
+
+// expand returns every series in registration order, families row by
+// row. Function-backed values are read and labels rendered now, so
+// while a simulation runs the result is a best-effort snapshot.
+func (r *Registry) expand() []series {
+	r.mu.Lock()
+	metrics := append([]*metric(nil), r.metrics...)
+	r.mu.Unlock()
+	out := make([]series, 0, len(metrics))
+	for _, m := range metrics {
+		f := &m.fam
+		if len(f.Series) == 0 {
+			s := series{name: m.name, help: m.help, typ: m.typ, labels: renderLabels(m.labels), hist: m.hist}
+			if m.hist == nil {
+				s.value = m.value()
+			}
+			out = append(out, s)
+			continue
+		}
+		for row := 0; row < f.Rows; row++ {
+			labels := ""
+			if f.Label != "" {
+				pair := [2]string{f.Label, f.Value(row)}
+				labels = renderLabels(pair[:])
+			}
+			for col, c := range f.Series {
+				out = append(out, series{name: c.Name, help: c.Help, typ: c.Type, labels: labels, value: f.Read(row, col)})
+			}
+		}
+	}
+	return out
 }
 
 // MetricValue is one registered metric's value at snapshot time, in the
@@ -230,22 +321,18 @@ type MetricValue struct {
 	Count  uint64  `json:"count,omitempty"` // histograms only
 }
 
-// Snapshot returns every registered metric's current value in
-// registration order. Function-backed metrics are read at call time, so
-// a snapshot taken while a simulation runs is best-effort, exactly like
-// the text expositions.
+// Snapshot returns every registered series' current value in
+// registration order, families expanded. Function-backed metrics are
+// read at call time, so a snapshot taken while a simulation runs is
+// best-effort, exactly like the text expositions.
 func (r *Registry) Snapshot() []MetricValue {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-	out := make([]MetricValue, 0, len(metrics))
-	for _, m := range metrics {
-		mv := MetricValue{Name: m.name, Labels: m.labels, Type: m.typ.String()}
-		if m.typ == TypeHistogram {
-			mv.Sum = m.hist.Sum()
-			mv.Count = m.hist.Count()
-		} else {
-			mv.Value = m.value()
+	all := r.expand()
+	out := make([]MetricValue, 0, len(all))
+	for _, s := range all {
+		mv := MetricValue{Name: s.name, Labels: s.labels, Type: s.typ.String(), Value: s.value}
+		if s.hist != nil {
+			mv.Sum = s.hist.Sum()
+			mv.Count = s.hist.Count()
 		}
 		out = append(out, mv)
 	}
@@ -254,14 +341,10 @@ func (r *Registry) Snapshot() []MetricValue {
 
 // WriteText renders a human-readable table.
 func (r *Registry) WriteText(w io.Writer) {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-	for _, m := range metrics {
-		if m.typ == TypeHistogram {
-			h := m.hist
+	for _, s := range r.expand() {
+		if h := s.hist; h != nil {
 			fmt.Fprintf(w, "%-44s count=%d sum=%s\n",
-				m.name+m.labels, h.Count(), formatVal(h.Sum()))
+				s.name+s.labels, h.Count(), formatVal(h.Sum()))
 			cum := uint64(0)
 			for i, b := range h.bounds {
 				cum += h.counts[i].Load()
@@ -269,39 +352,35 @@ func (r *Registry) WriteText(w io.Writer) {
 			}
 			continue
 		}
-		fmt.Fprintf(w, "%-44s %s\n", m.name+m.labels, formatVal(m.value()))
+		fmt.Fprintf(w, "%-44s %s\n", s.name+s.labels, formatVal(s.value))
 	}
 }
 
 // WritePrometheus renders the Prometheus text exposition format.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
 	typed := make(map[string]bool)
-	for _, m := range metrics {
-		if !typed[m.name] {
-			typed[m.name] = true
-			if m.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
+	for _, s := range r.expand() {
+		if !typed[s.name] {
+			typed[s.name] = true
+			if s.help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", s.name, s.help)
 			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
+			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, s.typ)
 		}
-		if m.typ == TypeHistogram {
-			h := m.hist
-			base := strings.TrimSuffix(m.labels, "}")
+		if h := s.hist; h != nil {
+			base := strings.TrimSuffix(s.labels, "}")
 			cum := uint64(0)
 			for i, b := range h.bounds {
 				cum += h.counts[i].Load()
-				fmt.Fprintf(w, "%s%s %d\n", m.name+"_bucket", bucketLabels(base, formatVal(b)), cum)
+				fmt.Fprintf(w, "%s%s %d\n", s.name+"_bucket", bucketLabels(base, formatVal(b)), cum)
 			}
 			cum += h.counts[len(h.bounds)].Load()
-			fmt.Fprintf(w, "%s%s %d\n", m.name+"_bucket", bucketLabels(base, "+Inf"), cum)
-			fmt.Fprintf(w, "%s%s %s\n", m.name+"_sum", m.labels, formatVal(h.Sum()))
-			fmt.Fprintf(w, "%s%s %d\n", m.name+"_count", m.labels, h.Count())
+			fmt.Fprintf(w, "%s%s %d\n", s.name+"_bucket", bucketLabels(base, "+Inf"), cum)
+			fmt.Fprintf(w, "%s%s %s\n", s.name+"_sum", s.labels, formatVal(h.Sum()))
+			fmt.Fprintf(w, "%s%s %d\n", s.name+"_count", s.labels, h.Count())
 			continue
 		}
-		fmt.Fprintf(w, "%s %s\n", m.name+m.labels, formatVal(m.value()))
+		fmt.Fprintf(w, "%s %s\n", s.name+s.labels, formatVal(s.value))
 	}
 }
 

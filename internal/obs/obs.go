@@ -259,13 +259,26 @@ func NewRecorder(capacity int) *Recorder {
 		Metrics: NewRegistry(),
 	}
 	// The recorder's own health, function-backed like every other layer.
-	r.Metrics.CounterFunc("obs_events_total", "events ever recorded into the ring",
-		func() float64 { return float64(r.Total()) })
-	r.Metrics.CounterFunc("obs_events_dropped_total", "events overwritten by drop-oldest",
-		func() float64 { return float64(r.Dropped()) })
-	r.Metrics.GaugeFunc("obs_ring_capacity", "event ring capacity",
-		func() float64 { return float64(r.Cap()) })
+	r.Metrics.RegisterFamily(Family{Series: recorderSeries, Rows: 1, Read: r.readMetric})
 	return r
+}
+
+// recorderSeries are the recorder's own metrics, read by
+// Recorder.readMetric.
+var recorderSeries = []Series{
+	{Name: "obs_events_total", Help: "events ever recorded into the ring", Type: TypeCounter},
+	{Name: "obs_events_dropped_total", Help: "events overwritten by drop-oldest", Type: TypeCounter},
+	{Name: "obs_ring_capacity", Help: "event ring capacity", Type: TypeGauge},
+}
+
+func (r *Recorder) readMetric(_, col int) float64 {
+	switch col {
+	case 0:
+		return float64(r.Total())
+	case 1:
+		return float64(r.Dropped())
+	}
+	return float64(r.Cap())
 }
 
 // Wants reports whether events of kind k should be recorded. It is

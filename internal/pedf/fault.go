@@ -91,12 +91,17 @@ func (rt *Runtime) wrapCrash(f *Filter, r any) *CrashError {
 
 // containCrash is deferred by the filter and controller process bodies:
 // it re-panics any escaping panic wrapped in a CrashError so the sim
-// kernel's PanicError carries an actor-attributed backtrace.
+// kernel's PanicError carries an actor-attributed backtrace. A process
+// that Kernel.Shutdown poisoned is not crashing but being torn down,
+// and the kernel discards whatever it unwinds with, so its unwind goes
+// on unrecovered: a shutdown builds no crash reports.
 func (rt *Runtime) containCrash(f *Filter) {
-	if f.lazyStmts > 0 && !f.proc.Poisoned() {
+	if f.proc.Poisoned() {
+		return
+	}
+	if f.lazyStmts > 0 {
 		// A crash unwound past banked lazy compute time; settle it so
-		// the crash timestamp is the true simulated instant. Poisoned
-		// procs are being torn down by the kernel and must not sleep.
+		// the crash timestamp is the true simulated instant.
 		f.flushLazy()
 	}
 	if r := recover(); r != nil {

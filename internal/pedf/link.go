@@ -61,9 +61,10 @@ type Port struct {
 	Dir       Direction
 	Type      *filterc.Type
 
-	owner *Filter // nil for module and environment ports
-	alias *Port   // module ports forward to an inner port
-	link  *Link
+	owner     *Filter // nil for module and environment ports
+	alias     *Port   // module ports forward to an inner port
+	link      *Link
+	qualified string // "actor::port", built with the port
 
 	// The owner's intra-firing IO window: the tokens read from this
 	// input so far in the current firing, or the count written to this
@@ -72,9 +73,24 @@ type Port struct {
 	writes int
 }
 
+// newPort returns a port of actor named prefix+name, building its
+// qualified name in the same allocation as the name.
+func newPort(actor, prefix, name string, dir Direction, typ *filterc.Type) *Port {
+	q := actor + "::" + prefix + name
+	return &Port{ActorName: actor, Name: q[len(actor)+2:], Dir: dir, Type: typ, qualified: q}
+}
+
 // Qualified returns the "actor::port" display name used by the paper's
 // commands (e.g. "hwcfg::pipe_MbType_out").
-func (p *Port) Qualified() string { return p.ActorName + "::" + p.Name }
+func (p *Port) Qualified() string {
+	if p.qualified != "" {
+		return p.qualified
+	}
+	return p.ActorName + "::" + p.Name
+}
+
+// metricLabel is the link's label on its metric family, "src->dst".
+func (l *Link) metricLabel() string { return l.Src.Qualified() + "->" + l.Dst.Qualified() }
 
 // Link returns the link bound to this port (nil before elaboration).
 func (p *Port) Link() *Link { return p.link }

@@ -70,7 +70,7 @@ func (m *Module) AddPort(name string, dir Direction, typ *filterc.Type) (*Port, 
 	if _, dup := m.ports[name]; dup {
 		return nil, fmt.Errorf("pedf: module %s port %q redeclared", m.Name, name)
 	}
-	p := &Port{ActorName: m.Name, Name: name, Dir: dir, Type: typ}
+	p := newPort(m.Name, "", name, dir, typ)
 	m.ports[name] = p
 	m.portNames = append(m.portNames, name)
 	return p, nil
@@ -249,10 +249,35 @@ func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args []lowdbg.Arg) fu
 	return rt.Dbg.EnterFunc(p, fn, args)
 }
 
-// registerObsMetrics publishes per-link and per-actor metrics into the
-// kernel's observability registry. Everything is function-backed —
-// values are read from state the runtime keeps anyway, so the hot path
-// pays nothing — except the firing-duration histogram, which invokeWork
+// linkSeries and actorSeries are the per-link and per-actor metric
+// families; globalSeries are the runtime's unlabelled counters.
+var (
+	linkSeries = []obs.Series{
+		{Name: "pedf_link_occupancy", Help: "tokens currently queued on a link", Type: obs.TypeGauge},
+		{Name: "pedf_link_pushes_total", Help: "tokens ever pushed on a link", Type: obs.TypeCounter},
+		{Name: "pedf_link_pops_total", Help: "tokens ever popped from a link", Type: obs.TypeCounter},
+		{Name: "pedf_link_drops_total", Help: "tokens removed without a pop (surgery or faults)", Type: obs.TypeCounter},
+	}
+	actorSeries = []obs.Series{
+		{Name: "pedf_actor_firings_total", Help: "completed WORK invocations", Type: obs.TypeCounter},
+		{Name: "pedf_actor_blocked_ns_total", Help: "simulated ns spent blocked on links or sync", Type: obs.TypeCounter},
+	}
+	// The bytecode-compiler counters are process-wide: programs are
+	// interned across runtimes and each compiles its code once. Worlds
+	// built by internal/stack also carry the analyzer's process-wide
+	// classification counters (pedfgraph.RegisterMetrics).
+	globalSeries = []obs.Series{
+		{Name: "filterc_compile_total", Help: "filter programs compiled to bytecode", Type: obs.TypeCounter},
+		{Name: "filterc_cache_hits_total", Help: "compiled-code lookups that found the program already compiled", Type: obs.TypeCounter},
+		{Name: "pedf_faults_injected_total", Help: "injected faults that have fired", Type: obs.TypeCounter},
+	}
+)
+
+// registerObsMetrics publishes per-link and per-actor metric families
+// into the kernel's observability registry. Everything is
+// function-backed — labels and values are read at exposition from state
+// the runtime keeps anyway, so neither the hot path nor the build pays
+// for them — except the firing-duration histogram, which invokeWork
 // feeds only while an observer is installed.
 func (rt *Runtime) registerObsMetrics() {
 	rec := rt.K.Observer()
@@ -260,43 +285,51 @@ func (rt *Runtime) registerObsMetrics() {
 		return
 	}
 	m := rec.Metrics
-	for _, l := range rt.links {
-		l := l
-		label := l.Src.Qualified() + "->" + l.Dst.Qualified()
-		m.GaugeFunc("pedf_link_occupancy", "tokens currently queued on a link",
-			func() float64 { return float64(l.n) }, "link", label)
-		m.CounterFunc("pedf_link_pushes_total", "tokens ever pushed on a link",
-			func() float64 { return float64(l.pushes) }, "link", label)
-		m.CounterFunc("pedf_link_pops_total", "tokens ever popped from a link",
-			func() float64 { return float64(l.pops) }, "link", label)
-		m.CounterFunc("pedf_link_drops_total", "tokens removed without a pop (surgery or faults)",
-			func() float64 { return float64(l.drops) }, "link", label)
-	}
-	for _, f := range rt.actorList {
-		f := f
-		m.CounterFunc("pedf_actor_firings_total", "completed WORK invocations",
-			func() float64 { return float64(f.firings) }, "actor", f.Name)
-		m.CounterFunc("pedf_actor_blocked_ns_total", "simulated ns spent blocked on links or sync",
-			func() float64 { return float64(f.blockedNS) }, "actor", f.Name)
-	}
+	links, actors := rt.links, rt.actorList
+	m.RegisterFamily(obs.Family{
+		Series: linkSeries, Label: "link", Rows: len(links),
+		Value: func(i int) string { return links[i].metricLabel() },
+		Read: func(i, col int) float64 {
+			l := links[i]
+			switch col {
+			case 0:
+				return float64(l.n)
+			case 1:
+				return float64(l.pushes)
+			case 2:
+				return float64(l.pops)
+			}
+			return float64(l.drops)
+		},
+	})
+	m.RegisterFamily(obs.Family{
+		Series: actorSeries, Label: "actor", Rows: len(actors),
+		Value: func(i int) string { return actors[i].Name },
+		Read: func(i, col int) float64 {
+			if col == 0 {
+				return float64(actors[i].firings)
+			}
+			return float64(actors[i].blockedNS)
+		},
+	})
 	rt.fireHist = m.Histogram("pedf_firing_duration_ns",
 		"simulated duration of one WORK firing",
 		[]float64{100, 1000, 10_000, 100_000, 1_000_000})
-	// Bytecode-compiler counters. They are process-wide: programs are
-	// interned across runtimes and each compiles its code once. Worlds
-	// built by internal/stack also carry the analyzer's process-wide
-	// classification counters (pedfgraph.RegisterMetrics).
-	m.CounterFunc("filterc_compile_total", "filter programs compiled to bytecode",
-		func() float64 { return float64(filterc.CompileTotal()) })
-	m.CounterFunc("filterc_cache_hits_total", "compiled-code lookups that found the program already compiled",
-		func() float64 { return float64(filterc.CacheHits()) })
-	m.CounterFunc("pedf_faults_injected_total", "injected faults that have fired",
-		func() float64 {
+	m.RegisterFamily(obs.Family{
+		Series: globalSeries, Rows: 1,
+		Read: func(_, col int) float64 {
+			switch col {
+			case 0:
+				return float64(filterc.CompileTotal())
+			case 1:
+				return float64(filterc.CacheHits())
+			}
 			if fi := rt.K.Faults(); fi != nil {
 				return float64(fi.InjectedTotal())
 			}
 			return 0
-		})
+		},
+	})
 }
 
 // portPE returns the PE an endpoint lives on (environment ports live on
@@ -464,7 +497,8 @@ func initValue(v VarSpec) filterc.Value {
 }
 
 func addPort(f *Filter, ps PortSpec, dir Direction) error {
-	p := &Port{ActorName: f.Name, Name: ps.Name, Dir: dir, Type: ps.Type, owner: f}
+	p := newPort(f.Name, "", ps.Name, dir, ps.Type)
+	p.owner = f
 	if dir == In {
 		if _, dup := f.ins[ps.Name]; dup {
 			return fmt.Errorf("pedf: %s input %q redeclared", f.Name, ps.Name)
@@ -644,7 +678,7 @@ func (rt *Runtime) feed(op string, port *Port, fs feederSpec) error {
 	if port.Dir != In {
 		return fmt.Errorf("pedf: %s on non-input %s", op, port.Qualified())
 	}
-	fs.src = &Port{ActorName: EnvActor, Name: "feed_" + port.Name, Dir: Out, Type: port.Type}
+	fs.src = newPort(EnvActor, "feed_", port.Name, Out, port.Type)
 	rt.binds = append(rt.binds, bindSpec{a: fs.src, b: port})
 	rt.feeders = append(rt.feeders, fs)
 	return nil
@@ -659,7 +693,7 @@ func (rt *Runtime) CollectOutput(port *Port) (*Collector, error) {
 	if port.Dir != Out {
 		return nil, fmt.Errorf("pedf: CollectOutput on non-output %s", port.Qualified())
 	}
-	dst := &Port{ActorName: EnvActor, Name: "drain_" + port.Name, Dir: In, Type: port.Type}
+	dst := newPort(EnvActor, "drain_", port.Name, In, port.Type)
 	rt.binds = append(rt.binds, bindSpec{a: port, b: dst})
 	col := &Collector{Port: dst}
 	rt.collectors = append(rt.collectors, col)

@@ -305,21 +305,36 @@ func (k *Kernel) SetObserver(r *obs.Recorder) {
 	if r == nil {
 		return
 	}
-	m := r.Metrics
-	m.CounterFunc("sim_dispatches_total", "process dispatches",
-		func() float64 { return float64(k.dispatches) })
-	m.CounterFunc("sim_time_advances_total", "virtual clock advances",
-		func() float64 { return float64(k.advances) })
-	m.CounterFunc("sim_event_fires_total", "event notifications that woke waiters",
-		func() float64 { return float64(k.eventFires) })
-	m.CounterFunc("sim_delta_wakes_total", "immediate (delta-cycle) wakes",
-		func() float64 { return float64(k.deltaWakes) })
-	m.GaugeFunc("sim_now_ns", "current simulated time",
-		func() float64 { return float64(k.now) })
-	m.GaugeFunc("sim_processes", "processes ever spawned",
-		func() float64 { return float64(len(k.procs)) })
-	m.CounterFunc("sim_watchdog_stalls_total", "progress-watchdog trips",
-		func() float64 { return float64(k.watchdogStalls) })
+	r.Metrics.RegisterFamily(obs.Family{Series: kernelSeries, Rows: 1, Read: k.readMetric})
+}
+
+// kernelSeries are the scheduler metrics, read by Kernel.readMetric.
+var kernelSeries = []obs.Series{
+	{Name: "sim_dispatches_total", Help: "process dispatches", Type: obs.TypeCounter},
+	{Name: "sim_time_advances_total", Help: "virtual clock advances", Type: obs.TypeCounter},
+	{Name: "sim_event_fires_total", Help: "event notifications that woke waiters", Type: obs.TypeCounter},
+	{Name: "sim_delta_wakes_total", Help: "immediate (delta-cycle) wakes", Type: obs.TypeCounter},
+	{Name: "sim_now_ns", Help: "current simulated time", Type: obs.TypeGauge},
+	{Name: "sim_processes", Help: "processes ever spawned", Type: obs.TypeGauge},
+	{Name: "sim_watchdog_stalls_total", Help: "progress-watchdog trips", Type: obs.TypeCounter},
+}
+
+func (k *Kernel) readMetric(_, col int) float64 {
+	switch col {
+	case 0:
+		return float64(k.dispatches)
+	case 1:
+		return float64(k.advances)
+	case 2:
+		return float64(k.eventFires)
+	case 3:
+		return float64(k.deltaWakes)
+	case 4:
+		return float64(k.now)
+	case 5:
+		return float64(len(k.procs))
+	}
+	return float64(k.watchdogStalls)
 }
 
 // Observer returns the installed recorder (nil when observability is

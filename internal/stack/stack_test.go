@@ -8,6 +8,7 @@ import (
 	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/h264"
+	"dfdbg/internal/sim"
 	"dfdbg/internal/stack"
 )
 
@@ -61,6 +62,35 @@ func TestRebuildCompilesAndClassifiesNothing(t *testing.T) {
 			if d := pedfgraph.AnalysisMemoHits() - hits; d != 20*c.lookups {
 				t.Errorf("20 rebuilds had %d analysis memo hits, want %d: not every rebuild hit the memo", d, 20*c.lookups)
 			}
+		})
+	}
+}
+
+// rebuildAllocBudget bounds the objects one warm world rebuild (Build
+// and Shutdown) allocates. What remains is the world's own state: its
+// processes, actors, ports, links, symbols and debugger model. Metric
+// registration renders nothing and a shutdown builds no crash reports.
+const rebuildAllocBudget = 1400
+
+// Restore, reverse-step and session create each rebuild a world, so a
+// rebuild's allocations are interactive latency.
+func TestRebuildAllocationBudget(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		r    stack.Recipe
+	}{{"served", servedRecipe}, {"solo", soloRecipe}} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(10, func() {
+				st, err := c.r.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Shutdown()
+			})
+			if allocs > rebuildAllocBudget {
+				t.Errorf("a warm rebuild allocates %.0f objects, budget %d", allocs, rebuildAllocBudget)
+			}
+			t.Logf("%.0f objects per warm rebuild", allocs)
 		})
 	}
 }
@@ -180,6 +210,70 @@ func BenchmarkRecipeRebuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				st.Shutdown()
+			}
+		})
+	}
+}
+
+// bootedWorlds builds n served worlds, each left as Build leaves it, or
+// run to simulated time until when until is not 0.
+func bootedWorlds(tb testing.TB, n int, until sim.Time) []*stack.Stack {
+	tb.Helper()
+	worlds := make([]*stack.Stack, n)
+	for i := range worlds {
+		st, err := servedRecipe.Build()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if until != 0 {
+			if _, err := st.K.RunUntil(until); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		worlds[i] = st
+	}
+	return worlds
+}
+
+// Shutting a world down unwinds its parked processes; none of them is
+// crashing, so the unwind builds no crash report and allocates nothing.
+func TestShutdownAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		until sim.Time
+	}{{"booted", 0}, {"mid-run", 40_000}} {
+		t.Run(c.name, func(t *testing.T) {
+			const runs = 5
+			worlds := bootedWorlds(t, runs+1, c.until) // AllocsPerRun warms up once
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				worlds[i].Shutdown()
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("Shutdown allocates %.0f objects, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkStackShutdown is the teardown a session close, a restore and
+// a reverse-step pay for the world they retire: one just booted, and one
+// stopped mid-decode.
+func BenchmarkStackShutdown(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		until sim.Time
+	}{{"booted", 0}, {"mid-run", 40_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			bootedWorlds(b, 1, c.until)[0].Shutdown()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := bootedWorlds(b, 1, c.until)[0]
+				b.StartTimer()
 				st.Shutdown()
 			}
 		})
