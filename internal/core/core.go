@@ -58,7 +58,7 @@ type Debugger struct {
 	moduleList  []*ModuleInfo
 	links       map[int64]*LinkInfo
 	linkList    []*LinkInfo
-	conns       map[string]*Connection // by qualified name
+	conns       map[connKey]*Connection
 	actorByProc map[*sim.Proc]*Actor
 
 	tokenSeq uint64
@@ -86,7 +86,7 @@ func Attach(low *lowdbg.Debugger) *Debugger {
 		actors:           make(map[string]*Actor),
 		modules:          make(map[string]*ModuleInfo),
 		links:            make(map[int64]*LinkInfo),
-		conns:            make(map[string]*Connection),
+		conns:            make(map[connKey]*Connection),
 		actorByProc:      make(map[*sim.Proc]*Actor),
 		DefaultRecordCap: 256,
 	}
@@ -154,8 +154,10 @@ func (d *Debugger) Links() []*LinkInfo { return append([]*LinkInfo(nil), d.linkL
 
 // Connection resolves a qualified interface name ("pipe::Red2PipeCbMB_in").
 func (d *Debugger) Connection(qualified string) (*Connection, error) {
-	if c, ok := d.conns[qualified]; ok {
-		return c, nil
+	if i := strings.LastIndex(qualified, "::"); i >= 0 {
+		if c, ok := d.conns[connKey{qualified[:i], qualified[i+2:]}]; ok {
+			return c, nil
+		}
 	}
 	return nil, fmt.Errorf("core: no interface %q (known: %s)",
 		qualified, strings.Join(d.Complete(""), ", "))
@@ -173,8 +175,8 @@ func (d *Debugger) Complete(prefix string) []string {
 			out = append(out, name)
 		}
 	}
-	for q := range d.conns {
-		if strings.HasPrefix(q, prefix) {
+	for _, c := range d.conns {
+		if q := c.Qualified(); strings.HasPrefix(q, prefix) {
 			out = append(out, q)
 		}
 	}
@@ -194,20 +196,34 @@ func (d *Debugger) addActor(name string, kind ActorKind, module string) *Actor {
 	return a
 }
 
+// connKey identifies a connection by its actor and port names.
+type connKey struct{ actor, port string }
+
 func (d *Debugger) addConn(actor *Actor, port, dir, typ string) *Connection {
-	q := actor.Name + "::" + port
-	if c, ok := d.conns[q]; ok {
+	key := connKey{actor.Name, port}
+	if c, ok := d.conns[key]; ok {
 		return c
 	}
-	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap, qualified: q}
-	d.conns[q] = c
+	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap}
+	d.conns[key] = c
+	op := "push:"
 	if dir == "input" {
-		c.inFlight = "pop:" + port
+		op = "pop:"
 		actor.Inputs = append(actor.Inputs, c)
 	} else {
-		c.inFlight = "push:" + port
 		actor.Outputs = append(actor.Outputs, c)
 	}
+	// Both derived names share one allocation: "actor::port" + "op:port".
+	var b strings.Builder
+	b.Grow(len(actor.Name) + 2 + len(port) + len(op) + len(port))
+	b.WriteString(actor.Name)
+	b.WriteString("::")
+	b.WriteString(port)
+	b.WriteString(op)
+	b.WriteString(port)
+	names := b.String()
+	n := len(actor.Name) + 2 + len(port)
+	c.qualified, c.inFlight = names[:n], names[n:]
 	return c
 }
 

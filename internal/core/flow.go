@@ -374,7 +374,7 @@ func (d *Debugger) DataSymbolFor(actor, member string) (string, error) {
 	// whichever the debug information knows.
 	for _, sym := range []string{
 		dbginfo.MangleFilterData(actor, member),
-		dbginfo.MangleFilterData(actor, "attr_"+member),
+		dbginfo.MangleFilterAttr(actor, member),
 	} {
 		if _, ok := d.Low.Object(sym); ok {
 			return sym, nil

@@ -275,3 +275,23 @@ func TestAddStmtsMatchesResort(t *testing.T) {
 		}
 	}
 }
+
+// mangle builds in one allocation exactly what concatenating around
+// titleCase builds.
+func TestMangleMatchesTitleCase(t *testing.T) {
+	for _, name := range []string{"", "ipf", "Ipf", "pred", "ünï", "ßx", "1abc", "bad\xffutf8", "\xff"} {
+		for _, c := range []struct{ got, want string }{
+			{MangleFilterWork(name), titleCase(name) + "Filter_work_function"},
+			{MangleControllerWork(name), "_component_" + titleCase(name) + "Module_anon_0_work"},
+			{MangleFilterData(name, "mb"), titleCase(name) + "Filter_data_" + "mb"},
+			{MangleFilterAttr(name, "w"), MangleFilterData(name, "attr_w")},
+		} {
+			if c.got != c.want {
+				t.Errorf("mangled %q: got %q, want %q", name, c.got, c.want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { MangleFilterAttr("ipf", "width") }); n != 1 {
+		t.Errorf("MangleFilterAttr allocates %.0f times, want 1", n)
+	}
+}

@@ -1,9 +1,9 @@
 package dbginfo
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Mangling rules of the (simulated) PEDF/P2012 tool-chain, reproducing the
@@ -25,21 +25,51 @@ func titleCase(s string) string {
 	return string(r)
 }
 
+// mangle returns prefix + titleCase(name) + the suffixes, built in one
+// allocation (names that are not valid UTF-8 take titleCase's path,
+// which replaces their invalid bytes).
+func mangle(prefix, name string, suffix ...string) string {
+	if !utf8.ValidString(name) {
+		return prefix + titleCase(name) + strings.Join(suffix, "")
+	}
+	n := len(prefix) + len(name) + utf8.UTFMax
+	for _, s := range suffix {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(prefix)
+	if r, size := utf8.DecodeRuneInString(name); size > 0 {
+		b.WriteRune(unicode.ToUpper(r))
+		b.WriteString(name[size:])
+	}
+	for _, s := range suffix {
+		b.WriteString(s)
+	}
+	return b.String()
+}
+
 // MangleFilterWork returns the linker name of a filter's WORK method.
 func MangleFilterWork(filter string) string {
-	return titleCase(filter) + "Filter_work_function"
+	return mangle("", filter, "Filter_work_function")
 }
 
 // MangleControllerWork returns the linker name of a module controller's
 // WORK method.
 func MangleControllerWork(module string) string {
-	return "_component_" + titleCase(module) + "Module_anon_0_work"
+	return mangle("_component_", module, "Module_anon_0_work")
 }
 
 // MangleFilterData returns the linker name of a filter's private data or
 // attribute object.
 func MangleFilterData(filter, data string) string {
-	return titleCase(filter) + "Filter_data_" + data
+	return mangle("", filter, "Filter_data_", data)
+}
+
+// MangleFilterAttr returns the linker name of a filter's attribute
+// object: MangleFilterData(filter, "attr_"+attr).
+func MangleFilterAttr(filter, attr string) string {
+	return mangle("", filter, "Filter_data_attr_", attr)
 }
 
 // Demangled holds the result of demangling a linker name.
@@ -84,5 +114,5 @@ func lowerFirst(s string) string {
 // PrettyWork returns the human name the dataflow debugger shows for a
 // work method, e.g. "ipf::work".
 func PrettyWork(owner string) string {
-	return fmt.Sprintf("%s::work", owner)
+	return owner + "::work"
 }

@@ -261,13 +261,12 @@ func (m *Machine) PEByID(id int) *PE {
 // clusters first (so sibling actors spread over the fabric the way the
 // PEDF runtime distributes filters).
 func (m *Machine) MapNext() *PE {
-	pes := m.PEs()
-	if len(pes) == 0 {
-		return m.Host
-	}
 	// Interleave clusters: pe order c0p0, c1p0, c2p0, ..., c0p1, ...
 	nc := len(m.Clusters)
 	np := m.Cfg.PEsPerCluster
+	if nc*np == 0 {
+		return m.Host
+	}
 	i := m.nextPE % (nc * np)
 	m.nextPE++
 	cl := m.Clusters[i%nc]

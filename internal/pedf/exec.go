@@ -267,10 +267,13 @@ func (rt *Runtime) checkConnectivity() error {
 
 // replayRegistrations announces the application structure through the
 // framework API — the initialization-phase calls the dataflow debugger's
-// graph reconstruction intercepts.
+// graph reconstruction intercepts. A hook borrows its arguments only
+// until it returns, so every call lends out the same buffer.
 func (rt *Runtime) replayRegistrations(p *sim.Proc) {
-	finish := func(exit func(lowdbg.Datum)) {
-		if exit != nil {
+	var args []lowdbg.Arg
+	announce := func(fn string, a ...lowdbg.Arg) {
+		args = append(args[:0], a...)
+		if exit := rt.hook(p, fn, args); exit != nil {
 			exit(lowdbg.Datum{})
 		}
 	}
@@ -279,55 +282,63 @@ func (rt *Runtime) replayRegistrations(p *sim.Proc) {
 		if m.Parent != nil {
 			parent = m.Parent.Name
 		}
-		finish(rt.hook(p, SymRegisterModule, []lowdbg.Arg{
-			lowdbg.StrArg("module", m.Name), lowdbg.StrArg("parent", parent),
-		}))
+		announce(SymRegisterModule, lowdbg.StrArg("module", m.Name), lowdbg.StrArg("parent", parent))
 		for _, pn := range m.portNames {
 			port := m.ports[pn]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
+			announce(SymRegisterPort,
 				lowdbg.StrArg("actor", m.Name), lowdbg.StrArg("port", pn),
-				lowdbg.StrArg("dir", port.Dir.String()), lowdbg.StrArg("type", port.Type.String()),
-			}))
+				lowdbg.StrArg("dir", port.Dir.String()), lowdbg.StrArg("type", port.Type.String()))
 		}
 	}
 	for _, f := range rt.actorList {
 		if f.Role == RoleController {
-			finish(rt.hook(p, SymRegisterController, []lowdbg.Arg{
-				lowdbg.StrArg("module", f.Module.Name), lowdbg.StrArg("controller", f.Name),
-			}))
+			announce(SymRegisterController,
+				lowdbg.StrArg("module", f.Module.Name), lowdbg.StrArg("controller", f.Name))
 		} else {
-			finish(rt.hook(p, SymRegisterFilter, []lowdbg.Arg{
-				lowdbg.StrArg("filter", f.Name), lowdbg.StrArg("module", f.Module.Name),
-			}))
+			announce(SymRegisterFilter,
+				lowdbg.StrArg("filter", f.Name), lowdbg.StrArg("module", f.Module.Name))
 		}
 		for _, n := range f.inNames {
-			port := f.ins[n]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
+			announce(SymRegisterPort,
 				lowdbg.StrArg("actor", f.Name), lowdbg.StrArg("port", n),
-				lowdbg.StrArg("dir", "input"), lowdbg.StrArg("type", port.Type.String()),
-			}))
+				lowdbg.StrArg("dir", "input"), lowdbg.StrArg("type", f.ins[n].Type.String()))
 		}
 		for _, n := range f.outNames {
-			port := f.outs[n]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
+			announce(SymRegisterPort,
 				lowdbg.StrArg("actor", f.Name), lowdbg.StrArg("port", n),
-				lowdbg.StrArg("dir", "output"), lowdbg.StrArg("type", port.Type.String()),
-			}))
+				lowdbg.StrArg("dir", "output"), lowdbg.StrArg("type", f.outs[n].Type.String()))
 		}
 	}
 	for _, l := range rt.links {
-		finish(rt.hook(p, SymBind, bindArgs(l)))
+		args = appendBindArgs(args[:0], l)
+		if exit := rt.hook(p, SymBind, args); exit != nil {
+			exit(lowdbg.Datum{})
+		}
 	}
 }
 
 // bindArgs is the pedf_bind hook argument list announcing l.
-func bindArgs(l *Link) []lowdbg.Arg {
-	return []lowdbg.Arg{
+func bindArgs(l *Link) []lowdbg.Arg { return appendBindArgs(nil, l) }
+
+func appendBindArgs(dst []lowdbg.Arg, l *Link) []lowdbg.Arg {
+	return append(dst,
 		lowdbg.IntArg("link", int64(l.ID)),
 		lowdbg.StrArg("src", l.Src.ActorName), lowdbg.StrArg("src_port", l.Src.Name),
 		lowdbg.StrArg("dst", l.Dst.ActorName), lowdbg.StrArg("dst_port", l.Dst.Name),
 		lowdbg.StrArg("kind", l.Kind.String()),
+	)
+}
+
+// procName is the name of f's process: "ctl.<name>" for a controller,
+// "flt.<name>" for a filter. Once f is spawned it is its process's own.
+func (f *Filter) procName() string {
+	if f.proc != nil {
+		return f.proc.Name()
 	}
+	if f.Role == RoleController {
+		return "ctl." + f.Name
+	}
+	return "flt." + f.Name
 }
 
 // spawnActors launches controller, filter, feeder and collector
@@ -336,9 +347,9 @@ func (rt *Runtime) spawnActors() {
 	for _, f := range rt.actorList {
 		f := f
 		if f.Role == RoleController {
-			f.proc = rt.M.SpawnOn(f.PE, "ctl."+f.Name, func(p *sim.Proc) { rt.controllerLoop(p, f) })
+			f.proc = rt.M.SpawnOn(f.PE, f.procName(), func(p *sim.Proc) { rt.controllerLoop(p, f) })
 		} else {
-			f.proc = rt.M.SpawnOn(f.PE, "flt."+f.Name, func(p *sim.Proc) { rt.filterLoop(p, f) })
+			f.proc = rt.M.SpawnOn(f.PE, f.procName(), func(p *sim.Proc) { rt.filterLoop(p, f) })
 		}
 		if f.Prog != nil {
 			f.interp = filterc.New(f.Prog, &filterEnv{f: f})

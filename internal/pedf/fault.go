@@ -3,6 +3,7 @@ package pedf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dfdbg/internal/fault"
@@ -116,22 +117,24 @@ func (rt *Runtime) containCrash(f *Filter) {
 // application, for fault.Generate: link labels, filter names, the PEs
 // filters are placed on, and filter/controller process names.
 func (rt *Runtime) FaultTargets() fault.Targets {
-	var t fault.Targets
+	t := fault.Targets{
+		Links:   make([]string, 0, len(rt.links)),
+		Filters: make([]string, 0, len(rt.actorList)),
+		Procs:   make([]string, 0, len(rt.actorList)),
+		PEs:     make([]int, 0, len(rt.actorList)),
+	}
 	for _, l := range rt.links {
 		t.Links = append(t.Links, l.Label())
 	}
-	peSeen := map[int]bool{}
-	for _, f := range rt.Actors() {
-		// Actor processes are named before they are spawned (see
-		// spawnActors), so the targets are complete even pre-run.
+	for _, f := range rt.actorList {
+		// Actor process names do not wait for the spawn (see
+		// procName), so the targets are complete even pre-run.
+		t.Procs = append(t.Procs, f.procName())
 		if f.Role == RoleController {
-			t.Procs = append(t.Procs, "ctl."+f.Name)
 			continue
 		}
-		t.Procs = append(t.Procs, "flt."+f.Name)
 		t.Filters = append(t.Filters, f.Name)
-		if f.PE != nil && !peSeen[f.PE.ID] {
-			peSeen[f.PE.ID] = true
+		if f.PE != nil && !slices.Contains(t.PEs, f.PE.ID) {
 			t.PEs = append(t.PEs, f.PE.ID)
 		}
 	}

@@ -552,7 +552,7 @@ func (rt *Runtime) registerActorSymbols(f *Filter) {
 		}
 	}
 	for _, an := range f.attrNames {
-		sym := dbginfo.MangleFilterData(f.Name, "attr_"+an)
+		sym := dbginfo.MangleFilterAttr(f.Name, an)
 		rt.Syms.MustDefine(dbginfo.Symbol{
 			Name: sym, Pretty: f.Name + ".attribute." + an, Kind: dbginfo.SymData,
 			Entity: ent, Owner: owner, File: file,
