@@ -434,11 +434,17 @@ func (rt *Runtime) newActor(m *Module, name string, role Role, source, sourceFil
 	f := &Filter{
 		Name: name, Role: role, Module: m, rt: rt,
 		PE:      rt.M.MapNext(),
-		data:    make(map[string]*filterc.Value),
-		attrs:   make(map[string]*filterc.Value),
-		ins:     make(map[string]*Port),
-		outs:    make(map[string]*Port),
+		data:    make(map[string]*filterc.Value, len(data)),
+		attrs:   make(map[string]*filterc.Value, len(attrs)),
+		ins:     make(map[string]*Port, len(inputs)),
+		outs:    make(map[string]*Port, len(outputs)),
 		startEv: rt.K.NewEvent("filter." + name + ".start"),
+
+		dataNames: make([]string, 0, len(data)),
+		attrNames: make([]string, 0, len(attrs)),
+		inNames:   make([]string, 0, len(inputs)),
+		outNames:  make([]string, 0, len(outputs)),
+		ports:     make([]*Port, 0, len(inputs)+len(outputs)),
 	}
 	if source != "" {
 		if sourceFile == "" {
@@ -462,14 +468,16 @@ func (rt *Runtime) newActor(m *Module, name string, role Role, source, sourceFil
 		}
 		rt.Syms.LineTableFor(sourceFile).AddStmts(rt.stmtBuf)
 	}
-	for _, v := range data {
-		val := initValue(v)
-		f.data[v.Name] = &val
+	vals := make([]filterc.Value, len(data)+len(attrs))
+	for i, v := range data {
+		vals[i] = initValue(v)
+		f.data[v.Name] = &vals[i]
 		f.dataNames = append(f.dataNames, v.Name)
 	}
-	for _, v := range attrs {
-		val := initValue(v)
-		f.attrs[v.Name] = &val
+	for i, v := range attrs {
+		val := &vals[len(data)+i]
+		*val = initValue(v)
+		f.attrs[v.Name] = val
 		f.attrNames = append(f.attrNames, v.Name)
 	}
 	for _, ps := range inputs {
