@@ -231,3 +231,55 @@ func TestRenderLabelsMatchesFmt(t *testing.T) {
 		t.Errorf("renderLabels allocates %.0f times, want 1", allocs)
 	}
 }
+
+// A family exposes exactly what registering each row's series one by
+// one does, reading its labels and values at exposition.
+func TestFamilyMatchesPerSeries(t *testing.T) {
+	type row struct {
+		name string
+		a, b uint64
+	}
+	rows := []row{{"x", 1, 2}, {`q"uote`, 3, 4}}
+	read := func(i, col int) float64 {
+		if col == 0 {
+			return float64(rows[i].a)
+		}
+		return float64(rows[i].b)
+	}
+	fam := NewRegistry()
+	fam.Counter("before_total", "first").Add(1)
+	f := Family{
+		Series: []Series{
+			{Name: "fam_a_total", Help: "a", Type: TypeCounter},
+			{Name: "fam_b", Help: "b", Type: TypeGauge},
+		},
+		Label: "row", Rows: len(rows),
+		Value: func(i int) string { return rows[i].name },
+		Read:  read,
+	}
+	fam.RegisterFamily(f)
+	fam.RegisterFamily(f) // deduplicated
+	fam.RegisterFamily(Family{Series: []Series{{Name: "fam_u", Help: "u", Type: TypeGauge}}, Rows: 1,
+		Read: func(_, _ int) float64 { return 9 }})
+
+	// Labels and values are read at exposition, not at registration.
+	rows[0].name, rows[1].b = "y", 40
+	perSeries := NewRegistry()
+	perSeries.Counter("before_total", "first").Add(1)
+	for i := range rows {
+		i := i
+		perSeries.CounterFunc("fam_a_total", "a", func() float64 { return read(i, 0) }, "row", rows[i].name)
+		perSeries.GaugeFunc("fam_b", "b", func() float64 { return read(i, 1) }, "row", rows[i].name)
+	}
+	perSeries.GaugeFunc("fam_u", "u", func() float64 { return 9 })
+
+	for _, render := range []func(*Registry) string{
+		func(r *Registry) string { var b strings.Builder; r.WriteText(&b); return b.String() },
+		func(r *Registry) string { var b strings.Builder; r.WritePrometheus(&b); return b.String() },
+		func(r *Registry) string { return fmt.Sprint(r.Snapshot()) },
+	} {
+		if got, want := render(fam), render(perSeries); got != want {
+			t.Errorf("family exposition:\n%s\nwant:\n%s", got, want)
+		}
+	}
+}
