@@ -118,7 +118,7 @@ type metric struct {
 	name   string
 	help   string
 	typ    MetricType
-	labels []string // alternating key, value pairs, rendered at exposition
+	labels string // rendered `{k="v",...}` or ""
 
 	counter *Counter
 	gauge   *Gauge
@@ -141,26 +141,13 @@ func (m *metric) value() float64 {
 	}
 }
 
-// entryKey identifies a registry entry for dedup without rendering or
-// concatenating anything: a series by its name and label pairs, a
-// family by its first series' name and its label key.
+// entryKey identifies a registry entry for dedup: a series by its name
+// and rendered labels, a family by its first series' name and its
+// label key.
 type entryKey struct {
-	name     string
-	labelled bool
-	k0, v0   string // the first label pair
-	rest     string // the pairs after it, rendered; no registrant has any
-	family   bool
-}
-
-func seriesKey(name string, labels []string) entryKey {
-	k := entryKey{name: name, labelled: len(labels) > 0}
-	if len(labels) >= 2 {
-		k.k0, k.v0 = labels[0], labels[1]
-	}
-	if len(labels) >= 4 {
-		k.rest = renderLabels(labels[2:])
-	}
-	return k
+	name   string
+	labels string
+	family bool
 }
 
 // Registry holds metrics in registration order (deterministic
@@ -206,12 +193,10 @@ func (r *Registry) register(key entryKey, m *metric) *metric {
 	return m
 }
 
-// single registers one series, copying its label pairs.
+// single registers one series under its name and labels.
 func (r *Registry) single(m *metric, labels []string) *metric {
-	if len(labels) > 0 {
-		m.labels = append([]string(nil), labels...)
-	}
-	return r.register(seriesKey(m.name, labels), m)
+	m.labels = renderLabels(labels)
+	return r.register(entryKey{name: m.name, labels: m.labels}, m)
 }
 
 // Counter registers (or returns the existing) counter with the given
@@ -248,7 +233,7 @@ func (r *Registry) RegisterFamily(f Family) {
 	if len(f.Series) == 0 {
 		return
 	}
-	r.register(entryKey{name: f.Series[0].Name, k0: f.Label, family: true}, &metric{fam: f})
+	r.register(entryKey{name: f.Series[0].Name, labels: f.Label, family: true}, &metric{fam: f})
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.
@@ -288,11 +273,7 @@ func (r *Registry) expand() []series {
 	for _, m := range metrics {
 		f := &m.fam
 		if len(f.Series) == 0 {
-			s := series{name: m.name, help: m.help, typ: m.typ, labels: renderLabels(m.labels), hist: m.hist}
-			if m.hist == nil {
-				s.value = m.value()
-			}
-			out = append(out, s)
+			out = append(out, series{name: m.name, help: m.help, typ: m.typ, labels: m.labels, value: m.value(), hist: m.hist})
 			continue
 		}
 		for row := 0; row < f.Rows; row++ {

@@ -317,9 +317,7 @@ func (rt *Runtime) replayRegistrations(p *sim.Proc) {
 	}
 }
 
-// bindArgs is the pedf_bind hook argument list announcing l.
-func bindArgs(l *Link) []lowdbg.Arg { return appendBindArgs(nil, l) }
-
+// appendBindArgs appends the pedf_bind hook argument list announcing l.
 func appendBindArgs(dst []lowdbg.Arg, l *Link) []lowdbg.Arg {
 	return append(dst,
 		lowdbg.IntArg("link", int64(l.ID)),

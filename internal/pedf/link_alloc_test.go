@@ -29,7 +29,7 @@ func newBareLink(k *sim.Kernel, rt *Runtime, capacity int) *Link {
 // announceBind reports l to the attached debugger the way the
 // initialization phase does, so the dataflow layer models the link.
 func announceBind(p *sim.Proc, rt *Runtime, l *Link) {
-	if exit := rt.hook(p, SymBind, bindArgs(l)); exit != nil {
+	if exit := rt.hook(p, SymBind, appendBindArgs(nil, l)); exit != nil {
 		exit(lowdbg.Datum{})
 	}
 }
