@@ -22,10 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"dfdbg/internal/analysis/pedfgraph"
-	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
@@ -159,10 +157,15 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	if err != nil {
 		return err
 	}
-	cur, err := r.Build()
-	if err != nil {
+	// The session journals state-mutating command lines and rebuilds the
+	// whole world from the same recipe (with replay verification) on
+	// restore and reverse execution (DESIGN §13).
+	sess := stack.NewSession(r)
+	if err := sess.Boot(nil); err != nil {
 		return err
 	}
+	defer sess.Close()
+	cur := sess.Live()
 	if r.FaultSeed != 0 {
 		fmt.Fprintf(out, "fault plan (seed %d):\n%s", r.FaultSeed, fault.Generate(r.FaultSeed, cur.RT.FaultTargets()))
 	}
@@ -171,95 +174,38 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	fmt.Fprintf(out, "%d actors and %d links reconstructed; type `help` for commands\n",
 		len(cur.D.Actors()), len(cur.D.Links()))
 
-	// The checkpoint manager journals state-mutating command lines and
-	// rebuilds the whole world from the same recipe (with replay
-	// verification) on restore and reverse execution (DESIGN §13). The
-	// pre-run warnings were printed once, at boot: rebuilds run no pass.
-	r.PreRun = nil
-	mgr := ckpt.NewManager(r.Target)
-	var swap *stack.Stack // staged by a restore-class hook, adopted post-dispatch
-
-	// The web UI shares the stack through a solo host; its mutex is the
-	// dispatch guard, so browser queries serialize against commands and
-	// a restore rebinds the host before anything else runs.
+	// The web UI shares the live world through a solo host; its mutex is
+	// the dispatch guard, so browser queries serialize against commands
+	// and a restore rebinds the host before anything else runs.
 	host := web.NewSoloHost("dfdbg", cur.Rec, cur.K, cur.RT, cur.Full)
-
-	// wire installs the checkpoint commands on a (re)built world's CLI.
-	var wire func(st *stack.Stack)
-	wire = func(st *stack.Stack) {
-		st.CLI.StartWeb = func(addr string) (string, error) {
-			url, _, err := host.Serve(addr)
-			return url, err
+	var stopWeb []func()
+	defer func() {
+		for _, stop := range stopWeb {
+			stop()
 		}
-		st.CLI.Ckpt = &cli.CkptHooks{
-			Save: func(label string) (ckpt.Info, error) {
-				cp, err := mgr.Capture(st, label, uint64(st.K.Now()), time.Now().UnixNano())
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				return cp.Info(), nil
-			},
-			List: mgr.List,
-			Restore: func(id int) (ckpt.Info, error) {
-				cp := mgr.Latest()
-				if id != 0 {
-					cp = mgr.Find(id)
-				}
-				if cp == nil {
-					return ckpt.Info{}, fmt.Errorf("no such checkpoint (see `checkpoints')")
-				}
-				t, err := mgr.Restore(cp)
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				swap = t.(*stack.Stack)
-				return cp.Info(), nil
-			},
-			ReverseStep: func() error {
-				t, err := mgr.ReverseStep()
-				if err != nil {
-					return err
-				}
-				swap = t.(*stack.Stack)
-				return nil
-			},
-			ReverseContinue: func() (ckpt.Info, error) {
-				cp := mgr.Latest()
-				if cp == nil {
-					return ckpt.Info{}, fmt.Errorf("no checkpoint to reverse-continue to")
-				}
-				t, err := mgr.Restore(cp)
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				swap = t.(*stack.Stack)
-				return cp.Info(), nil
-			},
+	}()
+	startWeb := func(addr string) (string, error) {
+		url, stop, err := host.Serve(addr)
+		if err == nil {
+			stopWeb = append(stopWeb, stop)
 		}
+		return url, err
 	}
-	wire(cur)
+	cur.CLI.StartWeb = startWeb
+	rebind := func(ns *stack.Stack) {
+		ns.CLI.StartWeb = startWeb
+		host.Rebind(ns.Rec, ns.K, ns.RT, ns.Full)
+	}
 
-	// dispatch runs one command line under the host lock, journals it on
-	// success, and adopts the rebuilt stack a restore-class command
-	// staged. All mutation — REPL and web exec alike — funnels through
-	// here, so the swap is race-free by construction.
+	// dispatch runs one command line under the host lock and adopts the
+	// world a restore-class command staged. All mutation — REPL and web
+	// exec alike — funnels through here, so the swap is race-free by
+	// construction.
 	dispatch := func(line string) cli.Result {
 		host.Lock()
 		defer host.Unlock()
-		res := cur.CLI.Dispatch(line)
-		if res.Err == nil && ckpt.Journaled(line) {
-			mgr.Note(line)
-		}
-		if ns := swap; ns != nil {
-			swap = nil
-			old := cur
-			cur = ns
-			wire(ns)
-			host.Rebind(ns.Rec, ns.K, ns.RT, ns.Full)
-			if old != ns {
-				old.Shutdown()
-			}
-		}
+		res := sess.Exec(line)
+		sess.Adopt(rebind)
 		return res
 	}
 	host.SetExec(func(line string) (web.ExecResult, error) {
@@ -274,7 +220,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	// The birth checkpoint: reverse execution and `restore` always have
 	// a floor to return to. Best effort — a world whose state cannot be
 	// captured still debugs, it just cannot rewind.
-	if _, err := mgr.Capture(cur, "boot", uint64(cur.K.Now()), time.Now().UnixNano()); err != nil {
+	if _, err := sess.Checkpoint("boot"); err != nil {
 		fmt.Fprintf(out, "checkpointing disabled: %v\n", err)
 	}
 

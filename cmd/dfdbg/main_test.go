@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dfdbg/internal/cli"
 	"dfdbg/internal/h264"
@@ -118,6 +120,35 @@ func TestParseBug(t *testing.T) {
 	var out strings.Builder
 	if err := run(h264.Params{W: 16, H: 16, QP: 8}, "bogus", faultOpts{}, strings.NewReader(""), &out); err == nil {
 		t.Error("run with bogus bug accepted")
+	}
+}
+
+// Every world a REPL run builds is shut down when the run returns, at
+// EOF or on quit, whether it is the boot world, a finished decode or a
+// world retired by reverse execution: after several runs the goroutine
+// count is back at its baseline.
+func TestRunShutsDownItsWorlds(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
+	scripts := []string{
+		"quit\n",
+		"filter pipe catch work\ncontinue\n",
+		"continue\nquit\n",
+		"filter pipe catch work\ncontinue\nreverse-step\ncontinue\n",
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		for _, script := range scripts {
+			if err := run(p, "none", faultOpts{}, strings.NewReader(script), io.Discard); err != nil {
+				t.Fatalf("%q: %v", script, err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines %d after %d runs, baseline %d: a run left a world up", n, 3*len(scripts), base)
 	}
 }
 

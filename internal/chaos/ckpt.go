@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"dfdbg/internal/ckpt"
-	"dfdbg/internal/cli"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/stack"
 )
@@ -28,45 +27,34 @@ func ckptRecipe(o Options) stack.Recipe {
 	return r
 }
 
-// step executes one command line and journals it on success
-// (journal-after-success, same policy as the serve supervisor).
-func step(mgr *ckpt.Manager, st *stack.Stack, line string) cli.Result {
-	res := st.CLI.Dispatch(line)
-	if res.Err == nil && ckpt.Journaled(line) {
-		mgr.Note(line)
-	}
-	return res
-}
-
 // runJournaled drives one CLI-journaled gauntlet. killAt > 0 tears the
 // whole stack down at the start of that round and restores from the
 // last checkpoint (rebuild + replay + byte-verification); 0 runs
 // uninterrupted. Returns the verdict, the final state blob, and how
 // many restores happened.
 func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
-	mgr := ckpt.NewManager(ckptRecipe(o).Target)
-	mgr.Limit = 4
-	t, err := mgr.Build()
-	if err != nil {
+	sess := stack.NewSession(ckptRecipe(o))
+	sess.Manager().Limit = 4
+	if err := sess.Boot(nil); err != nil {
 		return nil, nil, err
 	}
-	st := t.(*stack.Stack)
-	defer func() { st.Shutdown() }()
+	defer sess.Close()
 
 	res := &Result{Seed: seed, FinalStatus: "gave-up"}
-	res.Plan = fault.Generate(seed, st.RT.FaultTargets())
-	if r := step(mgr, st, fmt.Sprintf("watchdog %d", uint64(o.Watchdog))); r.Err != nil {
+	res.Plan = fault.Generate(seed, sess.Live().RT.FaultTargets())
+	if r := sess.Exec(fmt.Sprintf("watchdog %d", uint64(o.Watchdog))); r.Err != nil {
 		return res, nil, r.Err
 	}
-	if r := step(mgr, st, fmt.Sprintf("fault gen %d", seed)); r.Err != nil {
+	if r := sess.Exec(fmt.Sprintf("fault gen %d", seed)); r.Err != nil {
 		return res, nil, r.Err
 	}
-	if _, err := mgr.Capture(st, "boot", uint64(st.K.Now()), 0); err != nil {
+	if _, err := sess.Checkpoint("boot"); err != nil {
 		return res, nil, err
 	}
 
 	finish := func(status string) (*Result, []byte, error) {
 		res.FinalStatus = status
+		st := sess.Live()
 		if inj := st.K.Faults(); inj != nil {
 			res.Trace = inj.TraceStrings()
 		}
@@ -78,15 +66,14 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 	// gets headroom for the replayed tail.
 	for res.Rounds = 1; res.Rounds <= o.Rounds+ckptEveryRounds; res.Rounds++ {
 		if res.Rounds == killAt {
-			st.Shutdown()
-			nt, err := mgr.Restore(mgr.Latest())
-			if err != nil {
+			sess.Close()
+			if _, err := sess.Restore(0); err != nil {
 				return res, nil, fmt.Errorf("restore after kill at round %d: %w", killAt, err)
 			}
-			st = nt.(*stack.Stack)
+			sess.Adopt(nil)
 			res.Restores++
 		}
-		r := step(mgr, st, "continue")
+		r := sess.Exec("continue")
 		if r.Err != nil {
 			return res, nil, fmt.Errorf("round %d: %v", res.Rounds, r.Err)
 		}
@@ -98,13 +85,13 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 			return finish("crashed-contained")
 		case r.Stop.Stalled || r.Stop.Deadlock:
 			res.Stalls++
-			if u := step(mgr, st, "unstick apply"); u.Err != nil {
+			if u := sess.Exec("unstick apply"); u.Err != nil {
 				return res, nil, fmt.Errorf("round %d: unstick: %v", res.Rounds, u.Err)
 			}
 			res.Unsticks++
 		}
 		if res.Rounds%ckptEveryRounds == 0 {
-			if _, err := mgr.Capture(st, "auto", uint64(st.K.Now()), 0); err != nil {
+			if _, err := sess.Checkpoint("auto"); err != nil {
 				return res, nil, err
 			}
 		}

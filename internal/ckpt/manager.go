@@ -27,8 +27,8 @@ type BuildFunc func() (Target, error)
 const DefaultLimit = 32
 
 // Manager owns the command journal and checkpoint ring of one session.
-// It is not goroutine-safe: the owner serializes access (the serve
-// session loop, the dfdbg REPL, or the chaos harness).
+// It is not goroutine-safe: the owner serializes access (in the
+// program, the stack.Session driver that holds it).
 type Manager struct {
 	// Build rebuilds the session stack from birth. Required.
 	Build BuildFunc
@@ -45,8 +45,9 @@ type Manager struct {
 func NewManager(build BuildFunc) *Manager { return &Manager{Build: build} }
 
 // Note records a successfully executed, state-mutating command line.
-// The caller applies the journal-after-success policy: a line that
-// panicked or errored is never noted, so replay cannot re-crash.
+// The caller (stack.Session.Exec) applies the journal-after-success
+// policy: a line that panicked or errored is never noted, so replay
+// cannot re-crash.
 func (m *Manager) Note(line string) {
 	m.journal = append(m.journal, Entry{Line: line, Ctl: Ctl(line)})
 }

@@ -8,9 +8,9 @@
 //
 // The CLI does not own the checkpoint machinery: restoring rebuilds
 // the entire kernel stack (including this CLI instance), so the
-// session owner — the serve session loop, the dfdbg REPL — installs
-// hooks that run the ckpt.Manager and swap the live stack after the
-// command returns.
+// session driver (stack.Session) installs hooks that run its
+// ckpt.Manager, and swaps the rebuilt stack in after the command
+// returns.
 package cli
 
 import (
@@ -20,7 +20,7 @@ import (
 	"dfdbg/internal/ckpt"
 )
 
-// CkptHooks are the owner-provided entry points behind the checkpoint
+// CkptHooks are the driver-provided entry points behind the checkpoint
 // commands. Any nil hook (or a nil CkptHooks) disables its command.
 type CkptHooks struct {
 	// Save captures a checkpoint of the live stack.
@@ -28,8 +28,8 @@ type CkptHooks struct {
 	// List summarizes retained checkpoints, oldest first.
 	List func() []ckpt.Info
 	// Restore rebuilds from the checkpoint with the given id (0 =
-	// latest) with replay verification; the owner adopts the new stack
-	// after the command returns.
+	// latest) with replay verification; the driver adopts the new
+	// stack after the command returns.
 	Restore func(id int) (ckpt.Info, error)
 	// ReverseStep undoes the most recent control command.
 	ReverseStep func() error

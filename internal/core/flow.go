@@ -354,16 +354,6 @@ func (d *Debugger) ActorReport(name string) (string, error) {
 	return b.String(), nil
 }
 
-// WorkSymbolFor returns the mangled WORK symbol of an actor (exposed for
-// the CLI's convenience commands).
-func (d *Debugger) WorkSymbolFor(name string) (string, error) {
-	a := d.actors[name]
-	if a == nil {
-		return "", fmt.Errorf("core: no actor %q", name)
-	}
-	return d.workSymbolOf(a), nil
-}
-
 // DataSymbolFor resolves a filter's private-data or attribute name to
 // its mangled debug symbol (for `filter X watch d` and two-level print).
 func (d *Debugger) DataSymbolFor(actor, member string) (string, error) {

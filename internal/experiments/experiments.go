@@ -111,6 +111,7 @@ func (r *Runner) params() h264.Params {
 func (r *Runner) F1() error {
 	r.section("F1", "P2012 platform model (paper Fig. 1)")
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	m := mach.New(k, mach.Config{})
 	r.printf("%s", m.Describe())
 	type row struct {
@@ -212,6 +213,7 @@ func (r *Runner) F2() error {
 		return err
 	}
 	k := sim.NewKernel()
+	defer k.Shutdown()
 	low := lowdbg.New(k, dbginfo.NewTable())
 	d := core.Attach(low)
 	m := mach.New(k, mach.Config{Clusters: 2, PEsPerCluster: 4})
@@ -259,6 +261,7 @@ func (r *Runner) F3() error {
 	if err != nil {
 		return err
 	}
+	defer st.Shutdown()
 	// Ground truth vs reconstruction: actors.
 	truthActors := make(map[string]string)
 	for _, a := range st.RT.Actors() {
@@ -331,6 +334,7 @@ func (r *Runner) F4() error {
 	if err != nil {
 		return err
 	}
+	defer st.Shutdown()
 	target := 20
 	st.D.CatchWhen(fmt.Sprintf("occupancy(pipe->ipf) == %d", target), func(d *core.Debugger) bool {
 		conn, err := d.Connection("ipf::pipe_in")
@@ -351,8 +355,16 @@ func (r *Runner) F4() error {
 
 // ---- C1..C4: the Section VI transcripts ----
 
-// transcript replays CLI commands, echoing them with the (gdb) prompt.
-func (r *Runner) transcript(c *cli.CLI, out *strings.Builder, cmds []string) {
+// transcript builds a fresh decoder world and replays CLI commands on
+// it, echoing them with the (gdb) prompt.
+func (r *Runner) transcript(cmds []string) error {
+	st, err := stack.Recipe{Params: r.params()}.Build()
+	if err != nil {
+		return err
+	}
+	defer st.Shutdown()
+	var out strings.Builder
+	c := cli.New(st.D, &out)
 	for _, cmd := range cmds {
 		before := out.Len()
 		err := c.Execute(cmd)
@@ -362,25 +374,13 @@ func (r *Runner) transcript(c *cli.CLI, out *strings.Builder, cmds []string) {
 			r.printf("error: %v\n", err)
 		}
 	}
-}
-
-func (r *Runner) newCLIStack() (*cli.CLI, *strings.Builder, error) {
-	st, err := stack.Recipe{Params: r.params()}.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	var out strings.Builder
-	return cli.New(st.D, &out), &out, nil
+	return nil
 }
 
 // C1 replays the Section VI-B catchpoint transcript.
 func (r *Runner) C1() error {
 	r.section("C1", "token-based execution firing (paper VI-B)")
-	c, out, err := r.newCLIStack()
-	if err != nil {
-		return err
-	}
-	r.transcript(c, out, []string{
+	return r.transcript([]string{
 		"filter pipe catch work",
 		"continue",
 		"filter ipred catch Pipe_in=1,Hwcfg_in=1",
@@ -388,36 +388,25 @@ func (r *Runner) C1() error {
 		"filter ipred catch *in=1",
 		"continue",
 	})
-	return nil
 }
 
 // C2 replays the Section VI-C step_both transcript.
 func (r *Runner) C2() error {
 	r.section("C2", "non-linear execution: step_both (paper VI-C)")
-	c, out, err := r.newCLIStack()
-	if err != nil {
-		return err
-	}
-	line := h264.IpredAssignLine()
-	r.transcript(c, out, []string{
-		fmt.Sprintf("break ipred.c:%d", line),
+	return r.transcript([]string{
+		fmt.Sprintf("break ipred.c:%d", h264.IpredAssignLine()),
 		"continue",
 		"list",
 		"step_both",
 		"continue",
 		"continue",
 	})
-	return nil
 }
 
 // C3 replays the Section VI-D recording / splitter / last_token flow.
 func (r *Runner) C3() error {
 	r.section("C3", "token state and information flow (paper VI-D)")
-	c, out, err := r.newCLIStack()
-	if err != nil {
-		return err
-	}
-	r.transcript(c, out, []string{
+	return r.transcript([]string{
 		"iface hwcfg::pipe_MbType_out record",
 		"filter red configure splitter",
 		"filter pipe catch Red2PipeCbMB_in=3",
@@ -425,24 +414,18 @@ func (r *Runner) C3() error {
 		"iface hwcfg::pipe_MbType_out print",
 		"filter pipe info last_token",
 	})
-	return nil
 }
 
 // C4 replays the Section VI-E two-level debugging transcript.
 func (r *Runner) C4() error {
 	r.section("C4", "two-level debugging (paper VI-E)")
-	c, out, err := r.newCLIStack()
-	if err != nil {
-		return err
-	}
-	r.transcript(c, out, []string{
+	return r.transcript([]string{
 		"filter pipe catch Red2PipeCbMB_in=1",
 		"continue",
 		"filter pipe print last_token",
 		"print $1",
 		"info filters",
 	})
-	return nil
 }
 
 // ---- Q1: quantified bug localization ----
@@ -523,9 +506,13 @@ func (r *Runner) P1() error {
 	for i, c := range cfgs {
 		var best time.Duration
 		var hooks, dataEvents uint64
-		for rep := 0; rep < repeats; rep++ {
+		run := func() error {
 			k := sim.NewKernel()
 			var orec *obs.Recorder
+			defer func() {
+				_ = k.Shutdown()
+				orec.Release()
+			}()
 			if c.obsOn {
 				orec = obs.NewRecorder(1 << 16)
 				k.SetObserver(orec)
@@ -573,6 +560,12 @@ func (r *Runner) P1() error {
 			if orec != nil {
 				dataEvents = orec.Total() // events recorded by the obs ring
 			}
+			return nil
+		}
+		for rep := 0; rep < repeats; rep++ {
+			if err := run(); err != nil {
+				return err
+			}
 		}
 		if baseline == 0 {
 			baseline = best
@@ -607,7 +600,12 @@ func (r *Runner) P2() error {
 			k := sim.NewKernel()
 			// A generous ring so the full token sequence of the run is
 			// retained (drop-oldest would truncate the comparison window).
-			k.SetObserver(obs.NewRecorder(1 << 20))
+			orec := obs.NewRecorder(1 << 20)
+			k.SetObserver(orec)
+			defer func() {
+				_ = k.Shutdown()
+				orec.Release()
+			}()
 			low := lowdbg.New(k, dbginfo.NewTable())
 			rec := trace.Attach(low)
 			var d *core.Debugger

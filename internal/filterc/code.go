@@ -3,7 +3,6 @@ package filterc
 import (
 	"fmt"
 	"os"
-	"strings"
 	"sync/atomic"
 )
 
@@ -265,31 +264,6 @@ type Code struct {
 
 // FuncNames lists the compiled functions (source order).
 func (c *Code) FuncNames() []string { return c.prog.Order }
-
-// Disasm renders a readable listing of a compiled function, for tests
-// and debugging of the compiler itself.
-func (c *Code) Disasm(fn string) string {
-	fc := c.funcs[fn]
-	if fc == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "func %s: %d slots\n", fn, fc.nslots)
-	for i, name := range fc.slotNames {
-		if name == "" {
-			name = "(tmp)"
-		}
-		if base := fc.slotBase[i]; base != dynBase {
-			name += " " + base.String()
-		}
-		fmt.Fprintf(&b, "  slot %d = %s\n", i, name)
-	}
-	for pc, i := range fc.code {
-		fmt.Fprintf(&b, "  %4d  %-12s a=%-5d b=%-8d c=%-8d ; line %d\n",
-			pc, opName(i.op), i.a, i.b, i.c, fc.pos[pc].Line)
-	}
-	return b.String()
-}
 
 func opName(op opcode) string {
 	names := map[opcode]string{

@@ -218,13 +218,3 @@ func Promote32(b BaseType) BaseType { return promote32(b) }
 // TypesCompatible exposes the VM's aggregate-assignment compatibility
 // rule.
 func TypesCompatible(want, got *Type) bool { return typeCompatible(want, got) }
-
-// ConvertScalar coerces a scalar value into scalar type t exactly as an
-// assignment would (truncation, signedness). ok is false when either
-// side is not a numeric scalar.
-func ConvertScalar(t *Type, v Value) (Value, bool) {
-	if t == nil || t.Kind != KScalar || t.Base == Str || t.Base == Void || !v.IsScalar() {
-		return Value{}, false
-	}
-	return Int(t.Base, v.I), true
-}

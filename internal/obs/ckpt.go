@@ -91,22 +91,3 @@ func encodeEvent(w *wire.Writer, ev Event) {
 	w.Str(ev.Port)
 	w.Str(ev.Val)
 }
-
-// DecodeEvent parses one record produced by EncodeState, for rendering
-// divergence reports.
-func DecodeEvent(b []byte) (Event, error) {
-	r := wire.NewReader(b)
-	ev := Event{
-		At:   r.U64(),
-		Kind: Kind(r.U8()),
-		PE:   int32(r.I64()),
-		Link: int32(r.I64()),
-		Arg:  r.I64(),
-		Arg2: r.I64(),
-	}
-	ev.Actor = r.Str()
-	ev.Other = r.Str()
-	ev.Port = r.Str()
-	ev.Val = r.Str()
-	return ev, r.Err()
-}

@@ -88,6 +88,7 @@ func Run(p h264.Params, bug h264.Bug, strat Strategy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Shutdown()
 	var res *Result
 	switch {
 	case bug == h264.BugSwapMBInputs && strat == Dataflow:
@@ -273,6 +274,7 @@ func (s *session) lowlevelRateStall() *Result {
 	if err != nil {
 		return &Result{Localized: false, Culprit: err.Error()}
 	}
+	defer fresh.Shutdown()
 	s.op("break pedf_link_push if src == pipe && port == pipe_ipf_out")
 	pushes := 0
 	pushBp := fresh.Low.BreakFuncInternal("pedf_link_push", func(ctx *lowdbg.StopCtx) lowdbg.Disposition {
@@ -327,6 +329,7 @@ func firstBadBlock(p h264.Params, bug h264.Bug) (int, error) {
 	if err != nil {
 		return -1, err
 	}
+	defer s.Shutdown()
 	s.Low.Continue()
 	got, err := s.App.OutputFrame()
 	if err != nil {

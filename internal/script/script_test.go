@@ -1,8 +1,10 @@
 package script
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dfdbg/internal/h264"
 )
@@ -127,5 +129,29 @@ func TestRunAll(t *testing.T) {
 func TestUnknownCombination(t *testing.T) {
 	if _, err := Run(testParams, h264.BugNone, Dataflow); err == nil {
 		t.Error("BugNone session accepted")
+	}
+}
+
+// Run shuts down every world a session builds (the session's own, a
+// restarted one, the reference run of the observable error): after
+// several runs the goroutine count is back at its baseline.
+func TestRunShutsDownItsWorlds(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		for _, bug := range []h264.Bug{h264.BugSwapMBInputs, h264.BugRateStall, h264.BugBadDC} {
+			for _, strat := range []Strategy{Dataflow, LowLevel} {
+				if _, err := Run(p, bug, strat); err != nil {
+					t.Fatalf("%v/%v: %v", bug, strat, err)
+				}
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines %d after 18 runs, baseline %d: a run left a world up", n, base)
 	}
 }

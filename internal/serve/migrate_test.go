@@ -251,7 +251,7 @@ func TestReapDecidesOnSessionGoroutine(t *testing.T) {
 		t.Errorf("close reason = %q, want idle-timeout", r)
 	}
 	// The session goroutine has exited, so its journal is settled.
-	if got := s.sup.mgr.JournalLen(); got < acked {
+	if got := s.sup.sess.Manager().JournalLen(); got < acked {
 		t.Errorf("journal holds %d entries, %d commands acknowledged (acknowledged commands lost)", got, acked)
 	}
 }

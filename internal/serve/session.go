@@ -254,11 +254,11 @@ func (m *Manager) List() []SessionInfo {
 // directly.
 //
 // The busy/lastUsed atomics are only a cheap pre-filter: they can
-// flicker idle for an instant between a command finishing and the
-// supervisor journaling it, so the actual reap decision runs as a
+// flicker idle for an instant between a command's reply and the
+// supervisor settling after it, so the actual reap decision runs as a
 // probe on the session goroutine itself. There the world is settled —
-// the previous command's journal entry and auto-checkpoint are written
-// — and the idle clock is re-checked before the session tears down. A
+// the previous command's world swap and auto-checkpoint are done — and
+// the idle clock is re-checked before the session tears down. A
 // session mid-command never even receives the probe (the send would
 // block, and blocked sends are skipped).
 func (m *Manager) ReapIdle() int {
@@ -306,8 +306,8 @@ func (m *Manager) remove(s *Session) {
 // sessionCmd is one unit of work executed on the session goroutine. The
 // closure receives the session's stack, so every kernel access happens
 // on the goroutine that owns it. line carries the debugger command line
-// for exec commands ("" for internal queries) — the supervisor journals
-// it on success and re-executes it after crash recovery.
+// for exec commands ("" for internal queries), which the supervisor
+// re-executes after crash recovery.
 type sessionCmd struct {
 	line  string
 	run   func(*stack.Stack) any
@@ -328,8 +328,9 @@ type Session struct {
 
 	// bootCP is the migrated-in container an imported session restores
 	// from instead of a fresh build; cleared once adopted. sup is
-	// the session's supervisor — set by loop before the first command
-	// and only ever touched on the session goroutine.
+	// the session's supervisor, whose driver holds the live world — set
+	// by loop before the first command and only ever touched on the
+	// session goroutine.
 	bootCP *ckpt.Checkpoint
 	sup    *supervisor
 
@@ -378,25 +379,17 @@ func (p SessionParams) recipe() (stack.Recipe, error) {
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
 	r, err := s.Params.recipe()
-	sup := newSupervisor(s, r)
-	s.sup = sup
-	var st *stack.Stack
-	switch cp := s.bootCP; {
-	case err != nil:
-	case cp != nil:
-		// Imported session: rebuild + replay + byte-compare against the
-		// migrated-in container (the same DivergenceError discipline as
-		// a restore), and keep the container as the recovery floor.
-		var t ckpt.Target
-		if t, err = sup.mgr.Adopt(cp); err == nil {
-			st = t.(*stack.Stack)
-		}
-	default:
-		st, err = r.Build()
+	if err == nil {
+		s.sup = newSupervisor(s, r)
+		// An imported session rebuilds, replays and byte-compares
+		// against the migrated-in container (the same DivergenceError
+		// discipline as a restore) and keeps it as the recovery floor.
+		err = s.sup.sess.Boot(s.bootCP)
 	}
 	if err == nil {
 		// Publish the world before Create returns, so a web stream
 		// attached right after it finds the recorder to tap.
+		st := s.sup.sess.Live()
 		s.kPtr.Store(st.K)
 		s.recPtr.Store(st.Rec)
 	}
@@ -404,22 +397,26 @@ func (s *Session) loop(ready chan<- error) {
 	if err != nil {
 		return
 	}
+	sup := s.sup
 	if cp := s.bootCP; cp != nil {
 		s.bootCP = nil
-		sup.wire(st)
-		st.Rec.Record(obs.Event{At: uint64(st.K.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
+		sup.reported = cp
 	} else {
-		sup.boot(st)
+		// The birth checkpoint, so crash recovery always has a floor.
+		// Best effort: a session whose state cannot be captured still
+		// serves, it just cannot recover from crashes.
+		_, _ = sup.sess.Checkpoint("boot")
+		sup.settle()
 	}
 	s.touch()
 	for {
 		select {
 		case <-s.stop:
-			s.teardown(st, s.reason())
+			s.teardown(s.reason())
 			return
 		case cmd := <-s.cmds:
 			s.busy.Store(true)
-			out := runShielded(cmd, st)
+			out := runShielded(cmd, sup.sess.Live())
 			s.busy.Store(false)
 			s.touch()
 			cmd.reply <- out
@@ -427,49 +424,41 @@ func (s *Session) loop(ready chan<- error) {
 			case cli.Result:
 				s.ncmds.Add(1)
 				s.mgr.commandsTotal.Inc()
-				if cmd.line != "" && v.Err == nil && ckpt.Journaled(cmd.line) {
-					sup.note(cmd.line)
-				}
 				if v.Stop != nil {
 					s.publish(Event{Event: "stop", Session: s.ID, Stop: v.Stop})
 				}
 				if v.Quit {
 					s.markClosed("quit")
-					s.teardown(st, "quit")
+					s.teardown("quit")
 					return
 				}
-				if ns := sup.adopt(); ns != nil {
+				if s.adopt() {
 					// A checkpoint command (restore, reverse-step,
-					// reverse-continue) staged a rebuilt stack: swap it in.
-					st = s.swapStack(st, ns, sup)
+					// reverse-continue) staged a rebuilt world.
 					s.publish(Event{Event: "restored", Session: s.ID})
 				} else if v.Stop != nil && v.Stop.Crash != nil {
 					// A contained crash (induced `fault panic`) killed the
 					// world: restore, disarm, re-execute.
-					ns := sup.recoverFrom(cmd.line, "crash: "+v.Stop.Crash.Cause)
-					if ns == nil {
+					if !sup.recoverFrom(cmd.line, "crash: "+v.Stop.Crash.Cause) {
 						s.markClosed("crash-loop")
-						s.teardown(st, "crash-loop")
+						s.teardown("crash-loop")
 						return
 					}
-					st = s.swapStack(st, ns, sup)
 				}
 			case panicReply:
 				// A genuine Go panic unwound the command closure; the old
-				// stack may be wedged. Recover or close.
-				ns := sup.recoverFrom(cmd.line, v.err.Error())
-				if ns == nil {
+				// world may be wedged. Recover or close.
+				if !sup.recoverFrom(cmd.line, v.err.Error()) {
 					s.markClosed("crash-loop")
-					s.teardown(st, "crash-loop")
+					s.teardown("crash-loop")
 					return
 				}
-				st = s.swapStack(st, ns, sup)
 			case exportReply:
 				// The session's state left for a peer: this copy dies so
 				// at most one live instance of the session ever exists.
 				if v.err == nil {
 					s.markClosed("migrated")
-					s.teardown(st, "migrated")
+					s.teardown("migrated")
 					return
 				}
 			case reapVerdict:
@@ -477,42 +466,40 @@ func (s *Session) loop(ready chan<- error) {
 				// goroutine where the journal and checkpoints are settled.
 				if v.reap {
 					s.markClosed("idle-timeout")
-					s.teardown(st, "idle-timeout")
+					s.teardown("idle-timeout")
 					return
 				}
 			}
-			sup.maybeAuto()
+			sup.settle()
 		}
 	}
 }
 
-// swapStack retires old and installs ns as the session's live stack:
-// live web streams are closed (clients reattach against the new world),
-// the lock-free pointers flip, and the old stack is shut down, which
+// adopt swaps in the world a checkpoint command or crash recovery
+// staged, and reports whether there was one. Live web streams are
+// closed (clients reattach against the new world) and the lock-free
+// pointers flip before the driver shuts the retired world down, which
 // hands its obs storage to the next world. Runs on the session
 // goroutine.
-func (s *Session) swapStack(old, ns *stack.Stack, sup *supervisor) *stack.Stack {
-	// Detach before flipping recPtr: the broadcaster's attach closure
-	// resolves the recorder through recPtr, so this clears the tap on
-	// the old recorder.
-	s.webMu.Lock()
-	if s.webBC != nil {
-		s.webBC.Detach()
-		s.webBC = nil
-	}
-	s.webMu.Unlock()
-	s.kPtr.Store(ns.K)
-	s.recPtr.Store(ns.Rec)
-	if old != nil && old != ns {
-		old.Shutdown()
-	}
-	sup.wire(ns)
-	return ns
+func (s *Session) adopt() bool {
+	return s.sup.sess.Adopt(func(ns *stack.Stack) {
+		// Detach before flipping recPtr: the broadcaster's attach
+		// closure resolves the recorder through recPtr, so this clears
+		// the tap on the old recorder.
+		s.webMu.Lock()
+		if s.webBC != nil {
+			s.webBC.Detach()
+			s.webBC = nil
+		}
+		s.webMu.Unlock()
+		s.kPtr.Store(ns.K)
+		s.recPtr.Store(ns.Rec)
+	})
 }
 
 // teardown unwinds the kernel's processes, removes the session and
 // tells the subscribers. Runs on the session goroutine.
-func (s *Session) teardown(st *stack.Stack, reason string) {
+func (s *Session) teardown(reason string) {
 	// Tear the web fan-out first: close live streams and remove the
 	// recorder tap before the lock-free pointers go away.
 	s.webMu.Lock()
@@ -522,7 +509,7 @@ func (s *Session) teardown(st *stack.Stack, reason string) {
 	s.webMu.Unlock()
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
-	st.Shutdown()
+	s.sup.sess.Close()
 	s.mgr.remove(s)
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()
@@ -572,8 +559,8 @@ type reapVerdict struct{ reap bool }
 // It runs at a command boundary on the session goroutine, so an
 // in-flight command finishes (and is journaled) before the capture.
 func (s *Session) Export() (SessionParams, []byte, error) {
-	out, err := s.doCmd("", func(st *stack.Stack) any {
-		cp, err := s.sup.mgr.Capture(st, "migrate", uint64(st.K.Now()), time.Now().UnixNano())
+	out, err := s.doCmd("", func(*stack.Stack) any {
+		cp, err := s.sup.sess.Checkpoint("migrate")
 		if err != nil {
 			return exportReply{err: fmt.Errorf("serve: export: %w", err)}
 		}
@@ -613,10 +600,10 @@ func (s *Session) tryReap(timeout time.Duration) bool {
 	return true
 }
 
-// Exec dispatches one debugger command line on the session goroutine
-// and returns its structured result.
+// Exec dispatches one debugger command line on the session goroutine,
+// journaled after success, and returns its structured result.
 func (s *Session) Exec(line string) (cli.Result, error) {
-	out, err := s.doCmd(line, func(st *stack.Stack) any { return st.CLI.Dispatch(line) })
+	out, err := s.doCmd(line, func(*stack.Stack) any { return s.sup.sess.Exec(line) })
 	if err != nil {
 		return cli.Result{}, err
 	}
@@ -625,12 +612,7 @@ func (s *Session) Exec(line string) (cli.Result, error) {
 
 // Checkpoints lists the session's retained checkpoints, oldest first.
 func (s *Session) Checkpoints() ([]ckpt.Info, error) {
-	out, err := s.do(func(st *stack.Stack) any {
-		if st.CLI.Ckpt == nil || st.CLI.Ckpt.List == nil {
-			return []ckpt.Info(nil)
-		}
-		return st.CLI.Ckpt.List()
-	})
+	out, err := s.do(func(*stack.Stack) any { return s.sup.sess.Manager().List() })
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +642,7 @@ func (s *Session) Metrics() ([]obs.MetricValue, error) {
 func (s *Session) do(fn func(*stack.Stack) any) (any, error) { return s.doCmd("", fn) }
 
 // doCmd runs fn on the session goroutine, tagged with the command line
-// it executes (for the supervisor's journal). A panic inside fn comes
+// it executes (for crash recovery to re-execute). A panic inside fn comes
 // back as an error, not a dead session.
 func (s *Session) doCmd(line string, fn func(*stack.Stack) any) (any, error) {
 	cmd := sessionCmd{line: line, run: fn, reply: make(chan any, 1)}

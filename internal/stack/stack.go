@@ -7,7 +7,9 @@
 // Recipe.Build. Checkpoint restore rebuilds a world from its recipe and
 // byte-compares the result against the checkpoint, so everything that
 // shapes the world's state must live in the recipe, resolved once: a
-// rebuild reads no flags, files or clocks.
+// rebuild reads no flags, files or clocks. A Session drives one live
+// world through checkpoints, restores and reverse execution for every
+// program that hosts a debug session.
 package stack
 
 import (
