@@ -33,6 +33,10 @@ func (w *Writer) Len() int { return len(w.buf) }
 // internal buffer; the caller must not write to the Writer afterwards.
 func (w *Writer) Data() []byte { return w.buf }
 
+// Reset empties the writer and keeps its buffer, so a writer reused
+// across encodings stops allocating once the buffer fits the largest.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Grow makes room for at least n more bytes, so an encoder that knows
 // (a bound on) its size grows the buffer once instead of by repeated
 // appends.

@@ -748,8 +748,8 @@ func (c *CLI) infoCmd(rest []string) error {
 		if conn.Link != nil {
 			c.printf("  link: %s\n", conn.Link)
 		}
-		if conn.LastToken != nil {
-			c.printf("  last token: %s\n", conn.LastToken.Hop.String())
+		if tok := conn.LastToken(); tok != nil {
+			c.printf("  last token: %s\n", tok.Hop.String())
 		}
 		return nil
 	case "breakpoints":

@@ -345,7 +345,10 @@ func (d *Debugger) hitCatch(walk *[]*Catchpoint, c *Catchpoint, ctx *lowdbg.Stop
 	return lowdbg.DispStop
 }
 
-func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
+// evalReceiveCatch evaluates the catchpoints a token received on conn
+// can fire. v is the payload the pop lends, which content predicates
+// read in place of the stored copy.
+func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, v filterc.Value) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
 	cps := d.catchpoints
 	for i := 0; i < len(cps); i++ {
@@ -370,7 +373,7 @@ func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *
 			if len(c.conds) == 0 || c.conds[0].conn != conn || c.pred == nil {
 				continue
 			}
-			if c.pred(tok.Hop.Val) {
+			if c.pred(v) {
 				disp = d.hitCatch(&cps, c, ctx, fmt.Sprintf(
 					"[Stopped: token content matched %s on `%s']", c.Spec, conn.Qualified()))
 			}
@@ -379,7 +382,7 @@ func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *
 	return disp
 }
 
-func (d *Debugger) evalSendCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
+func (d *Debugger) evalSendCatch(ctx *lowdbg.StopCtx, conn *Connection) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
 	cps := d.catchpoints
 	for i := 0; i < len(cps); i++ {

@@ -62,6 +62,7 @@ type Debugger struct {
 	actorByProc map[*sim.Proc]*Actor
 
 	tokenSeq uint64
+	tokens   tokenStore
 
 	catchpoints []*Catchpoint
 	nextCatchID int
@@ -190,7 +191,7 @@ func (d *Debugger) addActor(name string, kind ActorKind, module string) *Actor {
 	if a, ok := d.actors[name]; ok {
 		return a
 	}
-	a := &Actor{Name: name, Kind: kind, Module: module}
+	a := &Actor{Name: name, Kind: kind, Module: module, d: d}
 	d.actors[name] = a
 	d.actorList = append(d.actorList, a)
 	return a
@@ -296,7 +297,7 @@ func (d *Debugger) onBind(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	}
 	src := d.addConn(srcActor, srcPort, "output", "")
 	dst := d.addConn(dstActor, dstPort, "input", "")
-	l := &LinkInfo{ID: id, Src: src, Dst: dst, Kind: kind}
+	l := &LinkInfo{ID: id, Src: src, Dst: dst, Kind: kind, idx: uint32(len(d.linkList))}
 	src.Link = l
 	dst.Link = l
 	d.links[id] = l
@@ -373,8 +374,8 @@ func (d *Debugger) onWorkEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		d.actorByProc[ctx.Proc] = a
 	}
 	a.State = SchedRunning
-	clear(a.firingInputs)
 	a.firingInputs = a.firingInputs[:0]
+	a.inWork = true
 	return lowdbg.DispContinue
 }
 
@@ -385,6 +386,7 @@ func (d *Debugger) onWorkExit(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		return lowdbg.DispContinue
 	}
 	a.Firings++
+	a.inWork = false
 	if a.syncRequested {
 		a.State = SchedSynced
 		a.syncRequested = false
@@ -452,21 +454,18 @@ func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	srcActor := l.Src.Actor
 	srcActor.inFlightOp = ""
 	fv, _ := lowdbg.ArgValue(ctx.Args, "value")
-	d.tokenSeq++
-	tok := newToken(fv)
-	tok.ID = d.tokenSeq
-	tok.Hop.From, tok.Hop.To = srcActor.Name, l.Dst.Actor.Name
-	tok.Hop.Iface, tok.Hop.Type = l.Dst.Qualified(), typeName(fv)
-	tok.Hop.Seq, tok.Hop.At = uint64(lowdbg.ArgInt(ctx.Args, "index")), ctx.Proc.Now()
+	tok := d.newToken(l, fv, fromLink)
+	rec := &d.tokens.recs[tok]
+	rec.seq, rec.at = uint64(lowdbg.ArgInt(ctx.Args, "index")), ctx.Proc.Now()
 	if srcActor.Behavior != BehaviorUnknown && len(srcActor.firingInputs) > 0 {
-		tok.Origins = append([]*Token(nil), srcActor.firingInputs...)
+		d.tokens.setOrigins(tok, srcActor.firingInputs)
 	}
-	l.Tokens = append(l.Tokens, tok)
+	l.inflight = append(l.inflight, tok)
 	l.TotalPushed++
 	l.Src.Sent++
-	l.Src.LastToken = tok
+	l.Src.lastTok = tok
 	l.Src.record(tok)
-	return d.evalSendCatch(ctx, l.Src, tok)
+	return d.evalSendCatch(ctx, l.Src)
 }
 
 // onPopEnter marks the consumer's pop in flight, resolving the endpoint
@@ -497,38 +496,34 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	}
 	dstActor := l.Dst.Actor
 	dstActor.inFlightOp = ""
-	var tok *Token
-	if len(l.Tokens) > 0 {
+	var tok tokRef
+	if len(l.inflight) > 0 {
 		// Shift rather than reslice, so the in-flight list keeps its
 		// backing array instead of drifting off it and regrowing.
-		tok = l.Tokens[0]
-		n := copy(l.Tokens, l.Tokens[1:])
-		l.Tokens[n] = nil
-		l.Tokens = l.Tokens[:n]
+		tok = l.inflight[0]
+		l.inflight = l.inflight[:copy(l.inflight, l.inflight[1:])]
 	} else {
 		// A token the model never saw pushed (injected by the debugger
 		// while data breakpoints were disabled, or pushed while they
 		// were off): synthesize it from the observed return value.
-		fv := ctx.Ret.V
-		d.tokenSeq++
-		tok = newToken(fv)
-		tok.ID = d.tokenSeq
-		tok.Hop.From, tok.Hop.To = l.Src.Actor.Name, dstActor.Name
-		tok.Hop.Iface, tok.Hop.Type, tok.Hop.At = l.Dst.Qualified(), typeName(fv), ctx.Proc.Now()
+		tok = d.newToken(l, ctx.Ret.V, fromLink)
+		d.tokens.recs[tok].at = ctx.Proc.Now()
 	}
-	tok.Popped = true
+	d.tokens.recs[tok].popped = true
 	l.TotalPopped++
 	l.Dst.Received++
-	l.Dst.LastToken = tok
+	l.Dst.lastTok = tok
 	l.Dst.record(tok)
-	dstActor.LastToken = tok
-	dstActor.firingInputs = append(dstActor.firingInputs, tok)
-	return d.evalReceiveCatch(ctx, l.Dst, tok)
+	dstActor.lastTok = tok
+	if dstActor.inWork {
+		dstActor.firingInputs = append(dstActor.firingInputs, tok)
+	}
+	return d.evalReceiveCatch(ctx, l.Dst, ctx.Ret.V)
 }
 
-func typeName(v filterc.Value) string {
-	if v.Type == nil {
+func typeName(t *filterc.Type) string {
+	if t == nil {
 		return "?"
 	}
-	return v.Type.String()
+	return t.String()
 }

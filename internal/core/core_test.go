@@ -380,8 +380,8 @@ func TestCatchContent(t *testing.T) {
 		t.Fatalf("stop = %v", ev)
 	}
 	pipe := h.d.Actor("pipe")
-	if pipe.In("a_in").LastToken.Hop.Val.I != 21 {
-		t.Errorf("last token = %v", pipe.In("a_in").LastToken.Hop.Val)
+	if tok := pipe.In("a_in").LastToken(); tok.Hop.Val.I != 21 {
+		t.Errorf("last token = %v", tok.Hop.Val)
 	}
 }
 
@@ -521,12 +521,16 @@ func TestRecordingCapBounded(t *testing.T) {
 	if ev := h.low.Continue(); ev.Kind != lowdbg.StopDone {
 		t.Fatal("did not finish")
 	}
-	if len(conn.Recorded) != 3 {
-		t.Fatalf("recorded = %d, want 3 (bounded)", len(conn.Recorded))
+	toks, err := h.d.RecordedTokens("red::a_out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 3 {
+		t.Fatalf("recorded = %d, want 3 (bounded)", len(toks))
 	}
 	// The survivors are the three most recent.
-	if conn.Recorded[2].Hop.Val.I != 81 {
-		t.Errorf("last recorded = %v", conn.Recorded[2].Hop.Val)
+	if toks[2].Hop.Val.I != 81 {
+		t.Errorf("last recorded = %v", toks[2].Hop.Val)
 	}
 }
 
@@ -958,8 +962,9 @@ func TestModelAccessorsAndStrings(t *testing.T) {
 	if h.d.ActorForProc(ev.Proc) != red {
 		t.Error("ActorForProc wrong")
 	}
-	tok := red.LastToken
-	_ = tok
+	if tok := red.LastToken(); tok != nil && tok.Hop.To != "red" {
+		t.Errorf("red's last token = %v", tok)
+	}
 	hop := Hop{From: "a", To: "b", Type: "U32", Val: u32v(5)}
 	if hop.String() != "a -> b (U32) 5" {
 		t.Errorf("hop string = %q", hop.String())

@@ -21,7 +21,7 @@ func (d *Debugger) SetRecording(qualified string, on bool) error {
 	}
 	conn.Recording = on
 	if !on {
-		conn.Recorded = nil
+		conn.recorded = nil
 	}
 	return nil
 }
@@ -33,7 +33,7 @@ func (d *Debugger) RecordedTokens(qualified string) ([]*Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]*Token(nil), conn.Recorded...), nil
+	return d.tokensOf(conn.history()), nil
 }
 
 // FormatRecorded renders the recorded history in the paper's format:
@@ -42,13 +42,14 @@ func (d *Debugger) RecordedTokens(qualified string) ([]*Token, error) {
 //	#2 (U16) 10
 //	#3 (U16) 15
 func (d *Debugger) FormatRecorded(qualified string) (string, error) {
-	toks, err := d.RecordedTokens(qualified)
+	conn, err := d.Connection(qualified)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	for i, t := range toks {
-		fmt.Fprintf(&b, "#%d (%s) %s\n", i+1, t.Hop.Type, t.Hop.Val.String())
+	for i, r := range conn.history() {
+		h := d.hop(r)
+		fmt.Fprintf(&b, "#%d (%s) %s\n", i+1, h.Type, h.Val.String())
 	}
 	return b.String(), nil
 }
@@ -72,10 +73,10 @@ func (d *Debugger) LastToken(actor string) (*Token, error) {
 	if a == nil {
 		return nil, fmt.Errorf("core: no actor %q", actor)
 	}
-	if a.LastToken == nil {
+	if a.lastTok == 0 {
 		return nil, fmt.Errorf("core: %s has not received any token yet", actor)
 	}
-	return a.LastToken, nil
+	return a.LastToken(), nil
 }
 
 // StepBoth implements the `step_both` command for an output interface:
@@ -155,12 +156,8 @@ func (d *Debugger) InjectToken(inQualified string, v filterc.Value) error {
 	if _, err := d.Low.CallTarget(tfLinkInject, conn.Link.ID, v); err != nil {
 		return err
 	}
-	d.tokenSeq++
-	tok := &Token{ID: d.tokenSeq, Hop: Hop{
-		From: "(debugger)", To: conn.Actor.Name, Iface: conn.Qualified(),
-		Type: typeName(v), Val: v,
-	}}
-	conn.Link.Tokens = append(conn.Link.Tokens, tok)
+	tok := d.newToken(conn.Link, v, fromDebugger)
+	conn.Link.inflight = append(conn.Link.inflight, tok)
 	d.announce("[Injected token %s on `%s']", v.String(), inQualified)
 	return nil
 }
@@ -178,8 +175,8 @@ func (d *Debugger) DropToken(inQualified string, i int) error {
 	if _, err := d.Low.CallTarget(tfLinkDrop, conn.Link.ID, int64(i)); err != nil {
 		return err
 	}
-	if i >= 0 && i < len(conn.Link.Tokens) {
-		conn.Link.Tokens = append(conn.Link.Tokens[:i], conn.Link.Tokens[i+1:]...)
+	if l := conn.Link; i >= 0 && i < len(l.inflight) {
+		l.inflight = append(l.inflight[:i], l.inflight[i+1:]...)
 	}
 	d.announce("[Dropped token %d from `%s']", i, inQualified)
 	return nil
@@ -198,9 +195,8 @@ func (d *Debugger) ReplaceToken(inQualified string, i int, v filterc.Value) erro
 	if _, err := d.Low.CallTarget(tfLinkReplace, conn.Link.ID, int64(i), v); err != nil {
 		return err
 	}
-	if i >= 0 && i < len(conn.Link.Tokens) {
-		conn.Link.Tokens[i].Hop.Val = v
-		conn.Link.Tokens[i].Hop.Type = typeName(v)
+	if l := conn.Link; i >= 0 && i < len(l.inflight) {
+		d.tokens.setValue(l, l.inflight[i], v)
 	}
 	d.announce("[Replaced token %d on `%s' with %s]", i, inQualified, v.String())
 	return nil
@@ -348,8 +344,8 @@ func (d *Debugger) ActorReport(name string) (string, error) {
 		}
 		b.WriteByte('\n')
 	}
-	if a.LastToken != nil {
-		fmt.Fprintf(&b, "  last token: %s\n", a.LastToken.Hop.String())
+	if a.lastTok != 0 {
+		fmt.Fprintf(&b, "  last token: %s\n", d.hop(a.lastTok).String())
 	}
 	return b.String(), nil
 }

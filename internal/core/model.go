@@ -151,42 +151,15 @@ func (h Hop) String() string {
 
 // Token is the debugger's logical token object. It is not associated
 // with any framework object: it exists purely as the consequence of
-// intercepted runtime events.
+// intercepted runtime events. The model keeps each token as a record in
+// its token store; a Token is the snapshot a query builds from one.
 type Token struct {
 	ID      uint64
 	Hop     Hop      // the traversal that created this token object
-	Origins []*Token // provenance across the producing actor (behavior-based)
+	Origins []uint64 // ids of the tokens it derives from (behavior-based)
 	Popped  bool     // consumed by the destination actor
-}
 
-// newToken returns a token whose Hop.Val is its own deep copy of v. The
-// value a push or pop lends is storage the runtime reuses (a filter's
-// local, its input window, a ring slot). An aggregate of up to 24
-// elements (h264's tokens hold 18 and 20) shares the token's allocation,
-// so recording such a token costs one allocation, as a scalar one does.
-func newToken(v filterc.Value) *Token {
-	var tok *Token
-	var buf []filterc.Value
-	switch n := v.ElemCount(); {
-	case v.Elems == nil:
-		tok = new(Token)
-	case n <= 8:
-		b := new(struct {
-			Token
-			elems [8]filterc.Value
-		})
-		tok, buf = &b.Token, b.elems[:]
-	case n <= 24:
-		b := new(struct {
-			Token
-			elems [24]filterc.Value
-		})
-		tok, buf = &b.Token, b.elems[:]
-	default:
-		tok, buf = new(Token), make([]filterc.Value, n)
-	}
-	tok.Hop.Val = v.CloneUsing(buf)
-	return tok
+	path []Hop // Hop, then the primary origins' hops
 }
 
 // Path walks the provenance chain: the token itself first, then the
@@ -195,25 +168,12 @@ func newToken(v filterc.Value) *Token {
 //
 //	#1 red -> pipe (CbCrMB_t) {Add=0x145D,...}
 //	#2 bh -> red (U32) 127
-func (t *Token) Path() []Hop {
-	var out []Hop
-	seen := make(map[uint64]bool)
-	cur := t
-	for cur != nil && !seen[cur.ID] {
-		seen[cur.ID] = true
-		out = append(out, cur.Hop)
-		if len(cur.Origins) == 0 {
-			break
-		}
-		cur = cur.Origins[0] // primary provenance
-	}
-	return out
-}
+func (t *Token) Path() []Hop { return t.path }
 
 // FormatPath renders the provenance chain in the paper's format.
 func (t *Token) FormatPath() string {
 	var b strings.Builder
-	for i, h := range t.Path() {
+	for i, h := range t.path {
 		fmt.Fprintf(&b, "#%d %s\n", i+1, h.String())
 	}
 	return b.String()
@@ -230,7 +190,7 @@ type Connection struct {
 	// Recording enables the per-interface token content history
 	// (`iface X record`).
 	Recording bool
-	Recorded  []*Token
+	recorded  []tokRef // the history is its last RecordCap entries
 	// RecordCap bounds the history ring (the paper's memory concern).
 	RecordCap int
 
@@ -238,8 +198,8 @@ type Connection struct {
 	Received uint64
 	Sent     uint64
 
-	// LastToken is the most recent token through this endpoint.
-	LastToken *Token
+	// lastTok is the most recent token through this endpoint.
+	lastTok tokRef
 
 	// qualified and inFlight cache Qualified() and the actor's
 	// "push:port"/"pop:port" label while a call on this endpoint is in
@@ -259,15 +219,29 @@ func (c *Connection) String() string {
 	return fmt.Sprintf("%s (%s %s)", c.Qualified(), c.Dir, c.Type)
 }
 
-// record appends to the bounded history when recording is enabled.
-func (c *Connection) record(t *Token) {
+// LastToken returns the most recent token through this endpoint (nil
+// before the first).
+func (c *Connection) LastToken() *Token { return c.Actor.d.token(c.lastTok) }
+
+// record appends to the bounded history when recording is enabled. The
+// history runs up to twice its bound before its tail moves to the
+// front, so recording costs amortised O(1) and no allocation.
+func (c *Connection) record(r tokRef) {
 	if !c.Recording {
 		return
 	}
-	c.Recorded = append(c.Recorded, t)
-	if c.RecordCap > 0 && len(c.Recorded) > c.RecordCap {
-		c.Recorded = c.Recorded[len(c.Recorded)-c.RecordCap:]
+	c.recorded = append(c.recorded, r)
+	if c.RecordCap > 0 && len(c.recorded) >= 2*c.RecordCap {
+		c.recorded = c.recorded[:copy(c.recorded, c.history())]
 	}
+}
+
+// history is the recorded history: the last RecordCap entries.
+func (c *Connection) history() []tokRef {
+	if c.RecordCap > 0 && len(c.recorded) > c.RecordCap {
+		return c.recorded[len(c.recorded)-c.RecordCap:]
+	}
+	return c.recorded
 }
 
 // LinkInfo binds an outgoing connection to an incoming one and holds the
@@ -277,19 +251,25 @@ type LinkInfo struct {
 	Src    *Connection
 	Dst    *Connection
 	Kind   string // "data", "control", "dma"
-	Tokens []*Token
 
 	TotalPushed uint64
 	TotalPopped uint64
+
+	inflight []tokRef // the tokens in flight, oldest first
+	idx      uint32   // position in the debugger's link list
+	// typ and typIdx cache the link's last payload type and its index
+	// in the token store's type table.
+	typ    *filterc.Type
+	typIdx uint32
 }
 
 // Occupancy returns the number of tokens currently in flight — what
 // Figure 4 displays on the arcs.
-func (l *LinkInfo) Occupancy() int { return len(l.Tokens) }
+func (l *LinkInfo) Occupancy() int { return len(l.inflight) }
 
 func (l *LinkInfo) String() string {
 	return fmt.Sprintf("link#%d %s -> %s (%s, %d tokens)",
-		l.ID, l.Src.Qualified(), l.Dst.Qualified(), l.Kind, len(l.Tokens))
+		l.ID, l.Src.Qualified(), l.Dst.Qualified(), l.Kind, len(l.inflight))
 }
 
 // Actor is a reconstructed filter, controller, module or environment.
@@ -314,11 +294,17 @@ type Actor struct {
 	Behavior Behavior
 
 	// firingInputs are the tokens consumed in the current firing,
-	// feeding provenance of the tokens it produces.
-	firingInputs []*Token
+	// feeding provenance of the tokens it produces. inWork is set
+	// between WORK's entry and return: an actor that is never seen
+	// firing (the environment) collects no firing inputs.
+	firingInputs []tokRef
+	inWork       bool
 
-	// LastToken is the most recent token received on any input.
-	LastToken *Token
+	// lastTok is the most recent token received on any input.
+	lastTok tokRef
+
+	// d is the debugger whose token store the references index.
+	d *Debugger
 
 	// inFlightOp is "pop:iface"/"push:iface" between a data-exchange
 	// call's entry and return — the debugger's view of "blocked".
@@ -344,6 +330,10 @@ func (a *Actor) Out(name string) *Connection {
 	}
 	return nil
 }
+
+// LastToken returns the most recent token received on any input (nil
+// before the first).
+func (a *Actor) LastToken() *Token { return a.d.token(a.lastTok) }
 
 // BlockedOn returns the in-flight link operation ("" when none).
 func (a *Actor) BlockedOn() string { return a.inFlightOp }

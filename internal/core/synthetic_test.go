@@ -103,8 +103,8 @@ func TestSyntheticTargetReconstruction(t *testing.T) {
 	if conn.Link.TotalPushed != 3 || conn.Link.TotalPopped != 3 || conn.Link.Occupancy() != 0 {
 		t.Errorf("link accounting: %+v", conn.Link)
 	}
-	if conn.LastToken == nil || conn.LastToken.Hop.Val.I != 102 {
-		t.Errorf("last token = %v", conn.LastToken)
+	if tok := conn.LastToken(); tok == nil || tok.Hop.Val.I != 102 {
+		t.Errorf("last token = %v", tok)
 	}
 	dot := d.GraphDOT()
 	if !strings.Contains(dot, `"prod" -> "cons";`) || !strings.Contains(dot, `label="kpn";`) {
@@ -224,9 +224,9 @@ func TestSyntheticTargetUnboundLinkFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conn.Received != 1 || conn.LastToken == nil || conn.LastToken.Hop.Val.I != 5 || !boundProcs {
+	if tok := conn.LastToken(); conn.Received != 1 || tok == nil || tok.Hop.Val.I != 5 || !boundProcs {
 		t.Errorf("bound link: received %d, last token %v, endpoints bound to the process %v",
-			conn.Received, conn.LastToken, boundProcs)
+			conn.Received, tok, boundProcs)
 	}
 	want := []string{"push:o", "pop:i", "push:o", "pop:zz"}
 	for i, w := range want {

@@ -121,7 +121,7 @@ func TestRecordedStructTokensKeepTheirValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := conn.LastToken
+	first := conn.LastToken()
 	if err := d.DeleteCatch(cp.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestRecordedStructTokensKeepTheirValues(t *testing.T) {
 			if got := tok.Hop.Val.String(); got != want(int64(10*(i+1))) {
 				t.Errorf("%s #%d = %s, want %s", iface, i+1, got, want(int64(10*(i+1))))
 			}
-			if iface != "mk::out" && (len(tok.Origins) != 1 ||
-				tok.Origins[0].Hop.Val.String() != want(int64(10*(i+1)))) {
-				t.Errorf("%s #%d origins = %v", iface, i+1, tok.Origins)
+			if iface != "mk::out" && (len(tok.Origins) != 1 || len(tok.Path()) != 2 ||
+				tok.Path()[1].Val.String() != want(int64(10*(i+1)))) {
+				t.Errorf("%s #%d origins = %v, path %v", iface, i+1, tok.Origins, tok.Path())
 			}
 		}
 	}

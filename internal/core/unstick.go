@@ -120,11 +120,7 @@ func (d *Debugger) ApplyUnstick(acts []UnstickAction) (int, error) {
 				return applied, err
 			}
 			v, _ := ret.(filterc.Value)
-			d.tokenSeq++
-			conn.Link.Tokens = append(conn.Link.Tokens, &Token{ID: d.tokenSeq, Hop: Hop{
-				From: "(unstick)", To: conn.Actor.Name, Iface: conn.Qualified(),
-				Type: typeName(v), Val: v,
-			}})
+			conn.Link.inflight = append(conn.Link.inflight, d.newToken(conn.Link, v, fromUnstick))
 			d.announce("[unstick: injected zero token %s on `%s']", v.String(), act.Target)
 		case "drop-head":
 			if err := d.DropToken(act.Target, 0); err != nil {
