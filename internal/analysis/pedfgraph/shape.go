@@ -158,44 +158,50 @@ func resetAnalysisMemo() {
 // two keys are equal only if their inputs are.
 func appendShapeKey(b []byte, rt *pedf.Runtime, name string) []byte {
 	b = appendStr(b, name)
-	for _, m := range rt.Modules() {
-		for _, pn := range m.Ports() {
-			p := m.Port(pn)
+	for i := 0; i < rt.NumModules(); i++ {
+		m := rt.ModuleAt(i)
+		for j := 0; j < m.NumPorts(); j++ {
+			p := m.PortAt(j)
 			if e := p.Endpoint(); e != p && e.Link() == nil {
 				b = appendPortRef(append(b, 'x'), e)
 			}
 		}
 	}
-	for _, f := range rt.Actors() {
+	for i := 0; i < rt.NumActors(); i++ {
+		f := rt.ActorAt(i)
 		b = appendStr(append(b, 'a'), f.Name)
 		b = append(b, byte(f.Role))
 		b = appendStr(b, f.Module.Name)
 		b = binary.LittleEndian.AppendUint64(b, uint64(uintptr(unsafe.Pointer(f.Prog))))
-		for _, n := range f.Inputs() {
-			b = appendType(appendStr(append(b, 'i'), n), f.In(n).Type)
+		for j := 0; j < f.NumInputs(); j++ {
+			p := f.InputAt(j)
+			b = appendType(appendStr(append(b, 'i'), p.Name), p.Type)
 		}
-		for _, n := range f.Outputs() {
-			b = appendType(appendStr(append(b, 'o'), n), f.Out(n).Type)
+		for j := 0; j < f.NumOutputs(); j++ {
+			p := f.OutputAt(j)
+			b = appendType(appendStr(append(b, 'o'), p.Name), p.Type)
 		}
-		for _, n := range f.DataNames() {
-			if v, ok := f.DataVal(n); ok {
+		for j := 0; j < f.NumData(); j++ {
+			if n, v := f.DataAt(j); v != nil {
 				b = appendValue(appendType(appendStr(append(b, 'd'), n), v.Type), v)
 			}
 		}
-		for _, n := range f.AttrNames() {
-			if v, ok := f.AttrVal(n); ok {
+		for j := 0; j < f.NumAttrs(); j++ {
+			if n, v := f.AttrAt(j); v != nil {
 				b = appendValue(appendType(appendStr(append(b, 't'), n), v.Type), v)
 			}
 		}
 	}
-	for _, l := range rt.Links() {
+	for i := 0; i < rt.NumLinks(); i++ {
+		l := rt.LinkAt(i)
 		b = binary.AppendUvarint(append(b, 'l'), uint64(l.ID))
 		b = appendPortRef(appendPortRef(b, l.Src), l.Dst)
 		b = append(b, byte(l.Kind))
 		b = binary.AppendVarint(b, int64(l.Cap))
 		b = binary.AppendVarint(b, int64(l.Occupancy()))
 	}
-	for _, fd := range rt.Feeds() {
+	for i := 0; i < rt.NumFeeds(); i++ {
+		fd := rt.FeedAt(i)
 		b = appendPortRef(append(b, 'f'), fd.Src)
 		b = binary.AppendVarint(b, int64(fd.Count))
 	}

@@ -2,6 +2,7 @@ package pedf
 
 import (
 	"fmt"
+	"strconv"
 
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/lowdbg"
@@ -219,11 +220,13 @@ func (rt *Runtime) Elaborate(strict bool) error {
 		case src.owner != nil && src.owner.Role == RoleController:
 			kind = ControlLink
 		}
+		id := len(rt.links) + 1
+		notEmpty, notFull := waitEventNames(id)
 		l := &Link{
-			ID: len(rt.links) + 1, Src: src, Dst: dst, Kind: kind,
+			ID: id, Src: src, Dst: dst, Kind: kind,
 			Cap: rt.LinkCap, rt: rt,
-			notEmpty: rt.K.NewEvent(fmt.Sprintf("link%d.notEmpty", len(rt.links)+1)),
-			notFull:  rt.K.NewEvent(fmt.Sprintf("link%d.notFull", len(rt.links)+1)),
+			notEmpty: rt.K.NewEvent(notEmpty),
+			notFull:  rt.K.NewEvent(notFull),
 		}
 		src.link = l
 		dst.link = l
@@ -681,4 +684,18 @@ func (rt *Runtime) waitPending(p *sim.Proc, m *Module, reason string, pending fu
 			Arg2: int64(d), Actor: c.Name, Other: reason,
 		})
 	}
+}
+
+// waitEventNames returns the names of link id's two wait events,
+// "link<id>.notEmpty" and "link<id>.notFull", cut from one string: only
+// stall and deadlock reports read them.
+func waitEventNames(id int) (notEmpty, notFull string) {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "link"...), int64(id), 10)
+	n := len(b)
+	b = append(b, ".notEmpty"...)
+	cut := len(b)
+	b = append(append(b, b[:n]...), ".notFull"...)
+	s := string(b)
+	return s[:cut], s[cut:]
 }

@@ -958,3 +958,14 @@ func TestWorkSymbolNames(t *testing.T) {
 		t.Error("work symbol not in table")
 	}
 }
+
+// TestWaitEventNames pins the link wait-event names that stall and
+// deadlock reports print.
+func TestWaitEventNames(t *testing.T) {
+	for _, id := range []int{1, 9, 13, 100, 12345} {
+		ne, nf := waitEventNames(id)
+		if ne != fmt.Sprintf("link%d.notEmpty", id) || nf != fmt.Sprintf("link%d.notFull", id) {
+			t.Errorf("link %d: events named %q and %q", id, ne, nf)
+		}
+	}
+}
