@@ -137,11 +137,13 @@ func run(w io.Writer, timelinePath, metricsPath string) (*obs.Recorder, sim.Time
 	for stop := 1; stop <= 3; stop++ {
 		ev := low.Continue()
 		fmt.Fprintf(w, "stop %d: %s\n", stop, ev.Reason)
-		tok, err := dfd.LastToken("addone")
+		// The model keeps tokens as records; the interface's last token
+		// is built from its record when read.
+		in, err := dfd.Connection("addone::i")
 		if err != nil {
 			return nil, 0, err
 		}
-		fmt.Fprintf(w, "  last token: %s\n", tok.Hop.String())
+		fmt.Fprintf(w, "  last token: %s\n", in.LastToken().Hop.String())
 	}
 
 	// 6. Let the application finish and print what came out.

@@ -110,6 +110,8 @@ func main() {
 	check(err)
 	ev := low.Continue()
 	fmt.Println(ev.Reason)
+	// LastToken reads the token back from the debugger's token store:
+	// its payload, and the chain of primary origins the store keeps.
 	tok, err := dfd.LastToken("pipe")
 	check(err)
 	fmt.Println("\ntoken path (most recent hop first):")

@@ -454,7 +454,7 @@ func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	srcActor := l.Src.Actor
 	srcActor.inFlightOp = ""
 	fv, _ := lowdbg.ArgValue(ctx.Args, "value")
-	tok := d.newToken(l, fv, fromLink)
+	tok := d.addToken(l, fv, fromLink)
 	rec := &d.tokens.recs[tok]
 	rec.seq, rec.at = uint64(lowdbg.ArgInt(ctx.Args, "index")), ctx.Proc.Now()
 	if srcActor.Behavior != BehaviorUnknown && len(srcActor.firingInputs) > 0 {
@@ -506,7 +506,7 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		// A token the model never saw pushed (injected by the debugger
 		// while data breakpoints were disabled, or pushed while they
 		// were off): synthesize it from the observed return value.
-		tok = d.newToken(l, ctx.Ret.V, fromLink)
+		tok = d.addToken(l, ctx.Ret.V, fromLink)
 		d.tokens.recs[tok].at = ctx.Proc.Now()
 	}
 	d.tokens.recs[tok].popped = true

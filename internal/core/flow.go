@@ -156,7 +156,7 @@ func (d *Debugger) InjectToken(inQualified string, v filterc.Value) error {
 	if _, err := d.Low.CallTarget(tfLinkInject, conn.Link.ID, v); err != nil {
 		return err
 	}
-	tok := d.newToken(conn.Link, v, fromDebugger)
+	tok := d.addToken(conn.Link, v, fromDebugger)
 	conn.Link.inflight = append(conn.Link.inflight, tok)
 	d.announce("[Injected token %s on `%s']", v.String(), inQualified)
 	return nil

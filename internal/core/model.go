@@ -17,6 +17,8 @@
 //     holding the Tokens in flight;
 //   - Token objects whose state corresponds to the logical implications
 //     of runtime events, carrying their hop-by-hop path across actors.
+//     The model keeps them as pointer-free records in a per-debugger
+//     token store (store.go) and builds a Token when a query reads one.
 package core
 
 import (
@@ -162,9 +164,9 @@ type Token struct {
 	path []Hop // Hop, then the primary origins' hops
 }
 
-// Path walks the provenance chain: the token itself first, then the
-// token(s) it was derived from, transitively — the paper's
-// `filter pipe info last_token` output:
+// Path is the provenance chain: the token itself first, then the token
+// it was primarily derived from (its first origin), transitively — the
+// paper's `filter pipe info last_token` output:
 //
 //	#1 red -> pipe (CbCrMB_t) {Add=0x145D,...}
 //	#2 bh -> red (U32) 127

@@ -82,9 +82,6 @@ func (s *tokenStore) typeIndex(l *LinkInfo, t *filterc.Type) uint32 {
 	}
 	i := slices.Index(s.types, t)
 	if i < 0 {
-		if len(s.types) == 0 {
-			s.types = append(s.types, nil)
-		}
 		i = len(s.types)
 		s.types = append(s.types, t)
 	}
@@ -92,13 +89,14 @@ func (s *tokenStore) typeIndex(l *LinkInfo, t *filterc.Type) uint32 {
 	return l.typIdx
 }
 
-// newToken records a token on l carrying a copy of v, which the runtime
+// addToken records a token on l carrying a copy of v, which the runtime
 // only lends, and returns its reference. It may compact the store
 // first, so a caller takes references from the model only afterwards.
-func (d *Debugger) newToken(l *LinkInfo, v filterc.Value, from uint8) tokRef {
+func (d *Debugger) addToken(l *LinkInfo, v filterc.Value, from uint8) tokRef {
 	s := &d.tokens
 	if len(s.recs) == 0 {
 		s.recs = append(s.recs, tokenRec{})
+		s.types = append(s.types, nil)
 	}
 	if s.size() >= max(s.limit, minStoreBytes) {
 		d.compactTokens()
@@ -241,7 +239,7 @@ func (d *Debugger) token(r tokRef) *Token {
 	return t
 }
 
-// tokens builds the Tokens of refs.
+// tokensOf builds the Tokens of refs.
 func (d *Debugger) tokensOf(refs []tokRef) []*Token {
 	out := make([]*Token, len(refs))
 	for i, r := range refs {

@@ -173,3 +173,55 @@ func TestTokenStoreReadsBackValues(t *testing.T) {
 		t.Error("the decode never compacted the store")
 	}
 }
+
+// TestTokenStoreKeepsWhatTheModelHolds drives the store directly: an
+// untyped token in flight and a struct token with its primary origin
+// survive a compaction that drops thousands of unreferenced tokens and
+// the struct's second origin, keep their ids and payloads, and read
+// back as the Hops the model would have built.
+func TestTokenStoreKeepsWhatTheModelHolds(t *testing.T) {
+	d := &Debugger{}
+	src, dst := &Actor{Name: "a", d: d}, &Actor{Name: "b", d: d}
+	out := &Connection{Actor: src, Name: "o", qualified: "a::o"}
+	in := &Connection{Actor: dst, Name: "i", qualified: "b::i"}
+	src.Outputs, dst.Inputs = []*Connection{out}, []*Connection{in}
+	l := &LinkInfo{ID: 1, Src: out, Dst: in}
+	d.actorList, d.linkList = []*Actor{src, dst}, []*LinkInfo{l}
+
+	pair := filterc.Zero(pairType)
+	pair.Elems[0] = u32v(7)
+	pair.Elems[1].Elems[1] = filterc.Int(filterc.I32, -2)
+	untyped := d.addToken(l, filterc.Value{}, fromLink)
+	scalar := d.addToken(l, u32v(5), fromDebugger)
+	dropped := d.addToken(l, u32v(6), fromLink)
+	agg := d.addToken(l, pair, fromLink)
+	d.tokens.setOrigins(agg, []tokRef{scalar, dropped})
+	l.inflight, in.lastTok = []tokRef{untyped}, agg
+	for i := 0; i < 5000; i++ {
+		d.addToken(l, pair, fromLink)
+	}
+	d.compactTokens()
+	if got := len(d.tokens.recs); got != 4 {
+		t.Fatalf("store kept %d records after compaction, want the placeholder and 3", got)
+	}
+	tok := in.LastToken()
+	want := []string{
+		"a -> b (Pair_t) {A = 7, B = [0, -2]}",
+		"(debugger) -> b (U32) 5",
+	}
+	if len(tok.Path()) != len(want) || tok.ID != 4 || len(tok.Origins) != 2 || tok.Origins[0] != 2 || tok.Origins[1] != 3 {
+		t.Fatalf("token %d origins %v path %v", tok.ID, tok.Origins, tok.Path())
+	}
+	for i, h := range tok.Path() {
+		if h.String() != want[i] || h.Iface != "b::i" {
+			t.Errorf("hop %d = %s on %s, want %s on b::i", i+1, h, h.Iface, want[i])
+		}
+	}
+	if h := d.hop(l.inflight[0]); h.String() != "a -> b (?) <nil>" {
+		t.Errorf("untyped token reads back as %s", h)
+	}
+	d.tokens.setValue(l, l.inflight[0], u32v(9))
+	if h := d.hop(l.inflight[0]); h.String() != "a -> b (U32) 9" {
+		t.Errorf("replaced token reads back as %s", h)
+	}
+}

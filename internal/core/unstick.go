@@ -120,7 +120,7 @@ func (d *Debugger) ApplyUnstick(acts []UnstickAction) (int, error) {
 				return applied, err
 			}
 			v, _ := ret.(filterc.Value)
-			conn.Link.inflight = append(conn.Link.inflight, d.newToken(conn.Link, v, fromUnstick))
+			conn.Link.inflight = append(conn.Link.inflight, d.addToken(conn.Link, v, fromUnstick))
 			d.announce("[unstick: injected zero token %s on `%s']", v.String(), act.Target)
 		case "drop-head":
 			if err := d.DropToken(act.Target, 0); err != nil {
