@@ -249,10 +249,10 @@ func (c *Connection) history() []tokRef {
 // LinkInfo binds an outgoing connection to an incoming one and holds the
 // tokens currently in flight.
 type LinkInfo struct {
-	ID     int64
-	Src    *Connection
-	Dst    *Connection
-	Kind   string // "data", "control", "dma"
+	ID   int64
+	Src  *Connection
+	Dst  *Connection
+	Kind string // "data", "control", "dma"
 
 	TotalPushed uint64
 	TotalPopped uint64
