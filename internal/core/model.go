@@ -234,8 +234,14 @@ func (c *Connection) record(r tokRef) {
 	}
 	c.recorded = append(c.recorded, r)
 	if c.RecordCap > 0 && len(c.recorded) >= 2*c.RecordCap {
-		c.recorded = c.recorded[:copy(c.recorded, c.history())]
+		c.trimHistory()
 	}
+}
+
+// trimHistory drops what the history no longer shows, moving the rest
+// to the front of its buffer so the buffer is reused.
+func (c *Connection) trimHistory() {
+	c.recorded = c.recorded[:copy(c.recorded, c.history())]
 }
 
 // history is the recorded history: the last RecordCap entries.

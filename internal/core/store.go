@@ -149,7 +149,7 @@ func (d *Debugger) eachTokenRoot(f func(*tokRef)) {
 		for _, conns := range [2][]*Connection{a.Inputs, a.Outputs} {
 			for _, c := range conns {
 				f(&c.lastTok)
-				c.recorded = c.history()
+				c.trimHistory()
 				for i := range c.recorded {
 					f(&c.recorded[i])
 				}

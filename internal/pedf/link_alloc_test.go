@@ -117,6 +117,20 @@ func TestLinkAttachedCatchAllocs(t *testing.T) {
 	}
 }
 
+// TestLinkAttachedRecordAllocs extends the budget to an interface
+// recording its history (`iface b::i record`): the history reuses its
+// buffer, and the token store keeps the recorded tokens as records.
+func TestLinkAttachedRecordAllocs(t *testing.T) {
+	arm := func(d *core.Debugger) {
+		if err := d.SetRecording("b::i", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := attachedCycleAllocs(t, arm); got != 0 {
+		t.Errorf("attached push/pop cycle with recording on allocates %.0f objects, want 0", got)
+	}
+}
+
 // BenchmarkLinkAttachedCycle reports the time and allocations of one
 // push/pop cycle on the attached interception path measured above.
 func BenchmarkLinkAttachedCycle(b *testing.B) {
