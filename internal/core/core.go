@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"dfdbg/internal/dbginfo"
-	"dfdbg/internal/filterc"
 	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/sim"
 )
@@ -519,11 +518,4 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		dstActor.firingInputs = append(dstActor.firingInputs, tok)
 	}
 	return d.evalReceiveCatch(ctx, l.Dst, ctx.Ret.V)
-}
-
-func typeName(t *filterc.Type) string {
-	if t == nil {
-		return "?"
-	}
-	return t.String()
 }

@@ -33,7 +33,12 @@ func (d *Debugger) RecordedTokens(qualified string) ([]*Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.tokensOf(conn.history()), nil
+	refs := conn.history()
+	out := make([]*Token, len(refs))
+	for i, r := range refs {
+		out[i] = d.token(r)
+	}
+	return out, nil
 }
 
 // FormatRecorded renders the recorded history in the paper's format:

@@ -217,7 +217,10 @@ func (d *Debugger) hop(r tokRef) Hop {
 		h.From = "(unstick)"
 	}
 	t := s.types[rec.typ]
-	h.Type = typeName(t)
+	h.Type = "?"
+	if t != nil {
+		h.Type = t.String()
+	}
 	h.Val = filterc.DecodeValue(wire.NewReader(s.arena.Data()[rec.val.off:rec.val.off+rec.val.n]), t)
 	return h
 }
@@ -237,13 +240,4 @@ func (d *Debugger) token(r tokRef) *Token {
 	}
 	t.Hop = t.path[0]
 	return t
-}
-
-// tokensOf builds the Tokens of refs.
-func (d *Debugger) tokensOf(refs []tokRef) []*Token {
-	out := make([]*Token, len(refs))
-	for i, r := range refs {
-		out[i] = d.token(r)
-	}
-	return out
 }
