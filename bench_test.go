@@ -332,8 +332,8 @@ func BenchmarkDecodeVideo(b *testing.B) {
 // frames/sec of wall time and kernel dispatches per frame. The
 // attached_* variants run the same decode with lowdbg and core attached
 // and nothing armed, the world the paper's intrusiveness question is
-// about. BENCH_sim.json pins the unattached batched and per-token
-// figures; benchguard enforces them in CI.
+// about. CI gates the unattached pair with benchguard: batched against
+// per_token, and per_token against the filterc walker (DESIGN §9).
 func BenchmarkDecodeThroughput(b *testing.B) {
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 8}
 	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
@@ -432,8 +432,8 @@ u32 work(u32 n) {
 // explicit engine × hooks matrix: the tree-walking oracle vs the bytecode
 // VM, each with and without statement hooks installed. The paper's
 // debuggability constraint is the "hooks" column: attaching a debugger
-// must not cost more on the VM than it did on the walker. Ratios are
-// recorded in BENCH_filterc.json.
+// must not cost more on the VM than it did on the walker. CI gates
+// BenchmarkFilterC (the default engine) against walker/nohooks.
 func BenchmarkFilterCCompiled(b *testing.B) {
 	src := `
 u32 work(u32 n) {

@@ -1,5 +1,5 @@
-// Checkpoint and restore cost benchmarks (DESIGN §13), pinned in
-// BENCH_ckpt.json and guarded by CI:
+// Checkpoint and restore cost benchmarks (DESIGN §13); CI gates their
+// ratio, restore / checkpoint, from both sides:
 //
 //   - BenchmarkCheckpoint — serializing the full session state (kernel,
 //     machine, PEDF runtime with filterc values, fault injector, obs

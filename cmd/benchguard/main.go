@@ -1,25 +1,23 @@
-// Command benchguard compares `go test -bench` output against the
-// repo's pinned BENCH_*.json baselines and fails on regressions.
+// Command benchguard gates same-host ratios between rows of one
+// `go test -bench` output and fails when a ratio leaves its bound.
 //
 // Usage:
 //
-//	go test -run xxx -bench BenchmarkFilterC -benchtime 100x . | \
-//	  benchguard -baseline BENCH_filterc.json -max-ratio 2 \
-//	    -m 'BenchmarkFilterC=default_engine.ns_per_op'
+//	go test -run xxx -bench 'BenchmarkFilterC' -benchtime 100x -count 3 . | \
+//	  benchguard -r 'BenchmarkFilterC / BenchmarkFilterCCompiled/walker/nohooks <= 0.25'
 //
-// Each -m flag maps a benchmark name (sub-benchmarks use their slash
-// form, CPU suffixes are stripped) to the dotted path of its pinned
-// ns/op inside the baseline JSON. The absolute numbers in the baselines
-// are host-specific, so the guard is deliberately loose: it only fails
-// when the measured median exceeds max-ratio times the pinned value —
-// catching structural regressions (an accidental O(n^2), a lost cache),
-// not CI-runner noise. A mapped benchmark missing from the input is an
-// error: a guard that silently stops measuring is worse than none.
+// Each -r flag is one gate, `A / B <= BOUND` or `A / B >= BOUND`, where
+// A and B are benchmark names (sub-benchmarks in their slash form, CPU
+// suffixes stripped). A row's value is the median of its ns/op samples
+// (repeated -count runs). Both rows come from the same run on the same
+// host, so the gate holds on any machine: it catches a regression
+// confined to one side of the pair, not a host that is slower overall.
+// A gated row missing from the input is an error: a guard that silently
+// stops measuring is worse than none.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,32 +28,37 @@ import (
 	"strings"
 )
 
-// mapping binds one benchmark to its baseline path.
-type mapping struct {
-	bench string
-	path  string
+// gate is one parsed -r flag: num/den must stay at or under (at or
+// over, when floor is set) bound.
+type gate struct {
+	num, den string
+	floor    bool
+	bound    float64
 }
 
-type mappingList []mapping
+type gateList []gate
 
-func (m *mappingList) String() string { return fmt.Sprint(*m) }
+func (g *gateList) String() string { return fmt.Sprint(*g) }
 
-func (m *mappingList) Set(s string) error {
-	name, path, ok := strings.Cut(s, "=")
-	if !ok || name == "" || path == "" {
-		return fmt.Errorf("want BenchmarkName=dotted.json.path, got %q", s)
+// gateExpr matches `A / B <= 0.25` and `A / B >= 4`.
+var gateExpr = regexp.MustCompile(`^\s*(Benchmark\S+)\s+/\s+(Benchmark\S+)\s+(<=|>=)\s+([0-9.]+)\s*$`)
+
+func (g *gateList) Set(s string) error {
+	m := gateExpr.FindStringSubmatch(s)
+	if m == nil {
+		return fmt.Errorf("want 'BenchmarkA / BenchmarkB <= BOUND' (or >=), got %q", s)
 	}
-	*m = append(*m, mapping{bench: name, path: path})
+	bound, err := strconv.ParseFloat(m[4], 64)
+	if err != nil || bound <= 0 {
+		return fmt.Errorf("bound in %q is not a positive number", s)
+	}
+	*g = append(*g, gate{num: m[1], den: m[2], floor: m[3] == ">=", bound: bound})
 	return nil
 }
 
 func main() {
-	var (
-		baseline = flag.String("baseline", "", "pinned baseline JSON file")
-		maxRatio = flag.Float64("max-ratio", 2, "fail when measured/baseline exceeds this")
-		maps     mappingList
-	)
-	flag.Var(&maps, "m", "BenchmarkName=dotted.json.path (repeatable)")
+	var gates gateList
+	flag.Var(&gates, "r", "'BenchmarkA / BenchmarkB <= BOUND' or '>= BOUND' (repeatable)")
 	flag.Parse()
 	in := io.Reader(os.Stdin)
 	if flag.NArg() == 1 {
@@ -67,54 +70,44 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	if err := run(in, os.Stdout, *baseline, *maxRatio, maps); err != nil {
+	if err := run(in, os.Stdout, gates); err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(in io.Reader, out io.Writer, baselineFile string, maxRatio float64, maps mappingList) error {
-	if baselineFile == "" || len(maps) == 0 {
-		return fmt.Errorf("usage: benchguard -baseline FILE -m Bench=path [...] [bench-output]")
-	}
-	raw, err := os.ReadFile(baselineFile)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", baselineFile, err)
+func run(in io.Reader, out io.Writer, gates gateList) error {
+	if len(gates) == 0 {
+		return fmt.Errorf("usage: benchguard -r 'BenchmarkA / BenchmarkB <= BOUND' [...] [bench-output]")
 	}
 	results, err := parseBench(in)
 	if err != nil {
 		return err
 	}
 	var failures []string
-	for _, m := range maps {
-		base, err := resolvePath(doc, m.path)
-		if err != nil {
-			return fmt.Errorf("%s: %w", baselineFile, err)
+	for _, g := range gates {
+		var med [2]float64
+		for i, name := range []string{g.num, g.den} {
+			samples := results[name]
+			if len(samples) == 0 {
+				return fmt.Errorf("benchmark %s not found in input (did it run?)", name)
+			}
+			med[i] = median(samples)
 		}
-		samples := results[m.bench]
-		if len(samples) == 0 {
-			return fmt.Errorf("benchmark %s not found in input (did it run?)", m.bench)
+		ratio := med[0] / med[1]
+		op, verdict := "<=", "ok"
+		if g.floor {
+			op = ">="
 		}
-		cur := median(samples)
-		ratio := cur / base
-		verdict := "ok"
-		switch {
-		case ratio > maxRatio:
+		if (g.floor && ratio < g.bound) || (!g.floor && ratio > g.bound) {
 			verdict = "REGRESSION"
-			failures = append(failures, m.bench)
-		case ratio < 1/maxRatio:
-			verdict = "improved (re-pin baseline?)"
+			failures = append(failures, fmt.Sprintf("%s / %s = %.3g", g.num, g.den, ratio))
 		}
-		fmt.Fprintf(out, "%-44s %12.0f ns/op  baseline %12.0f  ratio %5.2f  %s\n",
-			m.bench, cur, base, ratio, verdict)
+		fmt.Fprintf(out, "%s / %s = %.0f / %.0f ns/op = %.3g (%s %g)  %s\n",
+			g.num, g.den, med[0], med[1], ratio, op, g.bound, verdict)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %gx: %s",
-			len(failures), maxRatio, strings.Join(failures, ", "))
+		return fmt.Errorf("%d ratio(s) out of bounds: %s", len(failures), strings.Join(failures, "; "))
 	}
 	return nil
 }
@@ -141,27 +134,6 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 		out[m[1]] = append(out[m[1]], v)
 	}
 	return out, sc.Err()
-}
-
-// resolvePath walks a dotted path through nested JSON objects to a
-// number.
-func resolvePath(doc map[string]any, path string) (float64, error) {
-	cur := any(doc)
-	for _, part := range strings.Split(path, ".") {
-		obj, ok := cur.(map[string]any)
-		if !ok {
-			return 0, fmt.Errorf("path %q: %q is not an object", path, part)
-		}
-		cur, ok = obj[part]
-		if !ok {
-			return 0, fmt.Errorf("path %q: key %q not found", path, part)
-		}
-	}
-	v, ok := cur.(float64)
-	if !ok {
-		return 0, fmt.Errorf("path %q: not a number (%T)", path, cur)
-	}
-	return v, nil
 }
 
 // median of samples (middle of the sorted slice; noise-resistant

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,6 +11,7 @@ pkg: dfdbg
 BenchmarkFilterC-4           	     100	    160000 ns/op	        1000 stmts/op
 BenchmarkFilterC-4           	     100	    180000 ns/op	        1000 stmts/op
 BenchmarkFilterC-4           	     100	    170000 ns/op	        1000 stmts/op
+BenchmarkFilterCCompiled/walker/nohooks-4  	     100	   1100000 ns/op
 BenchmarkObsOverhead/disabled-4  	       3	  66000000 ns/op
 BenchmarkObsOverhead/events-4    	       3	  69000000 ns/op
 PASS
@@ -34,74 +33,86 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-func TestResolvePath(t *testing.T) {
-	doc := map[string]any{
-		"default_engine": map[string]any{"ns_per_op": 162383.0},
-		"note":           "text",
-	}
-	if v, err := resolvePath(doc, "default_engine.ns_per_op"); err != nil || v != 162383 {
-		t.Errorf("resolve = %g, %v", v, err)
-	}
-	if _, err := resolvePath(doc, "default_engine.missing"); err == nil {
-		t.Error("missing key resolved")
-	}
-	if _, err := resolvePath(doc, "note"); err == nil {
-		t.Error("non-number resolved")
-	}
-}
-
-// writeBaseline drops a baseline JSON into a temp dir.
-func writeBaseline(t *testing.T, body string) string {
+// gates parses flags the way the command line does.
+func gates(t *testing.T, exprs ...string) gateList {
 	t.Helper()
-	p := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+	var g gateList
+	for _, e := range exprs {
+		if err := g.Set(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return p
+	return g
 }
 
 func TestRunVerdicts(t *testing.T) {
-	base := writeBaseline(t, `{"default_engine":{"ns_per_op":162383},
-		"macro":{"disabled_ns_per_op":66296745}}`)
-	maps := mappingList{
-		{bench: "BenchmarkFilterC", path: "default_engine.ns_per_op"},
-		{bench: "BenchmarkObsOverhead/disabled", path: "macro.disabled_ns_per_op"},
-	}
+	// A pass: the VM row is 0.15 of the walker row, the recorded decode
+	// 1.05 of the bare one.
+	g := gates(t,
+		"BenchmarkFilterC / BenchmarkFilterCCompiled/walker/nohooks <= 0.25",
+		"BenchmarkObsOverhead/events / BenchmarkObsOverhead/disabled >= 0.5")
 	var out strings.Builder
-	if err := run(strings.NewReader(sampleBench), &out, base, 2, maps); err != nil {
-		t.Fatalf("within-ratio run failed: %v\n%s", err, out.String())
+	if err := run(strings.NewReader(sampleBench), &out, g); err != nil {
+		t.Fatalf("within-bound run failed: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "ok") {
+	if strings.Count(out.String(), "  ok\n") != 2 {
 		t.Errorf("output lacks verdicts:\n%s", out.String())
 	}
 
-	// A 10x regression fails loudly.
-	slow := strings.ReplaceAll(sampleBench, "160000 ns/op", "1600000 ns/op")
-	slow = strings.ReplaceAll(slow, "180000 ns/op", "1800000 ns/op")
-	slow = strings.ReplaceAll(slow, "170000 ns/op", "1700000 ns/op")
-	out.Reset()
-	err := run(strings.NewReader(slow), &out, base, 2, maps)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("regression not caught: %v\n%s", err, out.String())
+	// A ratio over its bound fails loudly, and so does one under a floor.
+	slow := strings.ReplaceAll(sampleBench, "0000 ns/op\t        1000", "00000 ns/op\t        1000")
+	for _, c := range []struct {
+		in   string
+		gate string
+	}{
+		{slow, "BenchmarkFilterC / BenchmarkFilterCCompiled/walker/nohooks <= 0.25"},
+		{sampleBench, "BenchmarkObsOverhead/events / BenchmarkObsOverhead/disabled >= 1.1"},
+	} {
+		out.Reset()
+		err := run(strings.NewReader(c.in), &out, gates(t, c.gate))
+		if err == nil || !strings.Contains(err.Error(), "out of bounds") ||
+			!strings.Contains(out.String(), "REGRESSION") {
+			t.Errorf("%s: regression not caught: %v\n%s", c.gate, err, out.String())
+		}
 	}
 
-	// A mapped benchmark absent from the input is an error.
-	maps = append(maps, mapping{bench: "BenchmarkGone", path: "default_engine.ns_per_op"})
-	if err := run(strings.NewReader(sampleBench), &out, base, 2, maps); err == nil ||
-		!strings.Contains(err.Error(), "not found") {
-		t.Fatalf("missing benchmark not caught: %v", err)
+	// A gated row absent from the input is an error, on either side.
+	for _, e := range []string{
+		"BenchmarkGone / BenchmarkFilterC <= 1",
+		"BenchmarkFilterC / BenchmarkGone <= 1",
+	} {
+		if err := run(strings.NewReader(sampleBench), &out, gates(t, e)); err == nil ||
+			!strings.Contains(err.Error(), "BenchmarkGone not found") {
+			t.Errorf("%s: missing benchmark not caught: %v", e, err)
+		}
+	}
+	if err := run(strings.NewReader(sampleBench), &out, nil); err == nil {
+		t.Error("a run with no gates passed")
 	}
 }
 
-func TestMappingFlag(t *testing.T) {
-	var m mappingList
-	if err := m.Set("BenchmarkX=a.b"); err != nil {
-		t.Fatal(err)
+func TestGateFlag(t *testing.T) {
+	g := gates(t, "BenchmarkA/x / BenchmarkB/y <= 1.5", "  BenchmarkA / BenchmarkB >= 2 ")
+	want := gateList{
+		{num: "BenchmarkA/x", den: "BenchmarkB/y", bound: 1.5},
+		{num: "BenchmarkA", den: "BenchmarkB", floor: true, bound: 2},
 	}
-	if err := m.Set("garbage"); err == nil {
-		t.Error("malformed mapping accepted")
+	if len(g) != len(want) || g[0] != want[0] || g[1] != want[1] {
+		t.Errorf("gates = %+v, want %+v", g, want)
 	}
-	if len(m) != 1 || m[0].bench != "BenchmarkX" || m[0].path != "a.b" {
-		t.Errorf("mapping = %+v", m)
+	for _, bad := range []string{
+		"garbage",
+		"BenchmarkA=a.b",               // the retired baseline mapping
+		"BenchmarkA / BenchmarkB < 2",  // strict comparison
+		"BenchmarkA / BenchmarkB <= ",  // no bound
+		"BenchmarkA / BenchmarkB <= 0", // a bound no ratio can meet
+		"BenchmarkA / BenchmarkB <= 1.2.3",
+		"BenchmarkA/BenchmarkB <= 2", // the division needs spaces
+		"A / BenchmarkB <= 2",        // not a benchmark name
+	} {
+		var g gateList
+		if err := g.Set(bad); err == nil {
+			t.Errorf("malformed gate %q accepted: %+v", bad, g)
+		}
 	}
 }

@@ -178,6 +178,25 @@ func TestFaultFileReadOnce(t *testing.T) {
 	}
 }
 
+// TestFaultLoadReplays pins that the REPL grants its worlds the host's
+// files, rebuilt ones included: a journaled `fault load` replays when
+// reverse-step rebuilds the world.
+func TestFaultLoadReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.txt")
+	if err := os.WriteFile(path, []byte("drop link bh::stream_in @ 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := strings.NewReader("fault load " + path + "\ncontinue\nreverse-step\nfault status\nquit\n")
+	var out strings.Builder
+	if err := run(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, "none", faultOpts{}, in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "Reversed past the last control command") ||
+		!strings.Contains(s, "fault injection: armed, 1 fault(s), 0 fired") || strings.Contains(s, "error:") {
+		t.Errorf("fault load, continue, reverse-step, fault status:\n%s", s)
+	}
+}
+
 // TestREPLStateDigest pins the captured state of the REPL world after
 // boot and after a fixed script: a change to how the world is
 // assembled would break restoring the checkpoints other builds wrote.

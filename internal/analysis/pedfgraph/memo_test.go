@@ -128,8 +128,8 @@ func TestClassMemoReturnsPrivateCopies(t *testing.T) {
 // BenchmarkAnalyzeH264 pins the cost of the full static-analysis
 // pipeline (graph checks, filterc checks, classification, regions,
 // schedule, bounds) over the elaborated H.264 decoder, classifying
-// every actor from scratch: the memo is emptied each iteration. The
-// baseline lives in BENCH_analyze.json, guarded by cmd/benchguard in CI.
+// every actor from scratch: the memo is emptied each iteration. CI
+// gates it against BenchmarkAnalyzeH264Warm with cmd/benchguard.
 func BenchmarkAnalyzeH264(b *testing.B) {
 	benchAnalyzeH264(b, true)
 }

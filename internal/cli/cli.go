@@ -71,6 +71,12 @@ type CLI struct {
 	// StartWeb, when set, enables the `web` command: it starts the HTTP
 	// observability UI on the given address and returns the bound URL.
 	StartWeb func(addr string) (string, error)
+	// HostFiles, when set, lets `fault load FILE` read and `timeline
+	// export FILE` write the host's files. Like StartWeb it is the
+	// owner's to grant: the dfdbg REPL grants it, while served and chaos
+	// sessions leave it off, so a client's command line never reaches
+	// the server's files.
+	HostFiles bool
 	// Batch, when set, enables the `batch` command: it reports the
 	// batched-execution mode of every proven-SDF region (hold reason plus
 	// per-region batched/per-token state, pedf.Runtime.RegionModes).
@@ -164,11 +170,21 @@ func (c *CLI) Run(r io.Reader) {
 	}
 }
 
+// needFiles refuses verb, naming why, unless the owner granted
+// HostFiles.
+func (c *CLI) needFiles(verb string) error {
+	if !c.HostFiles {
+		return fmt.Errorf("%s: this session has no access to the host's files "+
+			"(a served session never reads or writes the server's)", verb)
+	}
+	return nil
+}
+
 // Dispatch runs a single command line as a pure API call: the rendered
 // output and the error come back in the Result instead of being written
 // to c.Out, so any client — the REPL, a wire-protocol session, a test —
-// decides for itself what to do with them. File-writing commands
-// (timeline export) still touch the filesystem.
+// decides for itself what to do with them. File commands reach the
+// file system only when the owner granted HostFiles.
 func (c *CLI) Dispatch(line string) Result {
 	if c.Guard != nil {
 		c.Guard.Lock()
@@ -1282,6 +1298,9 @@ func (c *CLI) timelineCmd(rest []string) error {
 	total := uint64(c.Low.K.Now())
 	if rest[1] == "-" {
 		return obs.WriteChromeTrace(c.Out, events, total, name)
+	}
+	if err := c.needFiles("timeline export FILE (use - for the reply)"); err != nil {
+		return err
 	}
 	f, err := os.Create(rest[1])
 	if err != nil {

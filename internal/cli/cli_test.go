@@ -681,6 +681,14 @@ func TestTimelineExportCommand(t *testing.T) {
 	c, out := obsSession(t)
 	exec(t, c, out, "continue")
 	path := t.TempDir() + "/timeline.json"
+	// A session nobody granted files refuses, and creates nothing.
+	if err := execErr(t, c, "timeline export "+path); !strings.Contains(err.Error(), "no access to the host's files") {
+		t.Errorf("export without files: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("export without files touched %s: %v", path, err)
+	}
+	c.HostFiles = true
 	got := exec(t, c, out, "timeline export "+path)
 	if !strings.Contains(got, "wrote ") || !strings.Contains(got, "perfetto") {
 		t.Errorf("export output: %s", got)

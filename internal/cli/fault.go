@@ -50,6 +50,9 @@ func (c *CLI) faultCmd(rest []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: fault load <file>")
 		}
+		if err := c.needFiles("fault load (use fault add)"); err != nil {
+			return err
+		}
 		spec, err := os.ReadFile(args[0])
 		if err != nil {
 			return err

@@ -9,7 +9,7 @@ import (
 )
 
 // budgetEnv serves preallocated tokens and storage, so that every
-// allocation AllocsPerRun counts is the interpreter's own.
+// allocation Mallocs counts is the interpreter's own.
 type budgetEnv struct {
 	tokens map[string]filterc.Value
 	vars   map[string]*filterc.Value
@@ -97,8 +97,8 @@ func TestWorkCallAllocatesNothing(t *testing.T) {
 		if hooks.n == 0 {
 			t.Fatalf("%s: work ran no statements", file)
 		}
-		if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
-			t.Errorf("%s: a steady-state work call allocated %.1f objects, want 0", file, allocs)
+		if allocs := filterc.Mallocs(500, call); allocs != 0 {
+			t.Errorf("%s: 500 steady-state work calls allocated %d objects, want 0", file, allocs)
 		}
 	}
 }

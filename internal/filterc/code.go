@@ -2,7 +2,6 @@ package filterc
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 )
 
@@ -332,8 +331,8 @@ func (p *Program) compiled() *Code {
 type Engine int
 
 const (
-	// EngineDefault follows the build tag (slowinterp) and the
-	// DFDBG_FILTERC_INTERP environment variable ("walker" or "vm").
+	// EngineDefault follows the build tag: the VM, or the walker under
+	// -tags slowinterp.
 	EngineDefault Engine = iota
 	// EngineVM forces the bytecode VM.
 	EngineVM
@@ -342,16 +341,6 @@ const (
 	EngineWalker
 )
 
-var defaultEngineVM = func() bool {
-	switch os.Getenv("DFDBG_FILTERC_INTERP") {
-	case "walker":
-		return false
-	case "vm":
-		return true
-	}
-	return buildDefaultVM
-}()
-
 func (in *Interp) useVM() bool {
 	switch in.Engine {
 	case EngineVM:
@@ -359,5 +348,5 @@ func (in *Interp) useVM() bool {
 	case EngineWalker:
 		return false
 	}
-	return defaultEngineVM
+	return buildDefaultVM
 }

@@ -3,6 +3,5 @@
 package filterc
 
 // buildDefaultVM selects the bytecode VM as the default engine. Build
-// with -tags slowinterp (or set DFDBG_FILTERC_INTERP=walker) to fall
-// back to the tree-walking oracle.
+// with -tags slowinterp to fall back to the tree-walking oracle.
 const buildDefaultVM = true

@@ -187,9 +187,9 @@ const (
 
 // Interp executes a Program against an Env. By default it runs compiled
 // bytecode on a stack VM (see compile.go / vm.go); set Engine (or build
-// with -tags slowinterp, or set DFDBG_FILTERC_INTERP=walker) to select
-// the tree-walking interpreter, which is kept as the differential-testing
-// oracle. Both engines expose identical observable behaviour.
+// with -tags slowinterp) to select the tree-walking interpreter, which
+// is kept as the differential-testing oracle. Both engines expose
+// identical observable behaviour.
 type Interp struct {
 	Prog     *Program
 	Env      Env

@@ -1,6 +1,10 @@
 package filterc
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
 
 // Scalar Clone must be a plain struct copy: the batched token path
 // budgets 0 allocs/op for scalar transfers (ISSUE 8), and every push on
@@ -8,11 +12,11 @@ import "testing"
 func TestScalarCloneDoesNotAllocate(t *testing.T) {
 	v := Value{Type: Scalar(I32), I: 42}
 	var sink Value
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := mallocs(1000, func() {
 		sink = v.Clone()
 	})
 	if allocs != 0 {
-		t.Fatalf("scalar Clone allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("1000 scalar Clones allocated %d objects, want 0", allocs)
 	}
 	if sink.I != 42 {
 		t.Fatalf("clone lost value: %v", sink)
@@ -30,11 +34,11 @@ func TestCloneIntoSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	var slot Value
 	src.CloneInto(&slot) // warm the slot's backing storage
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := mallocs(1000, func() {
 		src.CloneInto(&slot)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state CloneInto allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("1000 steady-state CloneIntos allocated %d objects, want 0", allocs)
 	}
 	for i := range src.Elems {
 		if slot.Elems[i].I != int64(i*3) {
@@ -47,3 +51,30 @@ func TestCloneIntoSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("CloneInto aliased source storage")
 	}
 }
+
+// mallocs runs fn once to warm up, then n times, and returns the heap
+// objects allocated over the n runs. A zero pin needs the total:
+// testing.AllocsPerRun returns the integer mean, which reads 0 for up
+// to n-1 allocations in n runs. The malloc counter is process-wide, so
+// with the collector paused it is read over three loops and the least
+// is kept: another goroutine's allocation can only add to a loop, and
+// fn's own show in every one.
+func mallocs(n int, fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// Mallocs is mallocs for the external test package.
+var Mallocs = mallocs

@@ -2,6 +2,8 @@ package lowdbg
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -31,13 +33,13 @@ func TestEnterFuncHitDoesNotAllocate(t *testing.T) {
 		}
 		d.BreakFuncInternal("sym", func(*StopCtx) Disposition { hits++; return DispContinue }, onReturn)
 		args := []Arg{StrArg("self", "target")}
-		allocs := testing.AllocsPerRun(1000, func() {
+		allocs := mallocs(1000, func() {
 			if exit := d.EnterFunc(nil, "sym", args); exit != nil {
 				exit(Datum{})
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("observed=%v onReturn=%v: a hit allocates %.0f objects, want 0", c.observed, c.onReturn, allocs)
+			t.Errorf("observed=%v onReturn=%v: 1000 hits allocate %d objects, want 0", c.observed, c.onReturn, allocs)
 		}
 		if hits == 0 || c.onReturn != (returns == hits) {
 			t.Errorf("observed=%v onReturn=%v: %d hits, %d returns", c.observed, c.onReturn, hits, returns)
@@ -107,9 +109,8 @@ func TestConditionalLineHitDoesNotAllocate(t *testing.T) {
 	h := &interpHooks{d: d}
 	fr := &filterc.Frame{Fn: &filterc.FuncDecl{Name: "work"}}
 	pos := filterc.Pos{File: "t.c", Line: 3}
-	allocs := testing.AllocsPerRun(1000, func() { h.OnStmt(fr, pos) })
-	if allocs != 0 {
-		t.Errorf("a non-stopping conditional line breakpoint allocates %.0f objects per statement, want 0", allocs)
+	if allocs := mallocs(1000, func() { h.OnStmt(fr, pos) }); allocs != 0 {
+		t.Errorf("1000 statements at a non-stopping conditional line breakpoint allocate %d objects, want 0", allocs)
 	}
 	if evals == 0 || bp.HitCount != 0 || d.Stopped() {
 		t.Errorf("condition ran %d times, hit count %d, stopped %v", evals, bp.HitCount, d.Stopped())
@@ -146,4 +147,28 @@ func TestFuncLookupCacheFollowsChanges(t *testing.T) {
 	if hits["first"] != 3 || hits["second"] != 2 || hits["other"] != 1 {
 		t.Errorf("hits = %v, want first 3, second 2, other 1", hits)
 	}
+}
+
+// mallocs runs fn once to warm up, then n times, and returns the heap
+// objects allocated over the n runs. A zero pin needs the total:
+// testing.AllocsPerRun returns the integer mean, which reads 0 for up
+// to n-1 allocations in n runs. The malloc counter is process-wide, so
+// with the collector paused it is read over three loops and the least
+// is kept: another goroutine's allocation can only add to a loop, and
+// fn's own show in every one.
+func mallocs(n int, fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }

@@ -19,11 +19,11 @@ func TestRecordPayloadDoesNotAllocate(t *testing.T) {
 		r.Record(ev)
 		r.RecordPayload(ev, payload)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { r.Record(ev) }); allocs != 0 {
-		t.Errorf("Record allocates %.1f objects per event, want 0", allocs)
+	if allocs := mallocs(1000, func() { r.Record(ev) }); allocs != 0 {
+		t.Errorf("1000 Records allocate %d objects, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { r.RecordPayload(ev, payload) }); allocs != 0 {
-		t.Errorf("RecordPayload allocates %.1f objects per event, want 0", allocs)
+	if allocs := mallocs(1000, func() { r.RecordPayload(ev, payload) }); allocs != 0 {
+		t.Errorf("1000 RecordPayloads allocate %d objects, want 0", allocs)
 	}
 	last := r.Snapshot()[r.Len()-1]
 	if want := (Event{At: 1, Kind: KPush, PE: 2, Link: 3, Actor: actor, Other: "ctl", Port: "o", Val: string(payload)}); last != want {
@@ -135,7 +135,7 @@ func TestScratchReuse(t *testing.T) {
 	if &s1[0] != &s2[0] {
 		t.Error("Scratch(2) did not reuse the arena backing")
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := mallocs(1000, func() {
 		s := r.Scratch(3)
 		for i := range s {
 			s[i] = Event{Kind: KBatchMode}
@@ -143,7 +143,7 @@ func TestScratchReuse(t *testing.T) {
 		r.RecordBatch(s)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Scratch+RecordBatch allocates %.1f per burst, want 0", allocs)
+		t.Errorf("1000 steady-state Scratch+RecordBatch bursts allocate %d objects, want 0", allocs)
 	}
 }
 

@@ -115,9 +115,8 @@ func TestTapDoesNotAllocate(t *testing.T) {
 	var n uint64
 	r.SetTap(func(ev Event, seq uint64) { n = seq })
 	ev := Event{At: 1, Kind: KPush, Actor: "a"}
-	allocs := testing.AllocsPerRun(200, func() { r.Record(ev) })
-	if allocs != 0 {
-		t.Errorf("Record with tap allocates %.1f per op, want 0", allocs)
+	if allocs := mallocs(1000, func() { r.Record(ev) }); allocs != 0 {
+		t.Errorf("1000 Records with a tap allocate %d objects, want 0", allocs)
 	}
 	_ = n
 }

@@ -143,7 +143,7 @@ type Runtime struct {
 
 	// FilterCEngine selects the filterc execution engine for every actor
 	// interpreter this runtime creates (filterc.EngineDefault follows the
-	// build tag / DFDBG_FILTERC_INTERP). The differential replay tests use
+	// slowinterp build tag). The differential replay tests use
 	// it to run the same application on the walker and on the VM.
 	FilterCEngine filterc.Engine
 

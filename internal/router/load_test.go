@@ -151,11 +151,24 @@ func TestFleetLoadMigration(t *testing.T) {
 
 // BenchmarkFleetExec measures one command round trip through the full
 // proxy path: client conn -> router -> per-session worker conn ->
-// session goroutine and back. Pinned in BENCH_serve.json.
+// session goroutine and back. CI gates it against BenchmarkDirectExec.
 func BenchmarkFleetExec(b *testing.B) {
+	benchExec(b, func(f *fleet) string { return f.addr })
+}
+
+// BenchmarkDirectExec is BenchmarkFleetExec with the client dialing one
+// worker straight, bypassing the router: the denominator of the fleet
+// gates (proxied over direct, and a migration in direct commands).
+func BenchmarkDirectExec(b *testing.B) {
+	benchExec(b, func(f *fleet) string { return f.waddrs[0] })
+}
+
+// benchExec times one exec round trip over six sessions created
+// through the address addr picks in a three-worker fleet.
+func benchExec(b *testing.B, addr func(*fleet) string) {
 	f := startFleet(b, 3, serve.Options{})
 	const nSessions = 6
-	cl := dialWire(b, f.addr)
+	cl := dialWire(b, addr(f))
 	sids := make([]string, nSessions)
 	for i := range sids {
 		r := cl.roundTrip(serve.Request{Op: "new", Params: tinyParams})
@@ -175,8 +188,8 @@ func BenchmarkFleetExec(b *testing.B) {
 
 // BenchmarkMigration measures one full live migration: export (capture
 // + container encode + source teardown) + import on the peer (rebuild +
-// journal replay + byte-compare verification) + route flip. Pinned in
-// BENCH_serve.json.
+// journal replay + byte-compare verification) + route flip. CI gates it
+// against BenchmarkDirectExec.
 func BenchmarkMigration(b *testing.B) {
 	f := startFleet(b, 2, serve.Options{})
 	cl := dialWire(b, f.addr)

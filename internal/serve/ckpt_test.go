@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,5 +205,48 @@ func TestSessionStateDigest(t *testing.T) {
 	want, err := os.ReadFile("testdata/state_digest.txt")
 	if err != nil || got != string(want) {
 		t.Errorf("session state digest changed:\n got %s\nwant %s%v", got, want, err)
+	}
+}
+
+// TestServedSessionCannotReachFiles pins that a client's command line
+// reaches none of the server's files: `timeline export PATH` creates
+// nothing, `fault load PATH` echoes none of the file's content, neither
+// line is journaled (so no migration or revival replays a file read),
+// and `timeline export -` still returns the trace in the reply.
+func TestServedSessionCannotReachFiles(t *testing.T) {
+	mgr := NewManager(1, 0)
+	s, err := mgr.Create(*tinyParams)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer s.Close("test-done")
+	dir := t.TempDir()
+	export := filepath.Join(dir, "timeline.json")
+	secret := filepath.Join(dir, "secret")
+	if err := os.WriteFile(secret, []byte("hunter2 is the word\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"timeline export " + export, "fault load " + secret} {
+		res, err := s.Exec(line)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "no access to the host's files") {
+			t.Errorf("%q in a served session: err = %v, want a refusal", line, res.Err)
+		}
+		if strings.Contains(res.Output+fmt.Sprint(res.Err), "hunter2") {
+			t.Errorf("%q echoed the file's content: %q, %v", line, res.Output, res.Err)
+		}
+	}
+	if _, err := os.Stat(export); !os.IsNotExist(err) {
+		t.Errorf("timeline export created %s on the server: %v", export, err)
+	}
+	n, err := s.do(func(*stack.Stack) any { return s.sup.sess.Manager().JournalLen() })
+	if err != nil || n != 0 {
+		t.Errorf("journal after two refused lines: %v entries, %v", n, err)
+	}
+	res, err := s.Exec("timeline export -")
+	if err != nil || res.Err != nil || !strings.Contains(res.Output, `"traceEvents"`) {
+		t.Errorf("timeline export -: %v %v\n%.200s", err, res.Err, res.Output)
 	}
 }

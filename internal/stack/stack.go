@@ -72,6 +72,10 @@ type Recipe struct {
 	// PreRun, when set, receives the static analysis warnings printed
 	// just before the first dispatch (DESIGN §11).
 	PreRun io.Writer
+	// HostFiles grants the CLI of every world built from the recipe the
+	// host's files (cli.CLI.HostFiles), rebuilt worlds included, so a
+	// journaled `fault load` replays. Served worlds leave it off.
+	HostFiles bool
 
 	// Faults arms a fault plan; FaultSeed, when Faults is nil, arms the
 	// plan generated from that seed over the world's targets. Watchdog
@@ -160,6 +164,7 @@ func (r Recipe) Build() (*Stack, error) {
 	c.Rec = view
 	c.Obs = rec
 	c.Targets = rt.FaultTargets()
+	c.HostFiles = r.HostFiles
 	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
 		return pedfgraph.Analyze(rt, AppName)
 	}
