@@ -118,10 +118,11 @@ type faultOpts struct {
 // on out before the first dispatch; `dfdbg analyze` is the gating
 // form), the batched engine (every region demotes to the per-token
 // path the moment anything that can stop the run is armed), the host's
-// files (`fault load`, `timeline export`) and the fault flags. A fault spec naming an existing file is read here,
-// anything else parses as an inline plan, and an explicit spec wins
-// over a seed. Checkpoint rebuilds replay the recipe and never look
-// at the flags or the file again.
+// files (`fault load`, `timeline export`) and the fault flags. A fault
+// spec naming an existing file is read here, anything else parses as
+// an inline plan, and an explicit spec wins over a seed. Checkpoint
+// rebuilds replay the recipe and never look at the flags or the file
+// again.
 func recipe(p h264.Params, bugName string, fo faultOpts, out io.Writer) (stack.Recipe, error) {
 	bug, err := h264.ParseBug(bugName)
 	r := stack.Recipe{Params: p, Bug: bug, Ring: 4096, Trace: true, Batch: stack.BatchOn, PreRun: out, HostFiles: true}

@@ -89,7 +89,7 @@ func TestFaultDisabledWithinNoise(t *testing.T) {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	r := overheadRatio(11,
+	r := overheadRatio(
 		func() { faultDecode(t, p, nil) },
 		func() { faultDecode(t, p, idleInjector()) })
 	t.Logf("armed-idle / bare decode = %.2f (median of 11 pairs)", r)

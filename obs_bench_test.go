@@ -86,7 +86,7 @@ func TestObsDisabledWithinNoise(t *testing.T) {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
-	r := overheadRatio(11,
+	r := overheadRatio(
 		func() { obsDecode(t, p, nil) },
 		func() { obsDecode(t, p, obs.NewRecorder(1<<16)) })
 	t.Logf("recorded / bare decode = %.2f (median of 11 pairs)", r)
@@ -98,16 +98,16 @@ func TestObsDisabledWithinNoise(t *testing.T) {
 	}
 }
 
-// overheadRatio times base and variant alternately, pairs times after
-// one warm-up run of each, with the collector paused inside every timed
+// overheadRatio times base and variant alternately, 11 times after one
+// warm-up run of each, with the collector paused inside every timed
 // run, and returns the median of the per-pair ratios variant/base.
 // Alternating cancels drift in the host's speed; the median drops the
 // pairs a neighbour's burst landed in.
-func overheadRatio(pairs int, base, variant func()) float64 {
+func overheadRatio(base, variant func()) float64 {
 	base()
 	variant()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	ratios := make([]float64, pairs)
+	ratios := make([]float64, 11)
 	for i := range ratios {
 		runtime.GC()
 		t0 := time.Now()
@@ -119,7 +119,7 @@ func overheadRatio(pairs int, base, variant func()) float64 {
 		ratios[i] = float64(time.Since(t0)) / float64(d)
 	}
 	sort.Float64s(ratios)
-	return ratios[pairs/2]
+	return ratios[len(ratios)/2]
 }
 
 // TestObsDoesNotChangeExecution is the P2-style determinism check for
