@@ -211,9 +211,9 @@ func TestBatchMidRunDemotion(t *testing.T) {
 		t.Fatalf("region did not promote after faults cleared: %+v", region())
 	}
 
-	// A hold (the serving layer's "debug client attached") demotes too.
-	rt.SetBatchHold("debug client attached")
-	if mode := region(); mode.Batched || mode.Reason != "debug client attached" {
+	// A hold demotes too.
+	rt.SetBatchHold("held")
+	if mode := region(); mode.Batched || mode.Reason != "held" {
 		t.Fatalf("hold did not demote: %+v", mode)
 	}
 	rt.SetBatchHold("")

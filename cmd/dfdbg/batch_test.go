@@ -14,6 +14,7 @@ import (
 	"dfdbg/internal/h264"
 	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/obs"
+	"dfdbg/internal/serve"
 	"dfdbg/internal/stack"
 )
 
@@ -273,25 +274,105 @@ func TestAttachedBatchDifferential(t *testing.T) {
 		t.Error("Chrome exports differ")
 	}
 	for _, c := range []string{"mach", "pedf", "obs"} {
-		if len(ref.chunks[c]) == 0 || !bytes.Equal(ref.chunks[c], bat.chunks[c]) {
-			t.Errorf("%s chunk differs (or is missing)", c)
+		if len(ref.chunks[c]) == 0 {
+			t.Errorf("%s chunk is missing", c)
 		}
 	}
-	names, rv, rtail := simFields(t, ref.chunks["sim"])
-	_, bv, btail := simFields(t, bat.chunks["sim"])
-	for _, n := range names {
-		if n != "dispatches" && n != "advances" && rv[n] != bv[n] {
-			t.Errorf("sim %s differs: per-token %s, batched %s", n, rv[n], bv[n])
-		}
-	}
-	if !bytes.Equal(rtail, btail) {
-		t.Error("sim process table, runnable queue or timed notes differ")
-	}
-	var rd, bd int
-	fmt.Sscan(rv["dispatches"], &rd)
-	fmt.Sscan(bv["dispatches"], &bd)
+	rd, bd := sameButSimCounters(t, "decoded", ref.chunks, bat.chunks)
 	if bd >= rd {
 		t.Errorf("batched world dispatched %d times, per-token %d: batching did not engage", bd, rd)
 	}
-	t.Logf("dispatches %d -> %d, advances %s -> %s", rd, bd, rv["advances"], bv["advances"])
+	t.Logf("dispatches %d -> %d", rd, bd)
+}
+
+// sameButSimCounters requires two captured states, split into chunks,
+// to be byte-identical except for the sim dispatch and clock-advance
+// counters, and returns the per-token (ref) and batched dispatches.
+func sameButSimCounters(t *testing.T, at string, ref, bat map[string][]byte) (rd, bd uint64) {
+	t.Helper()
+	for c := range ref {
+		if _, ok := bat[c]; !ok {
+			t.Errorf("%s: batched state lacks the %s chunk", at, c)
+		}
+	}
+	for c := range bat {
+		if c != "sim" && !bytes.Equal(ref[c], bat[c]) {
+			t.Errorf("%s: %s chunk differs", at, c)
+		}
+	}
+	names, rv, rtail := simFields(t, ref["sim"])
+	_, bv, btail := simFields(t, bat["sim"])
+	for _, n := range names {
+		if n != "dispatches" && n != "advances" && rv[n] != bv[n] {
+			t.Errorf("%s: sim %s differs: per-token %s, batched %s", at, n, rv[n], bv[n])
+		}
+	}
+	if !bytes.Equal(rtail, btail) {
+		t.Errorf("%s: sim process table, runnable queue or timed notes differ", at)
+	}
+	fmt.Sscan(rv["dispatches"], &rd)
+	fmt.Sscan(bv["dispatches"], &bd)
+	return rd, bd
+}
+
+// TestServedBatchDifferential drives a session on the world a dfserve
+// session boots (serve's recipe) with and without the batched engine:
+// a walk over catchpoint stops, `delete catch 1` and a continue to the
+// end of the decode with nothing armed, a reverse-step over that
+// continue, and the link balance. The transcripts must be byte-identical,
+// and so must the state captured after every line, except for the sim
+// dispatch and advance counters. The continue with nothing armed is the
+// one line that runs batched, so only it may dispatch less.
+func TestServedBatchDifferential(t *testing.T) {
+	served, err := serve.SessionParams{W: 16, H: 16, QP: 8, Seed: 7}.Recipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := []string{
+		"filter pipe catch work", "continue", "continue", "catchpoints",
+		"delete catch 1", "continue", "reverse-step", "trace balance",
+	}
+	const batchedLine = 5 // the continue after `delete catch 1`
+	run := func(batch stack.Batch) (string, []map[string][]byte) {
+		r := served
+		r.Batch = batch
+		sess := stack.NewSession(r)
+		if err := sess.Boot(nil); err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var transcript strings.Builder
+		var states []map[string][]byte
+		for i, line := range script {
+			if i == batchedLine && batch == stack.BatchOn && regionsMode(t, sess.Live()) != "batched" {
+				t.Fatalf("nothing armed before %q, regions %+v", line, sess.Live().RT.RegionModes())
+			}
+			res := sess.Exec(line)
+			if res.Err != nil {
+				t.Fatalf("%q: %v", line, res.Err)
+			}
+			sess.Adopt(nil)
+			fmt.Fprintf(&transcript, "(gdb) %s\n%s", line, res.Output)
+			b, err := sess.Live().CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, stateChunks(t, b))
+		}
+		return transcript.String(), states
+	}
+	refOut, ref := run(stack.BatchOff)
+	batOut, bat := run(stack.BatchOn)
+	if refOut != batOut {
+		t.Errorf("transcripts differ:\nper-token:\n%s\nbatched:\n%s", refOut, batOut)
+	}
+	for i, line := range script {
+		rd, bd := sameButSimCounters(t, fmt.Sprintf("after %q (line %d)", line, i+1), ref[i], bat[i])
+		switch {
+		case i == batchedLine && bd >= rd:
+			t.Errorf("%q dispatched %d times batched, %d per-token: batching did not engage", line, bd, rd)
+		case i != batchedLine && bd != rd:
+			t.Errorf("after %q (line %d): %d dispatches batched, %d per-token", line, i+1, bd, rd)
+		}
+	}
 }

@@ -24,7 +24,6 @@ func TestAnalysisMemoMatchesFresh(t *testing.T) {
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
 	configs := map[string]stack.Recipe{
 		"batch-on":  {Batch: stack.BatchOn},
-		"held":      {Batch: stack.BatchHeld},
 		"lazy":      {Batch: stack.BatchOn, Lazy: true},
 		"link-cap":  {Batch: stack.BatchOn, LinkCap: 8},
 		"fault":     {Batch: stack.BatchOn, FaultSeed: 11},

@@ -374,8 +374,8 @@ func (c *CLI) regionsCmd(rest []string) error {
 
 // batchCmd reports the batched-execution mode of every proven-SDF
 // region: whether it currently runs schedule-driven or per-token, and
-// the demotion reason (anything armed that can stop the run, a fault
-// plan or an attach hold forces the per-token path; see DESIGN §12).
+// the demotion reason (anything armed that can stop the run, or a fault
+// plan, forces the per-token path; see DESIGN §12).
 func (c *CLI) batchCmd(rest []string) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("usage: batch")
@@ -388,7 +388,7 @@ func (c *CLI) batchCmd(rest []string) error {
 		c.printf("no batchable regions (batched engine not enabled or nothing proven SDF)\n")
 		return nil
 	}
-	if hold != "" {
+	if hold != "" { // only perfbench's hand-built world reports a hold
 		c.printf("global hold: %s\n", hold)
 	}
 	for _, r := range regions {
@@ -1344,7 +1344,7 @@ func (c *CLI) webCmd(rest []string) error {
 // commandWords is the command vocabulary CompleteLine draws on when the
 // cursor is still on the first word of the line.
 var commandWords = []string{
-	"analyze", "backtrace", "break", "catchpoints", "checkpoint",
+	"analyze", "backtrace", "batch", "break", "catchpoints", "checkpoint",
 	"checkpoints", "continue", "delete", "disable", "drop", "enable",
 	"fault", "filter", "finish", "graph", "help", "iface", "info",
 	"inject", "list", "metrics", "module", "next", "peek", "print",

@@ -732,3 +732,32 @@ func TestCompleteCommandWords(t *testing.T) {
 		t.Error("no completions for pro")
 	}
 }
+
+// Every verb `help` lists completes from an empty line. A help line
+// names its verb first; a later ` | ` alternative names either another
+// verb or an argument of the first, and only a word Execute knows as a
+// command counts as a verb.
+func TestCompleteOffersEveryHelpVerb(t *testing.T) {
+	c, out := session(t)
+	offered := map[string]bool{}
+	for _, w := range c.CompleteLine("") {
+		offered[w] = true
+	}
+	for _, line := range strings.Split(exec(t, c, out, "help"), "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			continue
+		}
+		usage, _, _ := strings.Cut(strings.TrimSpace(line), "  ")
+		for _, alt := range strings.Split(usage, " | ") {
+			for _, verb := range strings.Split(strings.Fields(alt)[0], "|") {
+				if offered[verb] {
+					continue
+				}
+				if err := c.Execute(verb); err != nil && strings.HasPrefix(err.Error(), "unknown command") {
+					continue
+				}
+				t.Errorf("help lists %q (%q), but CompleteLine(\"\") does not offer it", verb, strings.TrimSpace(line))
+			}
+		}
+	}
+}

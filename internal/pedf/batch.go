@@ -96,9 +96,8 @@ func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 }
 
 // SetBatchHold demotes every planned region with the given reason until
-// cleared with an empty string. The serving layer holds batching while
-// an interactive debug client is attached to the session, matching the
-// ISSUE's "web attach" demotion rule even before any breakpoint lands.
+// cleared with an empty string. No stack.Recipe world holds; perfbench's
+// hand-built world still does, so the hold goes when that world does.
 func (rt *Runtime) SetBatchHold(reason string) {
 	rt.batchHold = reason
 	rt.recomputeBatch()

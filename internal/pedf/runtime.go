@@ -167,7 +167,7 @@ type Runtime struct {
 	batchPlans  []BatchPlan
 	batchReason string // why every region runs per-token ("" when batched)
 	batchShown  int    // regions whose current mode KBatchMode recorded
-	batchHold   string // non-empty demotes every region (e.g. debug client attached)
+	batchHold   string // non-empty demotes every region (SetBatchHold)
 	batchWired  bool   // arm/fault watchers installed
 
 	payloadBuf []byte         // reused rendering buffer (see recordToken)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dfdbg/internal/ckpt"
+	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/stack"
 )
 
@@ -179,13 +180,18 @@ func TestCheckpointOpsOverWire(t *testing.T) {
 }
 
 // TestSessionStateDigest pins the captured state of a served world
-// after boot and after a fixed script: a change to how sessions are
-// assembled would break restoring the checkpoints other builds wrote.
+// after boot and after two fixed scripts, one stopping at catchpoints
+// and one running batched: a change to how sessions are assembled would
+// break restoring the checkpoints other builds wrote.
 func TestSessionStateDigest(t *testing.T) {
 	m := NewManager(2, 0)
 	defer m.CloseAll()
 	got := ""
-	for _, script := range [][]string{nil, {"filter pipe catch work", "continue", "continue"}} {
+	for _, script := range [][]string{
+		nil,
+		{"filter pipe catch work", "continue", "continue"},
+		{"continue"}, // nothing armed: runs batched
+	} {
 		s, err := m.Create(*tinyParams)
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +211,50 @@ func TestSessionStateDigest(t *testing.T) {
 	want, err := os.ReadFile("testdata/state_digest.txt")
 	if err != nil || got != string(want) {
 		t.Errorf("session state digest changed:\n got %s\nwant %s%v", got, want, err)
+	}
+}
+
+// TestServedBatchReport: a served session runs batched under the rule
+// every world follows. With nothing armed `batch` prints every region
+// batched; a catchpoint demotes them all, and `batch` names it.
+func TestServedBatchReport(t *testing.T) {
+	mgr := NewManager(1, 0)
+	defer mgr.CloseAll()
+	s, err := mgr.Create(*tinyParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := func() []string {
+		t.Helper()
+		res, err := s.Exec("batch")
+		if err != nil || res.Err != nil {
+			t.Fatalf("batch: %v %v", err, res.Err)
+		}
+		var modes []string
+		for _, line := range strings.Split(res.Output, "\n") {
+			if strings.HasPrefix(line, "region ") {
+				_, mode, _ := strings.Cut(line, "]: ")
+				modes = append(modes, mode)
+			} else if line != "" && !strings.HasPrefix(line, "  schedule: ") {
+				t.Errorf("unexpected `batch` line %q", line)
+			}
+		}
+		if len(modes) == 0 {
+			t.Fatalf("`batch` reported no region:\n%s", res.Output)
+		}
+		return modes
+	}
+	for _, m := range regions() {
+		if m != "batched" {
+			t.Errorf("nothing armed: region %q, want batched", m)
+		}
+	}
+	mustExec(t, s, "filter pipe catch work")
+	want := "per-token (breakpoint on " + dbginfo.MangleFilterWork("pipe") + ")"
+	for _, m := range regions() {
+		if m != want {
+			t.Errorf("catch armed: region %q, want %q", m, want)
+		}
 	}
 }
 

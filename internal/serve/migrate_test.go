@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,45 @@ func TestExportImportByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("migrated state not byte-identical to solo run")
+	}
+}
+
+// TestExportImportAfterBatchedContinue: a session whose journal holds a
+// continue that ran batched (nothing armed) exports, and the import's
+// replay reproduces the container byte for byte and matches a session
+// that never moved.
+func TestExportImportAfterBatchedContinue(t *testing.T) {
+	src := NewManager(2, 0)
+	dst := NewManager(2, 0)
+	defer src.CloseAll()
+	defer dst.CloseAll()
+	script := []string{"filter pipe catch work", "continue", "delete catch 1", "continue"}
+	moved, err := src.CreateWithID("batched", *tinyParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := src.Create(*tinyParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range script {
+		mustExec(t, moved, line)
+		mustExec(t, ref, line)
+	}
+	res, err := moved.Exec("batch")
+	if err != nil || res.Err != nil || strings.Contains(res.Output, "per-token") {
+		t.Fatalf("regions not batched after `delete catch 1`: %v %v\n%s", err, res.Err, res.Output)
+	}
+	params, container, err := moved.Export()
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	revived, err := dst.Import("batched", params, container)
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got, want := finalState(t, revived), finalState(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("imported state differs from a session that never moved: %v", ckpt.Diff(want, got))
 	}
 }
 

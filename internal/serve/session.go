@@ -355,18 +355,17 @@ type Session struct {
 	webBC *web.Broadcaster
 }
 
-// recipe is the world every session boots. Batch is held demoted for
-// the session's lifetime: a dfserve session exists because an
-// interactive debug client attached, and an attached client must
-// observe the per-token execution it would single-step (DESIGN §12).
-func (p SessionParams) recipe() (stack.Recipe, error) {
+// Recipe is the world every session boots. It runs batched under the
+// rule every world follows: anything the client arms that can stop the
+// run demotes every region first (DESIGN §12).
+func (p SessionParams) Recipe() (stack.Recipe, error) {
 	bug, err := h264.ParseBug(p.Bug)
 	return stack.Recipe{
 		Params: h264.Params{W: p.W, H: p.H, QP: p.QP, Seed: p.Seed},
 		Bug:    bug,
 		Ring:   1 << 16,
 		Trace:  true,
-		Batch:  stack.BatchHeld,
+		Batch:  stack.BatchOn,
 	}, err
 }
 
@@ -378,7 +377,7 @@ func (p SessionParams) recipe() (stack.Recipe, error) {
 // bitstreams, and the manager's atomic counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
-	r, err := s.Params.recipe()
+	r, err := s.Params.Recipe()
 	if err == nil {
 		s.sup = newSupervisor(s, r)
 		// An imported session rebuilds, replays and byte-compares

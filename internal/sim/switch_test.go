@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -82,19 +84,44 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 		if st, err := k.Run(); err != nil || st != RunPaused {
 			t.Fatalf("run = %v %v", st, err)
 		}
-		before := k.Dispatches()
-		allocs := testing.AllocsPerRun(20, func() {
+		before, calls := k.Dispatches(), 0
+		allocs := mallocs(20, func() {
 			k.Resume()
 			k.Run()
+			calls++
 		})
-		if got := k.Dispatches() - before; got < 21*every {
-			t.Fatalf("sleepers=%v: %d dispatches in 21 runs of %d turns; the pair did not switch", sleepers, got, every)
+		if got := k.Dispatches() - before; got < uint64(calls*every) {
+			t.Fatalf("sleepers=%v: %d dispatches in %d runs of %d turns; the pair did not switch", sleepers, got, calls, every)
 		}
 		if allocs != 0 {
-			t.Errorf("sleepers=%v: %.1f allocations per run of %d turns, want 0", sleepers, allocs, every)
+			t.Errorf("sleepers=%v: %d allocations over 20 runs of %d turns, want 0", sleepers, allocs, every)
 		}
 		if err := k.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// mallocs runs fn once to warm up, then n times, and returns the heap
+// objects allocated over the n runs. A zero pin needs the total:
+// testing.AllocsPerRun returns the integer mean, which reads 0 for up
+// to n-1 allocations in n runs. The malloc counter is process-wide, so
+// with the collector paused it is read over three loops and the least
+// is kept: another goroutine's allocation can only add to a loop, and
+// fn's own show in every one.
+func mallocs(n int, fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }

@@ -43,13 +43,9 @@ type Batch int
 const (
 	// BatchOff keeps every actor on the per-token path.
 	BatchOff Batch = iota
-	// BatchOn runs proven-SDF regions schedule-driven whenever no
-	// instrumentation is armed on them.
+	// BatchOn runs proven-SDF regions schedule-driven whenever nothing
+	// that can stop the run is armed (pedf.Runtime's demotion list).
 	BatchOn
-	// BatchHeld arms the engine but holds it demoted for the world's
-	// lifetime: an attached debug client must observe the per-token
-	// execution it would single-step. `batch` surfaces the hold.
-	BatchHeld
 )
 
 // Recipe is the plain-data description of one world. Building the same
@@ -172,11 +168,8 @@ func (r Recipe) Build() (*Stack, error) {
 		if _, err := pedfgraph.EnableBatch(rt, AppName); err != nil {
 			return fail(err)
 		}
-		if r.Batch == BatchHeld {
-			rt.SetBatchHold("debug client attached")
-		}
 		c.Batch = func() (string, []pedf.RegionMode) {
-			return rt.BatchHold(), rt.RegionModes()
+			return "", rt.RegionModes()
 		}
 	}
 	st.CLI = c

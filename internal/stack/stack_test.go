@@ -3,11 +3,14 @@ package stack_test
 import (
 	"bytes"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/filterc"
 	"dfdbg/internal/h264"
+	"dfdbg/internal/serve"
 	"dfdbg/internal/sim"
 	"dfdbg/internal/stack"
 )
@@ -15,7 +18,13 @@ import (
 var params = h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
 
 // servedRecipe is the world a dfserve session boots.
-var servedRecipe = stack.Recipe{Params: params, Ring: 1 << 16, Trace: true, Batch: stack.BatchHeld}
+var servedRecipe = func() stack.Recipe {
+	r, err := serve.SessionParams{W: params.W, H: params.H, QP: params.QP, Seed: params.Seed}.Recipe()
+	if err != nil {
+		panic(err)
+	}
+	return r
+}()
 
 // soloRecipe is the world the dfdbg REPL boots: its pre-run pass
 // prints the analysis warnings before the first dispatch.
@@ -238,6 +247,7 @@ func bootedWorlds(tb testing.TB, n int, until sim.Time) []*stack.Stack {
 
 // Shutting a world down unwinds its parked processes; none of them is
 // crashing, so the unwind builds no crash report and allocates nothing.
+// The mid-run world stops with its regions batched.
 func TestShutdownAllocatesNothing(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -245,17 +255,46 @@ func TestShutdownAllocatesNothing(t *testing.T) {
 	}{{"booted", 0}, {"mid-run", 40_000}} {
 		t.Run(c.name, func(t *testing.T) {
 			const runs = 5
-			worlds := bootedWorlds(t, runs+1, c.until) // AllocsPerRun warms up once
+			worlds := bootedWorlds(t, 3*runs+1, c.until) // a warm-up, then three loops
+			for _, m := range worlds[0].RT.RegionModes() {
+				if !m.Batched {
+					t.Fatalf("region %d runs per-token (%s)", m.Region, m.Reason)
+				}
+			}
 			i := 0
-			allocs := testing.AllocsPerRun(runs, func() {
+			allocs := mallocs(runs, func() {
 				worlds[i].Shutdown()
 				i++
 			})
 			if allocs != 0 {
-				t.Errorf("Shutdown allocates %.0f objects, want 0", allocs)
+				t.Errorf("%d Shutdowns allocated %d objects, want 0", runs, allocs)
 			}
 		})
 	}
+}
+
+// mallocs runs fn once to warm up, then n times, and returns the heap
+// objects allocated over the n runs. A zero pin needs the total:
+// testing.AllocsPerRun returns the integer mean, which reads 0 for up
+// to n-1 allocations in n runs. The malloc counter is process-wide, so
+// with the collector paused it is read over three loops and the least
+// is kept: another goroutine's allocation can only add to a loop, and
+// fn's own show in every one.
+func mallocs(n int, fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }
 
 // BenchmarkStackShutdown is the teardown a session close, a restore and

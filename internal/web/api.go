@@ -565,7 +565,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, h Host) {
 // batched engine was never enabled on the session.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, h Host) {
 	type resp struct {
-		Hold    string            `json:"hold,omitempty"`
 		Regions []pedf.RegionMode `json:"regions"`
 	}
 	var out resp
@@ -573,7 +572,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, h Host) {
 		if snap.RT == nil {
 			return
 		}
-		out.Hold = snap.RT.BatchHold()
 		out.Regions = snap.RT.RegionModes()
 	})
 	if err != nil {
