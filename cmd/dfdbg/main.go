@@ -125,7 +125,7 @@ type faultOpts struct {
 // again.
 func recipe(p h264.Params, bugName string, fo faultOpts, out io.Writer) (stack.Recipe, error) {
 	bug, err := h264.ParseBug(bugName)
-	r := stack.Recipe{Params: p, Bug: bug, Ring: 4096, Trace: true, Batch: stack.BatchOn, PreRun: out, HostFiles: true}
+	r := stack.Recipe{Params: p, Bug: bug, Ring: 4096, Payloads: true, Batch: stack.BatchOn, PreRun: out, HostFiles: true}
 	switch {
 	case err != nil:
 		return r, err

@@ -203,7 +203,7 @@ func decode(p h264.Params, o decodeOpts, w io.Writer) error {
 		fmt.Fprintf(w, "wrote %s\n", o.pgm)
 	}
 	if rec != nil {
-		prof := obs.FoldEvents(rec.Snapshot(), uint64(k.Now()))
+		prof := obs.FoldRange(rec, uint64(k.Now()))
 		prof.Dropped = rec.Dropped()
 		fmt.Fprintf(w, "\nobservability: %d events recorded (%d dropped)\n%s",
 			rec.Total(), rec.Dropped(), prof.TopN(10))

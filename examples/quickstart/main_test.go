@@ -111,7 +111,7 @@ func TestProfileTotalsSumToSimulatedTime(t *testing.T) {
 	if rec.Dropped() != 0 {
 		t.Fatalf("ring dropped %d events; enlarge the recorder", rec.Dropped())
 	}
-	prof := obs.FoldEvents(rec.Snapshot(), uint64(now))
+	prof := obs.FoldRange(rec, uint64(now))
 	if len(prof.Actors) == 0 {
 		t.Fatal("no actors in profile")
 	}

@@ -3,6 +3,8 @@ package ckpt_test
 import (
 	"bytes"
 	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"dfdbg/internal/ckpt"
@@ -225,6 +227,31 @@ func TestJournalClassification(t *testing.T) {
 		}
 		if got := ckpt.Ctl(tc.line); got != tc.ctl {
 			t.Errorf("Ctl(%q) = %v, want %v", tc.line, got, tc.ctl)
+		}
+	}
+}
+
+// Every verb the journal classifies is one the CLI accepts: a listed
+// word Execute rejects as unknown can never reach the journal, so the
+// list has drifted from the command set.
+func TestVerbListsNameRealVerbs(t *testing.T) {
+	st, err := recipe.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown()
+	var verbs []string
+	for _, m := range []map[string]bool{ckpt.ReadOnlyVerbs, ckpt.CtlVerbs} {
+		for v := range m {
+			if v != "" {
+				verbs = append(verbs, v)
+			}
+		}
+	}
+	sort.Strings(verbs)
+	for _, v := range verbs {
+		if res := st.CLI.Dispatch(v); res.Err != nil && strings.HasPrefix(res.Err.Error(), "unknown command") {
+			t.Errorf("verb list names %q, which the CLI rejects: %v", v, res.Err)
 		}
 	}
 }

@@ -11,10 +11,8 @@ import "strings"
 var readOnlyVerbs = map[string]bool{
 	"":          true,
 	"help":      true,
-	"h":         true,
 	"quit":      true,
 	"q":         true,
-	"exit":      true,
 	"web":       true,
 	"graph":     true,
 	"metrics":   true,

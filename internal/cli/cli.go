@@ -50,11 +50,13 @@ type CLI struct {
 	D   *core.Debugger
 	Low *lowdbg.Debugger
 	Out io.Writer
-	// Rec, when set, enables the `trace` commands (offline event-trace
-	// analysis alongside the interactive session).
+	// Rec is unused: the `trace` commands fold Obs. perfbench's
+	// hand-built world still assigns it; ROADMAP item 2 deletes it with
+	// that world.
 	Rec *trace.Recorder
 	// Obs, when set, enables the observability commands: `metrics`,
-	// `profile` and `timeline export`.
+	// `profile` and `timeline export`, and, when it renders payloads,
+	// `trace`.
 	Obs *obs.Recorder
 	// Targets, when set, lets `fault gen <seed>` draw random faults
 	// against the running application's links/filters/PEs.
@@ -1183,50 +1185,112 @@ func (c *CLI) setCmd(rest []string) error {
 	return nil
 }
 
-// traceCmd exposes the offline trace recorder: `trace [n]` dumps the
-// last n events, `trace balance` shows per-link push/pop imbalance,
-// `trace activity` per-actor event counts.
+// traceKind names the events the `trace` views fold from the obs ring
+// ("" for the rest): token pushes and pops, and the controllers'
+// scheduling calls.
+func traceKind(k obs.Kind) string {
+	switch k {
+	case obs.KPush:
+		return "push"
+	case obs.KPop:
+		return "pop"
+	case obs.KActorStart, obs.KActorSync, obs.KStepBegin, obs.KStepEnd:
+		return "sched"
+	}
+	return ""
+}
+
+// traceCmd folds the obs ring for offline trace analysis: `trace [n]`
+// dumps the last n push, pop and scheduling events (20 by default, all
+// for n <= 0), `trace balance` shows per-link push/pop imbalance,
+// `trace activity` per-actor event counts. The dump prints token
+// values, so it needs a recorder that renders payloads.
 func (c *CLI) traceCmd(rest []string) error {
-	if c.Rec == nil {
+	if !c.Obs.Payloads() {
 		return fmt.Errorf("no trace recorder attached to this session")
 	}
-	if len(rest) == 0 {
-		c.printf("%s", c.Rec.Dump(20))
-		return nil
+	each := func(fn func(ev obs.Event, kind string)) {
+		c.Obs.Range(func(ev obs.Event) bool {
+			if kind := traceKind(ev.Kind); kind != "" {
+				fn(ev, kind)
+			}
+			return true
+		})
 	}
-	switch rest[0] {
-	case "balance":
-		bal := c.Rec.LinkBalance()
-		links := make([]int64, 0, len(bal))
-		for link := range bal {
-			links = append(links, link)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-		for _, link := range links {
-			if bal[link] != 0 {
+	n := 20
+	if len(rest) > 0 {
+		switch rest[0] {
+		case "balance":
+			bal := make(map[int32]int)
+			each(func(ev obs.Event, _ string) {
+				switch ev.Kind {
+				case obs.KPush:
+					bal[ev.Link]++
+				case obs.KPop:
+					bal[ev.Link]--
+				}
+			})
+			links := make([]int32, 0, len(bal))
+			for link, b := range bal {
+				if b != 0 {
+					links = append(links, link)
+				}
+			}
+			sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+			for _, link := range links {
 				c.printf("link#%d  +%d tokens in flight\n", link, bal[link])
 			}
+			return nil
+		case "activity":
+			act := make(map[string]int)
+			each(func(ev obs.Event, _ string) {
+				if ev.Actor != "" {
+					act[ev.Actor]++
+				}
+			})
+			actors := make([]string, 0, len(act))
+			for actor := range act {
+				actors = append(actors, actor)
+			}
+			sort.Strings(actors)
+			for _, actor := range actors {
+				c.printf("%-16s %d events\n", actor, act[actor])
+			}
+			return nil
 		}
-		return nil
-	case "activity":
-		act := c.Rec.ActorActivity()
-		actors := make([]string, 0, len(act))
-		for actor := range act {
-			actors = append(actors, actor)
-		}
-		sort.Strings(actors)
-		for _, actor := range actors {
-			c.printf("%-16s %d events\n", actor, act[actor])
-		}
-		return nil
-	default:
-		n, err := strconv.Atoi(rest[0])
-		if err != nil {
+		var err error
+		if n, err = strconv.Atoi(rest[0]); err != nil {
 			return fmt.Errorf("usage: trace [n | balance | activity]")
 		}
-		c.printf("%s", c.Rec.Dump(n))
-		return nil
 	}
+	skip := 0
+	if n > 0 {
+		each(func(obs.Event, string) { skip++ })
+		skip = max(skip-n, 0)
+	}
+	var b []byte
+	each(func(ev obs.Event, kind string) {
+		if skip > 0 {
+			skip--
+			return
+		}
+		b = fmt.Appendf(b, "%-12s %-5s %s", sim.Time(ev.At), kind, ev.Actor)
+		if kind != "sched" {
+			if ev.Port != "" {
+				b = append(b, "::"+ev.Port...)
+			}
+			if ev.Other != "" {
+				b = append(b, " <-> "+ev.Other...)
+			}
+			if ev.Val != "" {
+				b = append(b, ' ')
+				b = append(b, ev.Val...)
+			}
+		}
+		b = append(b, '\n')
+	})
+	_, err := c.Out.Write(b)
+	return err
 }
 
 // metricsCmd renders the observability metrics registry (`metrics` for
@@ -1254,7 +1318,7 @@ func (c *CLI) profileCmd(rest []string) error {
 	if c.Obs == nil {
 		return fmt.Errorf("no observability recorder attached to this session")
 	}
-	prof := obs.FoldEvents(c.Obs.Snapshot(), uint64(c.Low.K.Now()))
+	prof := obs.FoldRange(c.Obs, uint64(c.Low.K.Now()))
 	prof.Dropped = c.Obs.Dropped()
 	switch {
 	case len(rest) == 0:

@@ -173,7 +173,8 @@ func (d *Debugger) DeleteCatch(id int) error {
 }
 
 // CatchWorkOf implements `filter X catch work`: a breakpoint on the
-// actor's mangled WORK symbol.
+// actor's mangled WORK symbol, whose action counts the catchpoint's
+// stops.
 func (d *Debugger) CatchWorkOf(actor string) (*Catchpoint, error) {
 	a := d.actors[actor]
 	if a == nil {
@@ -186,6 +187,10 @@ func (d *Debugger) CatchWorkOf(actor string) (*Catchpoint, error) {
 	}
 	c := d.addCatch(&Catchpoint{Kind: CatchWork, Actor: actor, Spec: "work", workBp: bp})
 	bp.Note = fmt.Sprintf("Catchpoint %d: %s work method triggered", c.ID, actor)
+	bp.Action = func(*lowdbg.StopCtx) lowdbg.Disposition {
+		c.Hits++
+		return lowdbg.DispStop
+	}
 	return c, nil
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,6 +161,50 @@ func TestCoreDoesNotImportPEDF(t *testing.T) {
 	}
 }
 
+// The CLI's trace views fold the obs ring; internal/trace is left only
+// for perfbench's hand-built world (its own module, not walked here).
+// No program file may import it again, except internal/cli for the
+// type of the CLI's Rec field.
+func TestOnlyCLIImportsTrace(t *testing.T) {
+	root := filepath.Join("..", "..")
+	allowed := map[string]bool{"internal/cli": true, "internal/trace": true}
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+				e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil || allowed[filepath.ToSlash(dir)] {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"dfdbg/internal/trace"` {
+				t.Errorf("%s imports internal/trace — fold the obs ring instead", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSymbolNamesMatchFramework(t *testing.T) {
 	pairs := map[string]string{
 		symRegisterModule: pedf.SymRegisterModule, symRegisterFilter: pedf.SymRegisterFilter,
@@ -274,6 +321,28 @@ func TestCatchWork(t *testing.T) {
 	}
 	if _, err := h.d.CatchWorkOf("ghost"); err == nil {
 		t.Error("CatchWorkOf(ghost) succeeded")
+	}
+}
+
+// A work catchpoint counts its stops like every other catchpoint, so
+// `catchpoints` agrees with the hit count `info breakpoints` shows.
+func TestCatchWorkCountsStops(t *testing.T) {
+	h := newHarness(t, 2, feedN(2))
+	h.boot(t)
+	c, err := h.d.CatchWorkOf("pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if ev := h.low.Continue(); ev.Kind != lowdbg.StopBreakpoint {
+			t.Fatalf("stop %d = %v", i+1, ev)
+		}
+	}
+	if c.Hits != 2 || c.workBp.HitCount != 2 {
+		t.Errorf("catchpoint hits = %d, breakpoint hits = %d, want 2 and 2", c.Hits, c.workBp.HitCount)
+	}
+	if !strings.Contains(c.String(), "hits=2") {
+		t.Errorf("catchpoint = %q, want hits=2", c)
 	}
 }
 

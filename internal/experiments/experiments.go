@@ -28,7 +28,6 @@ import (
 	"dfdbg/internal/script"
 	"dfdbg/internal/sim"
 	"dfdbg/internal/stack"
-	"dfdbg/internal/trace"
 )
 
 // pedfValue aliases the token payload type for readability.
@@ -594,20 +593,20 @@ func (r *Runner) P2() error {
 	p := r.params()
 	for seed := int64(1); seed <= 3; seed++ {
 		p.Seed = seed
-		// Run A: no debugger, with a trace recorder piggybacked on an
-		// otherwise-idle lowdbg (records the token sequence).
+		// Run A: no debugger, with an obs recorder rendering payloads
+		// (records the token sequence).
 		runOnce := func(withStops bool) (string, []int, error) {
 			k := sim.NewKernel()
 			// A generous ring so the full token sequence of the run is
 			// retained (drop-oldest would truncate the comparison window).
 			orec := obs.NewRecorder(1 << 20)
+			orec.SetPayloads(true)
 			k.SetObserver(orec)
 			defer func() {
 				_ = k.Shutdown()
 				orec.Release()
 			}()
 			low := lowdbg.New(k, dbginfo.NewTable())
-			rec := trace.Attach(low)
 			var d *core.Debugger
 			if withStops {
 				d = core.Attach(low)
@@ -652,11 +651,12 @@ func (r *Runner) P2() error {
 			}
 			// Token sequence: every push in order, payload included.
 			var sig strings.Builder
-			for _, e := range rec.Events() {
-				if e.Kind == trace.EvPush {
-					fmt.Fprintf(&sig, "%s:%s;", e.Actor+"::"+e.Port, e.Value)
+			orec.Range(func(ev obs.Event) bool {
+				if ev.Kind == obs.KPush {
+					fmt.Fprintf(&sig, "%s::%s:%s;", ev.Actor, ev.Port, ev.Val)
 				}
-			}
+				return true
+			})
 			return sig.String(), frame, nil
 		}
 		sigA, frameA, err := runOnce(false)

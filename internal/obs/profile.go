@@ -59,25 +59,12 @@ type actorFold struct {
 	blocks []interval
 }
 
-// FoldEvents folds an event stream (chronological, as returned by
-// Recorder.Snapshot) into per-actor and per-PE busy/blocked/idle
-// attribution over [0, total] simulated ns. Unmatched begin events
-// (stream truncated by the run horizon) are closed at total; unmatched
-// end events (their begin was dropped from the ring) are ignored —
-// best-effort under drop-oldest.
-func FoldEvents(events []Event, total uint64) *Profile {
-	var f folder
-	for _, ev := range events {
-		f.feed(ev)
-	}
-	return f.finish(total, uint64(len(events)))
-}
-
-// FoldRange folds the recorder's retained events in place — same
-// result as FoldEvents(r.Snapshot(), total) without materializing the
-// copy, which matters when a dashboard refolds a large ring on every
-// refresh. Like Range, it must run on the goroutine that owns the
-// kernel.
+// FoldRange folds the recorder's retained events in place into
+// per-actor and per-PE busy/blocked/idle attribution over [0, total]
+// simulated ns. Unmatched begin events (stream truncated by the run
+// horizon) are closed at total; unmatched end events (their begin was
+// dropped from the ring) are ignored — best-effort under drop-oldest.
+// Like Range, it must run on the goroutine that owns the kernel.
 func FoldRange(r *Recorder, total uint64) *Profile {
 	var f folder
 	var n uint64

@@ -24,11 +24,19 @@ func fireSeq(actor string, pe int32, spans [][3]uint64) []Event {
 	return evs
 }
 
+// fold records evs into a recorder and folds its ring.
+func fold(evs []Event, total uint64) *Profile {
+	r := NewRecorder(len(evs) + 1)
+	defer r.Release()
+	r.RecordBatch(evs)
+	return FoldRange(r, total)
+}
+
 func TestFoldAttribution(t *testing.T) {
 	// One firing [100, 400] with a 50ns block inside: busy 250, blocked
 	// 50, idle 700 of a 1000ns run.
 	evs := fireSeq("fa", 2, [][3]uint64{{100, 50, 400}})
-	p := FoldEvents(evs, 1000)
+	p := fold(evs, 1000)
 	if len(p.Actors) != 1 {
 		t.Fatalf("actors = %v", p.Actors)
 	}
@@ -67,7 +75,7 @@ func TestFoldInvariant(t *testing.T) {
 			return true
 		}
 		total := at + 100
-		p := FoldEvents(fireSeq("x", 0, spans), total)
+		p := fold(fireSeq("x", 0, spans), total)
 		for _, a := range p.Actors {
 			if a.Busy+a.Blocked+a.Idle != total {
 				return false
@@ -91,7 +99,7 @@ func TestFoldUnmatchedBegins(t *testing.T) {
 		{At: 10, Kind: KFireBegin, Actor: "fa", PE: 0},
 		{At: 20, Kind: KBlockBegin, Actor: "fa", PE: 0, Other: "pop:i"},
 	}
-	p := FoldEvents(evs, 100)
+	p := fold(evs, 100)
 	a := p.Actors[0]
 	if a.Busy+a.Blocked+a.Idle != 100 {
 		t.Errorf("partition broken: %+v", a)
@@ -107,7 +115,7 @@ func TestFoldUnmatchedEndsIgnored(t *testing.T) {
 		{At: 50, Kind: KFireEnd, Actor: "fa", PE: 0},
 		{At: 60, Kind: KBlockEnd, Actor: "fa", PE: 0},
 	}
-	p := FoldEvents(evs, 100)
+	p := fold(evs, 100)
 	a := p.Actors[0]
 	if a.Busy != 0 || a.Blocked != 0 || a.Idle != 100 {
 		t.Errorf("stat = %+v", a)
@@ -118,7 +126,7 @@ func TestPEUnionNotSum(t *testing.T) {
 	// Two actors overlapping on the same PE: union, not sum.
 	evs := append(fireSeq("a", 1, [][3]uint64{{0, 0, 100}}),
 		fireSeq("b", 1, [][3]uint64{{50, 0, 150}})...)
-	p := FoldEvents(evs, 200)
+	p := fold(evs, 200)
 	if len(p.PEs) != 1 {
 		t.Fatalf("PEs = %+v", p.PEs)
 	}
@@ -130,7 +138,7 @@ func TestPEUnionNotSum(t *testing.T) {
 func TestTopNAndFoldedStacks(t *testing.T) {
 	evs := append(fireSeq("hot", 0, [][3]uint64{{0, 0, 500}}),
 		fireSeq("cold", 1, [][3]uint64{{0, 0, 10}})...)
-	p := FoldEvents(evs, 1000)
+	p := fold(evs, 1000)
 	p.Dropped = 3
 	top := p.TopN(1)
 	if !strings.Contains(top, "hot") || strings.Contains(strings.SplitN(top, "-- PE --", 2)[0], "cold") {

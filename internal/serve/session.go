@@ -361,11 +361,11 @@ type Session struct {
 func (p SessionParams) Recipe() (stack.Recipe, error) {
 	bug, err := h264.ParseBug(p.Bug)
 	return stack.Recipe{
-		Params: h264.Params{W: p.W, H: p.H, QP: p.QP, Seed: p.Seed},
-		Bug:    bug,
-		Ring:   1 << 16,
-		Trace:  true,
-		Batch:  stack.BatchOn,
+		Params:   h264.Params{W: p.W, H: p.H, QP: p.QP, Seed: p.Seed},
+		Bug:      bug,
+		Ring:     1 << 16,
+		Payloads: true,
+		Batch:    stack.BatchOn,
 	}, err
 }
 

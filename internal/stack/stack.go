@@ -29,7 +29,6 @@ import (
 	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
 )
 
 // AppName names the application every recipe builds, as the analyzer
@@ -58,9 +57,9 @@ type Recipe struct {
 
 	// Ring is the obs event ring capacity; 0 installs no recorder.
 	Ring int
-	// Trace renders token payloads into the ring and serves the CLI's
-	// `trace` views over it. It needs a Ring.
-	Trace bool
+	// Payloads renders token values into the ring, which the CLI's
+	// `trace` views print. It needs a Ring.
+	Payloads bool
 	// LinkCap overrides the FIFO depth of every link (0: the default).
 	LinkCap int
 	Batch   Batch
@@ -108,13 +107,10 @@ func (r Recipe) Build() (*Stack, error) {
 	var rec *obs.Recorder
 	if r.Ring > 0 {
 		rec = obs.NewRecorder(r.Ring)
+		rec.SetPayloads(r.Payloads)
 		k.SetObserver(rec)
 	}
 	low := lowdbg.New(k, dbginfo.NewTable())
-	var view *trace.Recorder
-	if r.Trace {
-		view = trace.Attach(low)
-	}
 	d := core.Attach(low)
 	m := mach.New(k, mach.Config{})
 	rt := pedf.NewRuntime(k, m, low)
@@ -157,7 +153,6 @@ func (r Recipe) Build() (*Stack, error) {
 		}
 	}
 	c := cli.New(d, io.Discard)
-	c.Rec = view
 	c.Obs = rec
 	c.Targets = rt.FaultTargets()
 	c.HostFiles = r.HostFiles

@@ -28,7 +28,7 @@ var servedRecipe = func() stack.Recipe {
 
 // soloRecipe is the world the dfdbg REPL boots: its pre-run pass
 // prints the analysis warnings before the first dispatch.
-var soloRecipe = stack.Recipe{Params: params, Ring: 4096, Trace: true, Batch: stack.BatchOn, PreRun: io.Discard}
+var soloRecipe = stack.Recipe{Params: params, Ring: 4096, Payloads: true, Batch: stack.BatchOn, PreRun: io.Discard}
 
 // Session create, restore, reverse-step and migration import all
 // rebuild a world from its recipe. After the first build in a process,

@@ -1,153 +1,30 @@
 package trace
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"dfdbg/internal/dbginfo"
-	"dfdbg/internal/filterc"
 	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
 )
 
-var u32 = filterc.Scalar(filterc.U32)
-
-// buildTraced runs a 2-filter pipeline under a trace recorder.
-func buildTraced(t *testing.T, n int) (*Recorder, *lowdbg.Debugger) {
-	t.Helper()
-	k := sim.NewKernel()
-	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := Attach(low)
-	m := mach.New(k, mach.Config{Clusters: 1, PEsPerCluster: 4})
-	rt := pedf.NewRuntime(k, m, low)
-	mod, _ := rt.NewModule("mod", nil)
-	min, _ := mod.AddPort("in", pedf.In, u32)
-	mout, _ := mod.AddPort("out", pedf.Out, u32)
-	fwd := `void work() { pedf.io.o[0] = pedf.io.i[0] + 1; }`
-	fa, _ := rt.NewFilter(mod, pedf.FilterSpec{Name: "fa", Source: fwd,
-		Inputs: []pedf.PortSpec{{Name: "i", Type: u32}}, Outputs: []pedf.PortSpec{{Name: "o", Type: u32}}})
-	fb, _ := rt.NewFilter(mod, pedf.FilterSpec{Name: "fb", Source: fwd,
-		Inputs: []pedf.PortSpec{{Name: "i", Type: u32}}, Outputs: []pedf.PortSpec{{Name: "o", Type: u32}}})
-	rt.SetController(mod, pedf.ControllerSpec{
-		Source: `u32 work() { ACTOR_FIRE("fa"); ACTOR_FIRE("fb"); WAIT_FOR_ACTOR_SYNC(); if (STEP_INDEX() + 1 >= ` + itoa(n) + `) return 0; return 1; }`,
-	})
-	rt.Bind(min, fa.In("i"))
-	rt.Bind(fa.Out("o"), fb.In("i"))
-	rt.Bind(fb.Out("o"), mout)
-	var feed []filterc.Value
-	for i := 0; i < n; i++ {
-		feed = append(feed, filterc.Int(filterc.U32, int64(i)))
-	}
-	rt.FeedInput(min, feed)
-	rt.CollectOutput(mout)
-	rec.AttachWork(low, []string{pedf.WorkSymbol(fa), pedf.WorkSymbol(fb)})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if ev := low.Continue(); ev.Kind != lowdbg.StopDone || ev.Deadlock != nil {
-		t.Fatalf("run = %v", ev)
-	}
-	return rec, low
-}
-
-func itoa(n int) string {
-	s := ""
-	for n > 0 {
-		s = string(rune('0'+n%10)) + s
-		n /= 10
-	}
-	if s == "" {
-		s = "0"
-	}
-	return s
-}
-
-func TestRecorderCapturesEvents(t *testing.T) {
-	rec, _ := buildTraced(t, 3)
-	counts := rec.CountByKind()
-	// Pushes: feeder 3 + fa 3 + fb 3 = 9. Pops: fa 3 + fb 3 + sink 3 = 9.
-	if counts[EvPush] != 9 {
-		t.Errorf("pushes = %d, want 9", counts[EvPush])
-	}
-	if counts[EvPop] != 9 {
-		t.Errorf("pops = %d, want 9", counts[EvPop])
-	}
-	if counts[EvWork] != 6 {
-		t.Errorf("works = %d, want 6", counts[EvWork])
-	}
-	if counts[EvSched] == 0 {
-		t.Error("no scheduling events recorded")
-	}
-}
-
-func TestLinkBalanceDetectsDrainedLinks(t *testing.T) {
-	rec, _ := buildTraced(t, 4)
-	for link, bal := range rec.LinkBalance() {
-		if bal != 0 {
-			t.Errorf("link %d balance = %d, want 0 (drained)", link, bal)
-		}
-	}
-}
-
-func TestActorActivity(t *testing.T) {
-	rec, _ := buildTraced(t, 2)
-	act := rec.ActorActivity()
-	if act["fa"] == 0 || act["fb"] == 0 || act["env"] == 0 {
-		t.Errorf("activity = %v", act)
-	}
-}
-
-func TestDump(t *testing.T) {
-	rec, _ := buildTraced(t, 2)
-	full := rec.Dump(0)
-	if !strings.Contains(full, "push") || !strings.Contains(full, "fa") {
-		t.Errorf("dump:\n%s", full)
-	}
-	tail := rec.Dump(3)
-	if got := strings.Count(tail, "\n"); got != 3 {
-		t.Errorf("Dump(3) has %d lines", got)
-	}
-}
-
-func TestCapWraps(t *testing.T) {
+// Attach reuses the recorder already on the kernel, and turns payload
+// rendering and the dataflow kinds on.
+func TestAttachReusesRecorderAndRendersPayloads(t *testing.T) {
 	k := sim.NewKernel()
 	orec := obs.NewRecorder(8)
-	orec.SetPayloads(true)
+	defer orec.Release()
+	orec.SetMask(0)
 	k.SetObserver(orec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := Attach(low)
-	if rec.Obs() != orec {
+	rec := Attach(lowdbg.New(k, dbginfo.NewTable()))
+	if rec.rec != orec || k.Observer() != orec {
 		t.Fatal("Attach did not reuse the installed recorder")
 	}
-	// Feed push events directly into the ring.
-	for i := 0; i < 50; i++ {
-		orec.Record(obs.Event{
-			Kind: obs.KPush, Actor: "a", Other: "b", Port: "o", Link: 1,
-			Val: fmt.Sprint(i),
-		})
+	if !orec.Payloads() {
+		t.Error("Attach left payload rendering off")
 	}
-	evs := rec.Events()
-	if len(evs) > orec.Cap() {
-		t.Errorf("buffer exceeded cap: %d", len(evs))
-	}
-	if got := orec.Dropped(); got != 42 {
-		t.Errorf("dropped = %d, want 42", got)
-	}
-	// The tail survived.
-	last := evs[len(evs)-1]
-	if last.Value != "49" {
-		t.Errorf("last value = %q, want 49", last.Value)
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	for _, k := range []EventKind{EvPush, EvPop, EvWork, EvSched} {
-		if strings.Contains(k.String(), "EventKind(") {
-			t.Errorf("missing string for kind %d", int(k))
-		}
+	if orec.Mask()&obs.MaskDataflow != obs.MaskDataflow {
+		t.Errorf("mask = %#x, want the dataflow kinds %#x", orec.Mask(), obs.MaskDataflow)
 	}
 }
