@@ -2,6 +2,7 @@ package cli
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -553,6 +554,70 @@ func TestTraceCommandWithoutRecorder(t *testing.T) {
 	c, _ := session(t)
 	execErr(t, c, "trace")
 	execErr(t, c, "trace balance")
+}
+
+// The trace views fold the obs ring: the dump holds one line per push,
+// pop and scheduling event, a drained world balances every link, the
+// activity counts add up to the dump, and `trace n` is the dump's tail.
+func TestTraceViewsFoldTheRing(t *testing.T) {
+	c, out := obsSession(t)
+	if err := execErr(t, c, "trace"); !strings.Contains(err.Error(), "no trace recorder") {
+		t.Errorf("trace over a ring without payloads: %v", err)
+	}
+	c.Obs.SetPayloads(true)
+	exec(t, c, out, "continue")
+	if c.Obs.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; enlarge the recorder", c.Obs.Dropped())
+	}
+	kinds := map[string]int{}
+	c.Obs.Range(func(ev obs.Event) bool {
+		switch ev.Kind {
+		case obs.KPush:
+			kinds["push"]++
+		case obs.KPop:
+			kinds["pop"]++
+		case obs.KActorStart, obs.KActorSync, obs.KStepBegin, obs.KStepEnd:
+			kinds["sched"]++
+		}
+		return true
+	})
+	dump := strings.Split(strings.TrimSuffix(exec(t, c, out, "trace 0"), "\n"), "\n")
+	lines := map[string]int{}
+	for _, line := range dump {
+		f := strings.Fields(line)
+		lines[f[1]]++
+		switch {
+		case f[1] == "sched" && len(f) != 3:
+			t.Errorf("sched line names more than its actor: %q", line)
+		case f[1] != "sched" && (!strings.Contains(f[2], "::") || f[3] != "<->" || len(f) < 6):
+			t.Errorf("%s line lacks port, peer or value: %q", f[1], line)
+		}
+	}
+	if kinds["push"] == 0 || kinds["sched"] == 0 || len(lines) != 3 ||
+		lines["push"] != kinds["push"] || lines["pop"] != kinds["pop"] || lines["sched"] != kinds["sched"] {
+		t.Errorf("dump lines by kind = %v, ring events = %v", lines, kinds)
+	}
+	if got := exec(t, c, out, "trace balance"); got != "" {
+		t.Errorf("drained world is unbalanced:\n%s", got)
+	}
+	total := 0
+	for _, line := range strings.Split(strings.TrimSpace(exec(t, c, out, "trace activity")), "\n") {
+		var actor string
+		var n int
+		if _, err := fmt.Sscanf(line, "%s %d events", &actor, &n); err != nil {
+			t.Fatalf("activity line %q: %v", line, err)
+		}
+		total += n
+	}
+	if total != len(dump) {
+		t.Errorf("activity counts %d events, dump has %d", total, len(dump))
+	}
+	if got, want := exec(t, c, out, "trace 3"), strings.Join(dump[len(dump)-3:], "\n")+"\n"; got != want {
+		t.Errorf("trace 3 = %q, want the dump's tail %q", got, want)
+	}
+	if err := execErr(t, c, "trace x"); !strings.Contains(err.Error(), "usage") {
+		t.Errorf("bad argument error: %v", err)
+	}
 }
 
 func TestQuitAndHelpAndRun(t *testing.T) {

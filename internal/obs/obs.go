@@ -17,8 +17,9 @@
 //     shuts down its storage goes to a process-wide spare list, and the
 //     next recorder of that capacity reuses it without zeroing: a debug
 //     server rebuilding worlds on every restore and reverse-step
-//     allocates no ring. Payload rendering is opt-in (SetPayloads); the
-//     trace comparator and every served world ask for it.
+//     allocates no ring. Payload rendering is opt-in (SetPayloads);
+//     served and REPL worlds ask for it (stack.Recipe.Payloads), since
+//     the CLI's `trace` dump prints token values.
 //   - Single writer per kernel: the baton-passing protocol guarantees
 //     one process runs at a time, and the kernel's scheduler records on
 //     whichever goroutine holds the baton (the driver or the process

@@ -15,6 +15,31 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// checkGolden compares got against the golden file at path, or
+// rewrites it under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s differs at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s differs: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
 // maskedValue says whether a series' reading depends on something
 // other than the world: host wall-clock time (the breakpoint-handler
 // timings) or the process's history (the interned-program and analysis
@@ -120,29 +145,7 @@ func TestExpositionGolden(t *testing.T) {
 			got := "== text ==\n" + maskText(text.String()) +
 				"== prometheus ==\n" + maskPrometheus(prom.String()) +
 				"== snapshot ==\n" + snapshotJSON(t, reg.Snapshot())
-			path := filepath.Join("testdata", "exposition_"+c.name+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if got != string(want) {
-				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("exposition differs from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("exposition differs from %s: %d lines, want %d", path, len(gl), len(wl))
-			}
+			checkGolden(t, filepath.Join("testdata", "exposition_"+c.name+".golden"), got)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package stack_test
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -76,29 +75,4 @@ func digestLines(out string) string {
 	}
 	return fmt.Sprintf("[%d lines, fnv1a %016x]\nfirst: %s\nlast: %s\n",
 		len(lines), h, lines[0], lines[len(lines)-1])
-}
-
-// checkGolden compares got against the golden file at path, or
-// rewrites it under -update.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("output differs from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("output differs from %s: %d lines, want %d", path, len(gl), len(wl))
-	}
 }
