@@ -39,7 +39,7 @@ func buildH264(t testing.TB, bug h264.Bug) *pedf.Runtime {
 func TestH264StaticAnalysisClean(t *testing.T) {
 	for _, bug := range []h264.Bug{h264.BugNone, h264.BugSwapMBInputs, h264.BugRateStall, h264.BugBadDC} {
 		rt := buildH264(t, bug)
-		rep, err := pedfgraph.CheckRuntime(rt, "h264")
+		rep, _, err := pedfgraph.Analyze(rt, "h264")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +124,10 @@ func TestH264ClassifierGolden(t *testing.T) {
 // real application: run the full decoder to completion with the event
 // recorder on, reconstruct every filter firing's actual token rates from
 // the KFireBegin/KFireEnd brackets and the KPop/KPush events inside
-// them, and check each observed firing against the classifier's verdict
-// — an SDF/CSDF actor must exhibit exactly the inferred pattern phase on
-// every port, every firing.
+// them, and check each observed firing against the classifier — an
+// SDF/CSDF actor must exhibit exactly the inferred pattern phase on
+// every port, every firing, and every actor, dynamic ones included,
+// exactly its universal per-port rates.
 func TestH264ClassifierSoundnessDifferential(t *testing.T) {
 	st, err := stack.Recipe{Params: h264.Params{W: 16, H: 16, QP: 8, Seed: 7}, Ring: 1 << 17, Lazy: true}.Build()
 	if err != nil {
@@ -178,34 +179,54 @@ func TestH264ClassifierSoundnessDifferential(t *testing.T) {
 		t.Fatal("no completed firings observed")
 	}
 
-	checked := 0
+	inputs := map[string]map[string]bool{}
+	for _, f := range st.RT.Actors() {
+		inputs[f.Name] = map[string]bool{}
+		for _, n := range f.Inputs() {
+			inputs[f.Name][n] = true
+		}
+	}
+	checked, hwcfg := 0, 0
 	for _, fk := range done {
 		c := classes[fk.actor]
-		if c == nil || !c.Static() {
+		if c == nil {
+			continue
+		}
+		observed := func(port string) int {
+			if inputs[fk.actor][port] {
+				return pops[fk][port]
+			}
+			return pushes[fk][port]
+		}
+		// A universal per-port rate holds on every firing, whatever the
+		// actor's verdict.
+		for port, r := range c.Rates {
+			if got := observed(port); got != r {
+				t.Fatalf("%s firing %d: observed %d token(s) on %s, universal rate %d (verdict %s)",
+					fk.actor, fk.firing, got, port, r, c.Verdict)
+			}
+			if fk.actor == "bh" && port == "Hdr_hwcfg_out" {
+				hwcfg++
+			}
+		}
+		if !c.Static() {
 			continue
 		}
 		checked++
-		verify := func(dir string, got map[string]int) {
-			for _, pr := range c.Ports {
-				if pr.Dir != dir {
-					continue
-				}
-				want := pr.Pattern[int(fk.firing)%len(pr.Pattern)]
-				if got[pr.Port] != want {
-					t.Fatalf("%s firing %d: observed %s rate %d on %s, classifier inferred %d (pattern %v)",
-						fk.actor, fk.firing, dir, got[pr.Port], pr.Port, want, pr.Pattern)
-				}
-			}
-			// No tokens on ports the classifier calls untouched.
-			for port, n := range got {
-				if len(c.RateOf(port)) == 0 && n != 0 {
-					t.Fatalf("%s firing %d: observed %d token(s) on %s, classifier inferred none",
-						fk.actor, fk.firing, n, port)
-				}
+		// A static class lists every declared port, so a [0] pattern
+		// also checks that an untouched port stays untouched.
+		for _, pr := range c.Ports {
+			want := pr.Pattern[int(fk.firing)%len(pr.Pattern)]
+			if got := observed(pr.Port); got != want {
+				t.Fatalf("%s firing %d: observed %s rate %d on %s, classifier inferred %d (pattern %v)",
+					fk.actor, fk.firing, pr.Dir, got, pr.Port, want, pr.Pattern)
 			}
 		}
-		verify("in", pops[fk])
-		verify("out", pushes[fk])
+	}
+	// The dynamic parser's one constant port must have been checked:
+	// bh pushes exactly one hardware configuration per firing.
+	if hwcfg == 0 {
+		t.Fatalf("bh::Hdr_hwcfg_out was never checked (bh rates %v)", classes["bh"].Rates)
 	}
 	if checked == 0 {
 		t.Fatal("no firing of a statically classified actor was checked")

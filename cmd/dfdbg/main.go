@@ -87,7 +87,7 @@ func analyzeMain(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "dfdbg: %v\n", err)
 		return 1
 	}
-	rep, err := pedfgraph.CheckRuntime(app.Runtime, app.File.Name)
+	rep, _, err := pedfgraph.Analyze(app.Runtime, app.File.Name)
 	if err != nil {
 		fmt.Fprintf(errw, "dfdbg: %v\n", err)
 		return 1

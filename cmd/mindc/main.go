@@ -55,7 +55,7 @@ func compile(adlPath, top, srcDir string, nocheck bool, diagW io.Writer) (string
 	rt := app.Runtime
 	regions := ""
 	if !nocheck {
-		rep, err := pedfgraph.CheckRuntime(rt, app.File.Name)
+		rep, _, err := pedfgraph.Analyze(rt, app.File.Name)
 		if err != nil {
 			return "", err
 		}

@@ -49,6 +49,11 @@ const (
 	VerdictDynamic Verdict = "dynamic"
 )
 
+// RateUnknown is the universal rate of a port whose per-firing token
+// count cannot be proven constant: it varies with token values or
+// persistent state, or the interpreter gave up.
+const RateUnknown = -1
+
 // PortRates is the inferred per-phase rate pattern of one port.
 type PortRates struct {
 	Port    string `json:"port"`
@@ -64,6 +69,20 @@ type Class struct {
 	Ports     []PortRates `json:"ports,omitempty"`
 	Universal bool        `json:"universal,omitempty"` // verdict holds for any data/attr state
 	Trace     []string    `json:"trace,omitempty"`     // explanation, most direct reason first
+	// Rates holds the ports whose token count pass A proved constant
+	// over every exit path from the all-top state: each firing from any
+	// state moves exactly that many tokens, whatever the verdict. A
+	// port absent from it has RateUnknown (see Rate).
+	Rates map[string]int `json:"-"`
+}
+
+// Rate returns a port's universal per-firing token rate, or
+// RateUnknown. Unknown, never wrong: the graph checks read it.
+func (c *Class) Rate(port string) int {
+	if r, ok := c.Rates[port]; ok {
+		return r
+	}
+	return RateUnknown
 }
 
 // RateOf returns the per-phase pattern for a port, or nil.
@@ -97,7 +116,9 @@ func dynamic(ctx *Context, trace ...string) *Class {
 // state, fires repeatedly, and looks for a repetition of the persistent
 // state; equal rates everywhere give SDF, a repeating pattern gives
 // CSDF. Anything else is dynamic, with a trace naming the instruction
-// that broke staticness.
+// that broke staticness. Whatever the verdict, the ports whose counts
+// pass A proved singletons are kept in Class.Rates: they are the
+// per-port rates the graph checks read.
 func Classify(prog *filterc.Program, ctx *Context) *Class {
 	if ctx == nil {
 		ctx = &Context{}
@@ -126,24 +147,32 @@ func Classify(prog *filterc.Program, ctx *Context) *Class {
 		gA.attrs[d.Name] = topOf(d.Type, mkCause(filterc.Pos{}, fmt.Sprintf("pedf.attr.%s (attributes are debugger-writable)", d.Name), nil))
 	}
 	var passAReason []string
+	var universal map[string]int
 	if rets := eA.runFunc(wf, nil, gA, nil); eA.fail == nil && len(rets) > 0 {
-		rates, bad := joinExitRates(rets, ctx)
-		if bad == nil {
+		universal, passAReason = joinExitRates(rets, ctx)
+		if passAReason == nil {
 			return &Class{
 				Actor:     ctx.Actor,
 				Verdict:   VerdictSDF,
 				Period:    1,
-				Ports:     singlePhasePorts(rates, ctx),
+				Ports:     singlePhasePorts(universal, ctx),
 				Universal: true,
 				Trace:     []string{"constant token rates proven for every reachable data/attribute state"},
+				Rates:     universal,
 			}
 		}
-		passAReason = bad
 	} else if eA.fail != nil {
 		return dynamic(ctx, append([]string{"abstract interpretation gave up"}, eA.fail.chain(4)...)...)
 	}
+	c := cyclic(pb, wf, ctx, passAReason)
+	c.Rates = universal
+	return c
+}
 
-	// Pass B: cyclic pattern search from the elaborated initial state.
+// cyclic is pass B: the cyclic pattern search from the elaborated
+// initial state. passAReason explains why pass A found no universal
+// verdict.
+func cyclic(pb *filterc.ProgramBytecode, wf *filterc.FuncBytecode, ctx *Context, passAReason []string) *Class {
 	eB := newEngine(pb, ctx)
 	g := &gstate{
 		data:   make(map[string]aval),
@@ -158,7 +187,7 @@ func Classify(prog *filterc.Program, ctx *Context) *Class {
 		g.attrs[d.Name] = initVal(d)
 	}
 
-	var history []map[string]int64
+	var history []map[string]int
 	seen := map[string]int{}
 	for n := 0; n < MaxFirings; n++ {
 		key, ok, culprit := stateKey(g)
@@ -247,9 +276,11 @@ func stateKey(g *gstate) (string, bool, string) {
 	return sb.String(), true, ""
 }
 
-// joinExitRates folds the io counters of all exit paths. When any
-// joined counter is not a singleton, it returns an explanation trace.
-func joinExitRates(rets []retState, ctx *Context) (map[string]int64, []string) {
+// joinExitRates folds the io counters of all exit paths and returns the
+// ports whose joined counter is a singleton, with that count. When any
+// joined counter is not a singleton, it also returns an explanation
+// trace naming the first such port.
+func joinExitRates(rets []retState, ctx *Context) (map[string]int, []string) {
 	folded := map[string]cnt{}
 	for i, rs := range rets {
 		for _, d := range append(append([]IfaceDecl{}, ctx.Ins...), ctx.Outs...) {
@@ -267,9 +298,15 @@ func joinExitRates(rets []retState, ctx *Context) (map[string]int64, []string) {
 			}
 		}
 	}
+	out := map[string]int{}
+	var bad []string
 	for _, d := range append(append([]IfaceDecl{}, ctx.Ins...), ctx.Outs...) {
 		c := folded[d.Name]
 		if c.singleton() {
+			out[d.Name] = int(c.lo)
+			continue
+		}
+		if bad != nil {
 			continue
 		}
 		dir := "input"
@@ -293,13 +330,9 @@ func joinExitRates(rets []retState, ctx *Context) (map[string]int64, []string) {
 				}
 			}
 		}
-		return nil, tr
+		bad = tr
 	}
-	out := map[string]int64{}
-	for k, c := range folded {
-		out[k] = c.lo
-	}
-	return out, nil
+	return out, bad
 }
 
 func inSet(decls []IfaceDecl, name string) (*IfaceDecl, bool) {
@@ -311,13 +344,13 @@ func inSet(decls []IfaceDecl, name string) (*IfaceDecl, bool) {
 	return nil, false
 }
 
-func singlePhasePorts(rates map[string]int64, ctx *Context) []PortRates {
+func singlePhasePorts(rates map[string]int, ctx *Context) []PortRates {
 	var out []PortRates
 	for _, d := range ctx.Ins {
-		out = append(out, PortRates{Port: d.Name, Dir: "input", Pattern: []int{int(rates[d.Name])}})
+		out = append(out, PortRates{Port: d.Name, Dir: "input", Pattern: []int{rates[d.Name]}})
 	}
 	for _, d := range ctx.Outs {
-		out = append(out, PortRates{Port: d.Name, Dir: "output", Pattern: []int{int(rates[d.Name])}})
+		out = append(out, PortRates{Port: d.Name, Dir: "output", Pattern: []int{rates[d.Name]}})
 	}
 	return out
 }
@@ -325,7 +358,7 @@ func singlePhasePorts(rates map[string]int64, ctx *Context) []PortRates {
 // cyclicClass builds the verdict once the persistent state has repeated:
 // firing `prev` and firing `n` started from identical states, so the
 // rate sequence is history[0..prev) followed by history[prev..n) forever.
-func cyclicClass(ctx *Context, history []map[string]int64, prev, n int) *Class {
+func cyclicClass(ctx *Context, history []map[string]int, prev, n int) *Class {
 	allEqual := true
 	for _, ph := range history[1:] {
 		for k, v := range history[0] {
@@ -354,7 +387,7 @@ func cyclicClass(ctx *Context, history []map[string]int64, prev, n int) *Class {
 	mk := func(d IfaceDecl, dir string) {
 		pat := make([]int, period)
 		for t := 0; t < period; t++ {
-			pat[t] = int(history[t][d.Name])
+			pat[t] = history[t][d.Name]
 		}
 		ports = append(ports, PortRates{Port: d.Name, Dir: dir, Pattern: pat})
 	}

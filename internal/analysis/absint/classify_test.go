@@ -1,6 +1,8 @@
 package absint
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -225,5 +227,61 @@ void work() {
 	}
 	if len(c.Trace) == 0 {
 		t.Fatalf("dynamic verdict must carry a trace")
+	}
+}
+
+// TestClassifyUniversalRates pins Class.Rates, the per-port rates pass A
+// proves for every state, on each kind of verdict: a port keeps its rate
+// when the actor as a whole is CSDF or dynamic, a port whose count
+// varies with state or token values is RateUnknown, and the rates stay
+// out of the class's JSON.
+func TestClassifyUniversalRates(t *testing.T) {
+	i32 := filterc.Scalar(filterc.I32)
+	one := filterc.Int(filterc.I32, 1)
+	counter := simpleCtx()
+	counter.Data = []VarDecl{{Name: "k", Type: i32}}
+	gain := simpleCtx()
+	gain.Attrs = []VarDecl{{Name: "gain", Type: i32, Init: &one}}
+	cases := []struct {
+		name    string
+		ctx     *Context
+		src     string
+		verdict Verdict
+		in, out int
+	}{
+		{"universal SDF", simpleCtx(),
+			`void work() { pedf.io.out[0] = pedf.io.in[0] + pedf.io.in[1]; }`,
+			VerdictSDF, 2, 1},
+		{"SDF from the initial attribute only", gain,
+			`void work() { i32 v = pedf.io.in[0]; for (i32 i = 0; i < pedf.attribute.gain; i++) { pedf.io.out[i] = v; } }`,
+			VerdictSDF, 1, RateUnknown},
+		{"CSDF on a state counter", counter,
+			`void work() {
+  pedf.io.out[0] = pedf.io.in[0];
+  if (pedf.data.k == 0) { pedf.io.out[1] = 0; pedf.data.k = 1; } else { pedf.data.k = 0; }
+}`,
+			VerdictCSDF, 1, RateUnknown},
+		{"dynamic on a token value", simpleCtx(),
+			`void work() { pedf.io.out[0] = pedf.io.in[pedf.io.in[0] & 3]; }`,
+			VerdictDynamic, RateUnknown, 1},
+		{"interpreter gives up", simpleCtx(),
+			`i32 r() { return r() + pedf.io.in[0]; } void work() { pedf.io.out[0] = r(); }`,
+			VerdictDynamic, RateUnknown, RateUnknown},
+	}
+	for _, tc := range cases {
+		c := Classify(mustProg(t, tc.src), tc.ctx)
+		if c.Verdict != tc.verdict {
+			t.Errorf("%s: verdict %s, want %s (%v)", tc.name, c.Verdict, tc.verdict, c.Trace)
+		}
+		if in, out := c.Rate("in"), c.Rate("out"); in != tc.in || out != tc.out {
+			t.Errorf("%s: rates in=%d out=%d, want in=%d out=%d", tc.name, in, out, tc.in, tc.out)
+		}
+		js, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(js, []byte(`"Rates"`)) || bytes.Contains(js, []byte(`"rates"`)) {
+			t.Errorf("%s: universal rates leak into the class JSON: %s", tc.name, js)
+		}
 	}
 }

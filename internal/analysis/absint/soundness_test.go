@@ -123,14 +123,17 @@ func soundCtx() *Context {
 }
 
 // TestClassifySoundnessRandomPrograms is the soundness gate of the
-// classifier: for randomly generated programs, every SDF/CSDF verdict is
-// checked against 1000 concretely executed firings — the observed rate
-// of firing n on every port must equal the inferred pattern's phase
-// n mod P (and ports the classifier calls untouched must stay untouched).
+// classifier: for randomly generated programs, 1000 concretely executed
+// firings check every verdict. On an SDF/CSDF actor the observed rate of
+// firing n on every port must equal the inferred pattern's phase n mod P
+// (ports the classifier calls untouched must stay untouched). On every
+// actor, dynamic ones included, each known universal per-port rate must
+// equal the observed rate of every firing: soundCtx's out port stays
+// constant even when the in port's rate depends on token values.
 // Dynamic verdicts must always carry a non-empty explanation trace.
 func TestClassifySoundnessRandomPrograms(t *testing.T) {
 	const firings = 1000
-	var static, dynamic int
+	var static, dynamic, dynamicKnown int
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		src := genProgram(r)
@@ -140,14 +143,17 @@ func TestClassifySoundnessRandomPrograms(t *testing.T) {
 		}
 		ctx := soundCtx()
 		c := Classify(prog, ctx)
-		if c.Verdict == VerdictDynamic {
+		if c.Static() {
+			static++
+		} else {
 			dynamic++
 			if len(c.Trace) == 0 {
 				t.Errorf("seed %d: dynamic verdict without a trace\n%s", seed, src)
 			}
-			continue
+			if len(c.Rates) > 0 {
+				dynamicKnown++
+			}
 		}
-		static++
 
 		env := newRecEnv(seed * 7919)
 		for _, d := range ctx.Data {
@@ -162,6 +168,13 @@ func TestClassifySoundnessRandomPrograms(t *testing.T) {
 			}
 			check := func(dir string, ifaces []IfaceDecl, got map[string]int64) {
 				for _, ifc := range ifaces {
+					if r := c.Rate(ifc.Name); r != RateUnknown && got[ifc.Name] != int64(r) {
+						t.Fatalf("seed %d firing %d: %s observed %s rate %d, universal rate %d (verdict %s)\n%s",
+							seed, n, ifc.Name, dir, got[ifc.Name], r, c.Verdict, src)
+					}
+					if !c.Static() {
+						continue
+					}
 					pat := c.RateOf(ifc.Name)
 					want := int64(0)
 					if len(pat) > 0 {
@@ -177,10 +190,12 @@ func TestClassifySoundnessRandomPrograms(t *testing.T) {
 			check("write", ctx.Outs, env.maxWr)
 		}
 	}
-	// The generator must exercise both sides of the verdict space, or
-	// the differential proves nothing.
-	if static == 0 || dynamic == 0 {
-		t.Fatalf("degenerate sample: %d static, %d dynamic verdicts", static, dynamic)
+	// The generator must exercise both sides of the verdict space, and
+	// dynamic actors with a known port rate, or the differential proves
+	// nothing.
+	if static == 0 || dynamic == 0 || dynamicKnown == 0 {
+		t.Fatalf("degenerate sample: %d static, %d dynamic verdicts, %d dynamic with a known rate",
+			static, dynamic, dynamicKnown)
 	}
 }
 

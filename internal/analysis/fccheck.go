@@ -785,3 +785,106 @@ func fieldNames(t *filterc.Type) []string {
 	}
 	return names
 }
+
+// ConstExpr evaluates a side-effect-free constant expression, reporting
+// (value, true) on success. The constant-condition check (FC004) and
+// the io index checks use it.
+func ConstExpr(e filterc.Expr) (int64, bool) {
+	switch e := e.(type) {
+	case *filterc.IntLit:
+		return e.V, true
+	case *filterc.Unary:
+		v, ok := ConstExpr(e.X)
+		if !ok {
+			return 0, false
+		}
+		switch e.Op {
+		case "-":
+			return -v, true
+		case "~":
+			return ^v, true
+		case "!":
+			if v == 0 {
+				return 1, true
+			}
+			return 0, true
+		}
+		return 0, false
+	case *filterc.Binary:
+		l, ok := ConstExpr(e.L)
+		if !ok {
+			return 0, false
+		}
+		r, ok := ConstExpr(e.R)
+		if !ok {
+			return 0, false
+		}
+		b2i := func(b bool) int64 {
+			if b {
+				return 1
+			}
+			return 0
+		}
+		switch e.Op {
+		case "+":
+			return l + r, true
+		case "-":
+			return l - r, true
+		case "*":
+			return l * r, true
+		case "/":
+			if r == 0 {
+				return 0, false
+			}
+			return l / r, true
+		case "%":
+			if r == 0 {
+				return 0, false
+			}
+			return l % r, true
+		case "<<":
+			if r < 0 || r > 63 {
+				return 0, false
+			}
+			return l << uint(r), true
+		case ">>":
+			if r < 0 || r > 63 {
+				return 0, false
+			}
+			return l >> uint(r), true
+		case "&":
+			return l & r, true
+		case "|":
+			return l | r, true
+		case "^":
+			return l ^ r, true
+		case "==":
+			return b2i(l == r), true
+		case "!=":
+			return b2i(l != r), true
+		case "<":
+			return b2i(l < r), true
+		case "<=":
+			return b2i(l <= r), true
+		case ">":
+			return b2i(l > r), true
+		case ">=":
+			return b2i(l >= r), true
+		case "&&":
+			return b2i(l != 0 && r != 0), true
+		case "||":
+			return b2i(l != 0 || r != 0), true
+		}
+		return 0, false
+	case *filterc.Cond:
+		c, ok := ConstExpr(e.C)
+		if !ok {
+			return 0, false
+		}
+		if c != 0 {
+			return ConstExpr(e.T)
+		}
+		return ConstExpr(e.F)
+	}
+	return 0, false
+}

@@ -160,3 +160,40 @@ func TestCheckProgramNilInputs(t *testing.T) {
 		t.Errorf("nil context: expected no errors, got %v", rep.Diags)
 	}
 }
+
+func mustParse(t *testing.T, src string) *filterc.Program {
+	t.Helper()
+	prog, err := filterc.Parse("test.c", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return prog
+}
+
+func TestConstExpr(t *testing.T) {
+	cases := []struct {
+		src  string
+		want int64
+	}{
+		{"1 + 2 * 3", 7},
+		{"(1 << 4) | 1", 17},
+		{"10 / 3", 3},
+		{"1 < 2 ? 5 : 9", 5},
+		{"!0", 1},
+		{"-(3)", -3},
+	}
+	for _, c := range cases {
+		prog := mustParse(t, "void work() { u32 x = "+c.src+"; pedf.io.o[0] = x; }")
+		decl := prog.Func("work").Body.Stmts[0].(*filterc.DeclStmt)
+		got, ok := ConstExpr(decl.Init)
+		if !ok || got != c.want {
+			t.Errorf("ConstExpr(%q) = %d,%v want %d", c.src, got, ok, c.want)
+		}
+	}
+	// Division by zero is not constant-foldable.
+	prog := mustParse(t, "void work() { u32 x = 1 / 0; pedf.io.o[0] = x; }")
+	decl := prog.Func("work").Body.Stmts[0].(*filterc.DeclStmt)
+	if _, ok := ConstExpr(decl.Init); ok {
+		t.Errorf("1/0 should not fold")
+	}
+}

@@ -30,6 +30,5 @@ func FuzzCheckProgram(f *testing.F) {
 		}
 		CheckProgram(prog, ctx)
 		CheckProgram(prog, nil)
-		InferRates(prog, "work")
 	})
 }

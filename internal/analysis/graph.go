@@ -1,13 +1,17 @@
 package analysis
 
+import "dfdbg/internal/analysis/absint"
+
 // The analyzer's graph model. Both the runtime-reconstructed core model
 // and the elaborated PEDF runtime convert into this neutral form, so the
 // graph checkers have a single implementation.
 
-// RateUnknown marks a port whose per-firing token rate cannot be
-// inferred statically (dynamic-rate dataflow: io accesses under loops,
-// conditionals or computed indices).
-const RateUnknown = -1
+// RateUnknown marks a port whose per-firing token rate is not proven
+// constant: the abstract interpreter's universal pass (absint pass A)
+// found it varying with token values or persistent state, or there is
+// no bytecode to prove it from (a native Go actor, or the debugger's
+// reconstructed model). The rate checks stay silent on such ports.
+const RateUnknown = absint.RateUnknown
 
 // NoFeed marks a link that is not an environment feeder.
 const NoFeed = -1

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"dfdbg/internal/filterc"
 )
 
 // chainGraph builds env -> a -> b -> env with the given rates.
@@ -261,67 +259,5 @@ func TestCycleEnumerationIsBounded(t *testing.T) {
 	}
 	if cnt == 0 || cnt > maxCycles {
 		t.Fatalf("expected 1..%d DF003 findings, got %d", maxCycles, cnt)
-	}
-}
-
-// TestTransitiveHelperRates covers helper-chain transitivity: a chain
-// work -> a -> b where only b touches io must surface b's accesses at
-// the entry. Unconditional constant-index reads stay precise through
-// the chain (the fixpoint summary pass); any conditional hop degrades
-// them to RateUnknown.
-func TestTransitiveHelperRates(t *testing.T) {
-	src := `
-u32 b() {
-    return pedf.io.in[0];
-}
-u32 a() {
-    return b();
-}
-void work() {
-    u32 x = a();
-    pedf.io.out[0] = x;
-}
-`
-	prog, err := filterc.Parse("probe2.c", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	reads, writes := InferRates(prog, "work")
-	if r, ok := reads["in"]; !ok || r != 1 {
-		t.Errorf("reads[in] = %v (present=%v), want 1", r, ok)
-	}
-	if w, ok := writes["out"]; !ok || w != 1 {
-		t.Errorf("writes[out] = %v (present=%v), want 1", w, ok)
-	}
-	// Recursive helpers must not loop the summarizer; reads are
-	// idempotent, so the recursive re-read of index 0 stays rate 1.
-	rec := `
-u32 r() { return r() + pedf.io.in[0]; }
-void work() { pedf.io.out[0] = r(); }
-`
-	prog2, err := filterc.Parse("probe3.c", rec)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	reads2, _ := InferRates(prog2, "work")
-	if r, ok := reads2["in"]; !ok || r != 1 {
-		t.Errorf("recursive reads[in] = %v (present=%v), want 1", r, ok)
-	}
-	// A conditional hop anywhere in the chain degrades the read.
-	cond := `
-u32 b() { return pedf.io.in[0]; }
-u32 a(u32 c) {
-    if (c > 0) { return b(); }
-    return 0;
-}
-void work() { pedf.io.out[0] = a(pedf.io.in[1]); }
-`
-	prog3, err := filterc.Parse("probe4.c", cond)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	reads3, _ := InferRates(prog3, "work")
-	if r, ok := reads3["in"]; !ok || r != RateUnknown {
-		t.Errorf("conditional-hop reads[in] = %v (present=%v), want RateUnknown", r, ok)
 	}
 }

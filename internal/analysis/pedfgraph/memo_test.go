@@ -121,6 +121,9 @@ func TestClassMemoReturnsPrivateCopies(t *testing.T) {
 			}
 		}
 		c.Ports = append(c.Ports, absint.PortRates{Port: "scribbled"})
+		for port := range c.Rates {
+			c.Rates[port] = -7
+		}
 	}
 	warmClassesMatchFresh(t, buildH264(t, h264.BugNone))
 }

@@ -1,8 +1,9 @@
 // Package pedfgraph bridges an elaborated PEDF runtime into the static
-// analyzer: it converts the runtime's modules, actors and links into the
-// analysis graph model (with statically inferred token rates), derives
-// per-actor program contexts from the instantiated ports, and installs
-// the simulator's pre-run warning hook.
+// analyzer: it classifies every actor with the abstract interpreter,
+// converts the runtime's modules, actors and links into the analysis
+// graph model (port rates from those classes), derives per-actor
+// program contexts from the instantiated ports, and installs the
+// simulator's pre-run warning hook.
 //
 // It lives outside internal/analysis so that the analyzer itself stays
 // free of pedf dependencies (internal/core imports the analyzer and must
@@ -12,6 +13,7 @@ package pedfgraph
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -25,13 +27,11 @@ import (
 	"dfdbg/internal/sim"
 )
 
-// FromRuntime converts a PEDF runtime into the analyzer's graph model,
-// elaborating it leniently first if needed (the top module's external
-// ports may dangle, as under cmd/mindc).
-func FromRuntime(rt *pedf.Runtime, name string) (*analysis.Graph, error) {
-	if err := rt.Elaborate(false); err != nil {
-		return nil, err
-	}
+// FromRuntime converts an elaborated PEDF runtime into the analyzer's
+// graph model. Each actor port carries the universal rate its class
+// (ClassifyActors) proves; a native Go actor has no bytecode, so its
+// class leaves every port RateUnknown.
+func FromRuntime(rt *pedf.Runtime, name string, classes map[string]*absint.Class) *analysis.Graph {
 	g := analysis.NewGraph(name)
 
 	// Actor ports reachable through a module's external interface may
@@ -54,22 +54,16 @@ func FromRuntime(rt *pedf.Runtime, name string) (*analysis.Graph, error) {
 			kind = "controller"
 		}
 		a := g.AddActor(f.Name, kind, f.Module.Name)
-		reads, writes := analysis.InferRates(f.Prog, "work")
-		rateOf := func(rates analysis.Rates, port string) int {
-			if f.Prog == nil {
-				return analysis.RateUnknown // native Go work(): dynamic
-			}
-			return rates[port] // absent: provably untouched, rate 0
-		}
+		c := classes[f.Name]
 		for _, n := range f.Inputs() {
 			p := f.In(n)
-			pi := a.AddIn(n, typeName(p.Type), rateOf(reads, n))
+			pi := a.AddIn(n, typeName(p.Type), c.Rate(n))
 			pi.External = external[p]
 			portInfo[p] = pi
 		}
 		for _, n := range f.Outputs() {
 			p := f.Out(n)
-			pi := a.AddOut(n, typeName(p.Type), rateOf(writes, n))
+			pi := a.AddOut(n, typeName(p.Type), c.Rate(n))
 			pi.External = external[p]
 			portInfo[p] = pi
 		}
@@ -108,7 +102,7 @@ func FromRuntime(rt *pedf.Runtime, name string) (*analysis.Graph, error) {
 			le.FeedTokens = c
 		}
 	}
-	return g, nil
+	return g
 }
 
 func typeName(t *filterc.Type) string {
@@ -298,6 +292,7 @@ func cloneClass(c *absint.Class, actor string) *absint.Class {
 	inst := *c
 	inst.Actor = actor
 	inst.Trace = append([]string(nil), c.Trace...)
+	inst.Rates = maps.Clone(c.Rates)
 	inst.Ports = append([]absint.PortRates(nil), c.Ports...)
 	for i := range inst.Ports {
 		inst.Ports[i].Pattern = append([]int(nil), inst.Ports[i].Pattern...)
@@ -325,18 +320,21 @@ func ClassifyActors(rt *pedf.Runtime) map[string]*absint.Class {
 	return out
 }
 
-// Analyze runs the full static analysis pass — graph analyzers,
-// per-actor filterc analyzers, the abstract-interpretation classifier,
-// region clustering, balance equations and buffer bounds — over an
-// application, returning the report together with the analysis graph
-// (for region DOT rendering). name labels graph diagnostics (typically
-// the ADL file's base name).
+// Analyze runs the full static analysis pass — the abstract-interpretation
+// classifier, graph analyzers over its port rates, per-actor filterc
+// analyzers, region clustering, balance equations and buffer bounds —
+// over an application, returning the report together with the analysis
+// graph (for region DOT rendering). The runtime is elaborated leniently
+// first if needed: the top module's external ports may dangle, as under
+// cmd/mindc. name labels graph diagnostics (typically the ADL file's
+// base name).
 func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, error) {
 	analysisRuns.Add(1)
-	g, err := FromRuntime(rt, name)
-	if err != nil {
+	if err := rt.Elaborate(false); err != nil {
 		return nil, nil, err
 	}
+	classes := ClassifyActors(rt)
+	g := FromRuntime(rt, name, classes)
 	rep := analysis.CheckGraph(g)
 	for _, f := range rt.Actors() {
 		if f.Prog == nil {
@@ -344,7 +342,6 @@ func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, 
 		}
 		rep.Merge(analysis.CheckProgram(f.Prog, ProgramContextFor(f)))
 	}
-	classes := ClassifyActors(rt)
 	regions := analysis.ComputeRegions(g, classes)
 	rep.Merge(analysis.CheckClasses(g, classes))
 	rep.Merge(analysis.CheckRegions(g, regions, classes))
@@ -362,14 +359,6 @@ func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, 
 	rep.Dedupe()
 	rep.Sort()
 	return rep, g, nil
-}
-
-// CheckRuntime runs the full static analysis pass over an application.
-// It is Analyze without the graph return, kept for call sites that only
-// need the report.
-func CheckRuntime(rt *pedf.Runtime, name string) (*analysis.Report, error) {
-	rep, _, err := Analyze(rt, name)
-	return rep, err
 }
 
 // BatchPlans runs the analyzer over a started runtime and renders every

@@ -36,7 +36,7 @@ func TestDeadlockADLGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CheckRuntime(app.Runtime, app.File.Name)
+	rep, _, err := Analyze(app.Runtime, app.File.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAModuleRuntimeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CheckRuntime(app.Runtime, app.File.Name)
+	rep, _, err := Analyze(app.Runtime, app.File.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +79,16 @@ func TestAModuleRuntimeClean(t *testing.T) {
 }
 
 // FromRuntime must mark module-aliased actor ports External (exempt from
-// DF001) and carry known static rates on actor ports.
+// DF001) and carry the classes' known static rates on actor ports.
 func TestFromRuntimeShapes(t *testing.T) {
 	app, err := mind.LoadApp("../../../testdata/amodule/amodule.adl", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := FromRuntime(app.Runtime, "amodule")
-	if err != nil {
+	if err := app.Runtime.Elaborate(false); err != nil {
 		t.Fatal(err)
 	}
+	g := FromRuntime(app.Runtime, "amodule", ClassifyActors(app.Runtime))
 	var f1 *analysis.ActorNode
 	for _, a := range g.Actors {
 		if a.Name == "filter_1" {

@@ -1200,11 +1200,14 @@ func traceKind(k obs.Kind) string {
 	return ""
 }
 
-// traceCmd folds the obs ring for offline trace analysis: `trace [n]`
-// dumps the last n push, pop and scheduling events (20 by default, all
-// for n <= 0), `trace balance` shows per-link push/pop imbalance,
-// `trace activity` per-actor event counts. The dump prints token
-// values, so it needs a recorder that renders payloads.
+// traceCmd serves the offline trace views: `trace [n]` dumps the last n
+// push, pop and scheduling events of the obs ring (20 by default, all
+// for n <= 0), `trace activity` folds the ring into per-actor event
+// counts, and `trace balance` lists the links holding tokens with their
+// exact in-flight count, in link order (the `held` of `info links`:
+// injected and dropped tokens count, and a wrapped ring loses nothing).
+// The dump prints token values, so the views need a recorder that
+// renders payloads.
 func (c *CLI) traceCmd(rest []string) error {
 	if !c.Obs.Payloads() {
 		return fmt.Errorf("no trace recorder attached to this session")
@@ -1221,24 +1224,10 @@ func (c *CLI) traceCmd(rest []string) error {
 	if len(rest) > 0 {
 		switch rest[0] {
 		case "balance":
-			bal := make(map[int32]int)
-			each(func(ev obs.Event, _ string) {
-				switch ev.Kind {
-				case obs.KPush:
-					bal[ev.Link]++
-				case obs.KPop:
-					bal[ev.Link]--
+			for _, l := range c.D.Links() {
+				if n := l.Occupancy(); n > 0 {
+					c.printf("link#%d  +%d tokens in flight\n", l.ID, n)
 				}
-			})
-			links := make([]int32, 0, len(bal))
-			for link, b := range bal {
-				if b != 0 {
-					links = append(links, link)
-				}
-			}
-			sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-			for _, link := range links {
-				c.printf("link#%d  +%d tokens in flight\n", link, bal[link])
 			}
 			return nil
 		case "activity":

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -556,9 +557,10 @@ func TestTraceCommandWithoutRecorder(t *testing.T) {
 	execErr(t, c, "trace balance")
 }
 
-// The trace views fold the obs ring: the dump holds one line per push,
-// pop and scheduling event, a drained world balances every link, the
-// activity counts add up to the dump, and `trace n` is the dump's tail.
+// The trace views over a whole ring: the dump holds one line per push,
+// pop and scheduling event, a drained world holds no token in flight,
+// the activity counts add up to the dump, and `trace n` is the dump's
+// tail.
 func TestTraceViewsFoldTheRing(t *testing.T) {
 	c, out := obsSession(t)
 	if err := execErr(t, c, "trace"); !strings.Contains(err.Error(), "no trace recorder") {
@@ -620,6 +622,43 @@ func TestTraceViewsFoldTheRing(t *testing.T) {
 	}
 }
 
+// `trace balance` counts exactly: when a token injected out of band is
+// left stranded and the ring has wrapped, it lists the same non-zero
+// counts, in the same link order, as the `held` column of `info links`.
+func TestTraceBalanceMatchesInfoLinks(t *testing.T) {
+	c, out := obsSessionRing(t, 256)
+	c.Obs.SetPayloads(true)
+	exec(t, c, out, "filter pipe catch work")
+	exec(t, c, out, "continue")
+	exec(t, c, out, "inject ipf::pipe_in 5")
+	exec(t, c, out, "delete catch 1")
+	exec(t, c, out, "continue")
+	if c.Obs.Dropped() == 0 {
+		t.Fatal("the ring did not wrap")
+	}
+	var want []int
+	for _, line := range strings.Split(strings.TrimSpace(exec(t, c, out, "info links")), "\n") {
+		var held int
+		if _, err := fmt.Sscanf(line[strings.Index(line, "held="):], "held=%d", &held); err != nil {
+			t.Fatalf("info links line %q: %v", line, err)
+		}
+		if held > 0 {
+			want = append(want, held)
+		}
+	}
+	var got []int
+	for _, line := range strings.Split(strings.TrimSpace(exec(t, c, out, "trace balance")), "\n") {
+		var id, n int
+		if _, err := fmt.Sscanf(line, "link#%d  +%d tokens in flight", &id, &n); err != nil || n <= 0 {
+			t.Fatalf("trace balance line %q: %v", line, err)
+		}
+		got = append(got, n)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("trace balance counts %v, info links holds %v", got, want)
+	}
+}
+
 func TestQuitAndHelpAndRun(t *testing.T) {
 	c, out := session(t)
 	exec(t, c, out, "help")
@@ -672,8 +711,14 @@ func TestAnalyzeCommand(t *testing.T) {
 // the kernel before the stack attaches, like cmd/dfdbg does.
 func obsSession(t *testing.T) (*CLI, *strings.Builder) {
 	t.Helper()
+	return obsSessionRing(t, 1<<14)
+}
+
+// obsSessionRing is obsSession with an event ring of the given capacity.
+func obsSessionRing(t *testing.T, ring int) (*CLI, *strings.Builder) {
+	t.Helper()
 	k := sim.NewKernel()
-	orec := obs.NewRecorder(1 << 14)
+	orec := obs.NewRecorder(ring)
 	k.SetObserver(orec)
 	low := lowdbg.New(k, dbginfo.NewTable())
 	d := core.Attach(low)

@@ -27,9 +27,9 @@ func TestAnalysisCleanOnRandomApps(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			app := buildRandomApp(t, rng, 4)
 
-			rep, err := pedfgraph.CheckRuntime(app.rt, "random")
+			rep, _, err := pedfgraph.Analyze(app.rt, "random")
 			if err != nil {
-				t.Fatalf("CheckRuntime: %v", err)
+				t.Fatalf("Analyze: %v", err)
 			}
 			if n := rep.Errors(); n != 0 {
 				t.Fatalf("static analysis found %d error(s) in a well-formed app:\n%s",
@@ -212,9 +212,9 @@ func TestDeadlockImpliesStaticDiagnostic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			app := tc.build(t)
 
-			rep, err := pedfgraph.CheckRuntime(app.rt, tc.name)
+			rep, _, err := pedfgraph.Analyze(app.rt, tc.name)
 			if err != nil {
-				t.Fatalf("CheckRuntime: %v", err)
+				t.Fatalf("Analyze: %v", err)
 			}
 			found := false
 			flagged := 0
